@@ -82,16 +82,6 @@ class BasisSpec:
     def gt(cls, degree: int, theta1: float, theta2: float) -> "BasisSpec":
         return cls(family="gt", degree=degree, shape=ShapePair(theta1, theta2))
 
-    def lower(self) -> "BasisSpec":
-        """Same family and shape, one degree lower (needed by difference forms)."""
-        if self.family == "bernstein":
-            if self.degree < 1:
-                raise ConfigurationError("no Bernstein basis below degree 0")
-            return BasisSpec(family="bernstein", degree=self.degree - 1)
-        if self.degree < 3:
-            raise ConfigurationError("no GT basis below degree 2")
-        return BasisSpec(family="gt", degree=self.degree - 1, shape=self.shape)
-
 
 @dataclass(frozen=True)
 class BasisEvaluation:

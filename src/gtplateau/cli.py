@@ -185,6 +185,12 @@ def _write_patch_artifacts(surface: Patch, rule, args, out: str) -> float:
 
 
 def cmd_solve(args) -> int:
+    for flag, value in (
+        ("--reference-area", args.reference_area),
+        ("--reference-rel-tol", args.reference_rel_tol),
+    ):
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ConfigurationError(f"{flag} must be a positive finite number, got {value!r}")
     net = load_net(args.net)
     rule = gauss_legendre_rule(args.quad)
     basis_u, basis_v = _select_bases(args.basis, args.alpha, net)

@@ -20,7 +20,7 @@ import numpy as np
 from .basis import BasisSpec, basis_tables
 from .dirichlet import gradient_normal_system
 from .errors import ConfigurationError, SolverError
-from .numerics import QuadratureRule, pivot_ratio, solve_dense
+from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
 from .patch import ControlNet, SurfaceShape, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
@@ -260,14 +260,13 @@ def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRu
     return float(rule.weights @ integrand @ rule.weights)
 
 
-def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
-    """Interior points minimizing the Dirichlet energy of the hybrid surface.
+def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
+    """Normal equations of the hybrid surface energy in the four interior points.
 
-    S is affine in the four interior points; their scalar coefficient fields
-    come from R1 + R2 (T never touches the interior), so the normal equations
-    follow from the shared gradient quadratic-form engine.
+    S is affine in them; their scalar coefficient fields come from R1 + R2
+    (T never touches the interior), and the known part enters through the
+    jet of the net with its interior anchored at zero.
     """
-    require_blend_net(net, complete=False)
     free = net.free
     anchored = ControlNet(
         points=np.where(free[..., None], 0.0, net.points),
@@ -285,14 +284,24 @@ def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule
         bu.values[fi][:, :, None] * gv.first[fj][:, None, :]
         + gu.values[fi][:, :, None] * bv.first[fj][:, None, :]
     )
-    system = gradient_normal_system(phi_u, phi_v, jet0.Su, jet0.Sv, rule)
+    return gradient_normal_system(phi_u, phi_v, jet0.Su, jet0.Sv, rule)
+
+
+def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
+    """Interior points minimizing the Dirichlet energy of the hybrid surface.
+
+    The normal equations follow from the shared gradient quadratic-form
+    engine (see ``_tb_system``).
+    """
+    require_blend_net(net, complete=False)
+    system = _tb_system(net, shape, rule)
     try:
         solution = solve_dense(system, spd_hint=True)
     except SolverError as exc:
         raise SolverError(f"{exc} [blended-patch interior at alpha={tuple(shape.as_array())}]") from exc
 
     solved = net.copy()
-    solved.points[free] = solution
+    solved.points[net.free] = solution
     return solved
 
 
@@ -322,28 +331,11 @@ def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbO
     solved = solve_tb_interior(net, best_shape, rule)
     energy = tb_dirichlet_energy(solved, best_shape, rule)
 
-    # condition hint of the winning system, recomputed for reporting
-    bu, bv, gu, gv = _tb_tables(best_shape, rule.nodes, rule.nodes)
-    fi, fj = np.nonzero(net.free)
-    phi_u = (
-        bu.first[fi][:, :, None] * gv.values[fj][:, None, :]
-        + gu.first[fi][:, :, None] * bv.values[fj][:, None, :]
-    )
-    phi_v = (
-        bu.values[fi][:, :, None] * gv.first[fj][:, None, :]
-        + gu.values[fi][:, :, None] * bv.first[fj][:, None, :]
-    )
-    anchored = ControlNet(
-        points=np.where(net.free[..., None], 0.0, net.points),
-        fixed=np.ones_like(net.free),
-    )
-    jet0 = tb_surface_jet(anchored, best_shape, rule.nodes, rule.nodes)
-    system = gradient_normal_system(phi_u, phi_v, jet0.Su, jet0.Sv, rule)
     return TbOptimum(
         shape=best_shape,
         net=solved,
         energy=energy,
         history=result.history,
-        system_condition_hint=pivot_ratio(system.matrix),
+        system_condition_hint=pivot_ratio(_tb_system(net, best_shape, rule).matrix),
         pso=result,
     )

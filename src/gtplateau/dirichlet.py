@@ -1,18 +1,27 @@
 """Interior control points extremizing the Dirichlet energy.
 
-The energy is quadratic in the interior points, so stationarity is a single
-symmetric positive-definite linear system shared by the x/y/z coordinates
-(one matrix, three right-hand sides). Two independent assembly routes are
-provided:
+On a tensor-product patch the Dirichlet energy separates exactly. With K and
+M the 1-D Gram matrices of the basis derivatives and values,
 
-* ``assemble_system`` gathers the separated 1-D integral coefficients of the
-  difference-form first variation (the production route), and
+    K[a, b] = int G'_a G'_b dt,    M[a, b] = int G_a G_b dt,
+
+the energy of the row-major flattened net P is
+
+    E(P) = 1/2 P^T (K_u (x) M_v + M_u (x) K_v) P
+
+for each coordinate. It is quadratic in the interior points, so stationarity
+is one symmetric positive-definite linear system shared by the x/y/z
+coordinates (one matrix, three right-hand sides). Two independent assembly
+routes are provided:
+
+* ``assemble_system`` forms the Kronecker sum above from the four 1-D Gram
+  matrices (the production route, "gram"), and
 * ``assemble_system_generic`` builds the same normal equations directly from
-  the gradient fields of the unknowns' scalar coefficient functions.
+  the 2-D gradient fields of the unknowns' scalar coefficient functions
+  ("generic"), the independent reference.
 
-Both integrate with the same quadrature rule, so they agree to rounding; the
-generic route also serves lower-degree cases the difference form cannot reach
-(the GT family has no degree-1 member) and powers the blended-patch solver.
+Both integrate with the same quadrature rule, so they agree to rounding. The
+gradient engine behind the generic route also serves the blended-patch solver.
 """
 
 from __future__ import annotations
@@ -28,33 +37,16 @@ from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
 
 
 @dataclass(frozen=True)
-class StiffnessCoefficients:
-    """Separated 1-D integrals feeding the difference-form assembly.
+class GramMatrices:
+    """1-D Gram matrices of the u and v bases: K of derivatives, M of values.
 
-    With m, n the directional degrees, rows cover the interior index ranges
-    k = 1..m-1 and l = 1..n-1:
-
-    * I1[k,i] = int G'_{k,m} (G_{i,m-1} + u G'_{i,m-1}) du     (m-1) x m
-    * I2[k,i] = int G'_{k,m} G'_{i,m-1} du                     (m-1) x m
-    * I3[k,i] = int G_{k,m} G_{i,m} du                         (m-1) x (m+1)
-    * J1[l,j] = int G_{l,n} G_{j,n} dv                         (n-1) x (n+1)
-    * J2[l,j] = int G'_{l,n} (G_{j,n-1} + v G'_{j,n-1}) dv     (n-1) x n
-    * J3[l,j] = int G'_{l,n} G'_{j,n-1} dv                     (n-1) x n
+    Each is (degree + 1) x (degree + 1) and symmetric.
     """
 
-    I1: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
-    J1: np.ndarray
-    J2: np.ndarray
-    J3: np.ndarray
-
-
-def _difference_route_supported(spec: BasisSpec) -> bool:
-    # the integrands reference the degree-(m-1) family, which for GT needs m-1 >= 2
-    if spec.family == "gt":
-        return spec.degree >= 3
-    return spec.degree >= 2
+    K_u: np.ndarray
+    M_u: np.ndarray
+    K_v: np.ndarray
+    M_v: np.ndarray
 
 
 def _describe(spec: BasisSpec) -> str:
@@ -63,34 +55,19 @@ def _describe(spec: BasisSpec) -> str:
     return f"bernstein(degree={spec.degree})"
 
 
+def _gram(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    tab = basis_tables(spec, rule.nodes)
+    w = rule.weights
+    return (tab.first * w) @ tab.first.T, (tab.values * w) @ tab.values.T
+
+
 def assemble_coefficients(
     basis_u: BasisSpec, basis_v: BasisSpec, rule: QuadratureRule
-) -> StiffnessCoefficients:
-    """Quadrature values of the separated stiffness integrals."""
-    for spec in (basis_u, basis_v):
-        if not _difference_route_supported(spec):
-            raise ConfigurationError(
-                f"difference-form coefficients need degree >= "
-                f"{3 if spec.family == 'gt' else 2}, got {_describe(spec)}"
-            )
-    t = rule.nodes
-    w = rule.weights
-
-    tu = basis_tables(basis_u, t)
-    tu_low = basis_tables(basis_u.lower(), t)
-    m = basis_u.degree
-    i1 = (tu.first[1:m] * w) @ (tu_low.values + t * tu_low.first).T
-    i2 = (tu.first[1:m] * w) @ tu_low.first.T
-    i3 = (tu.values[1:m] * w) @ tu.values.T
-
-    tv = basis_tables(basis_v, t)
-    tv_low = basis_tables(basis_v.lower(), t)
-    n = basis_v.degree
-    j1 = (tv.values[1:n] * w) @ tv.values.T
-    j2 = (tv.first[1:n] * w) @ (tv_low.values + t * tv_low.first).T
-    j3 = (tv.first[1:n] * w) @ tv_low.first.T
-
-    return StiffnessCoefficients(I1=i1, I2=i2, I3=i3, J1=j1, J2=j2, J3=j3)
+) -> GramMatrices:
+    """Quadrature values of the 1-D Gram matrices of both bases."""
+    k_u, m_u = _gram(basis_u, rule)
+    k_v, m_v = _gram(basis_v, rule)
+    return GramMatrices(K_u=k_u, M_u=m_u, K_v=k_v, M_v=m_v)
 
 
 def _require_plateau(net: ControlNet) -> np.ndarray:
@@ -102,39 +79,22 @@ def _require_plateau(net: ControlNet) -> np.ndarray:
     return free
 
 
-def assemble_system(net: ControlNet, coeffs: StiffnessCoefficients) -> DenseSystem:
-    """Normal equations gathered from the difference-form first variation.
+def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
+    """Normal equations from the Kronecker sum K_u (x) M_v + M_u (x) K_v.
 
-    Row (k, l) collects, for every control point P_ab, the coefficient
-    Cu[k,a] J1[l,b] + I3[k,a] Cv[l,b], where Cu and Cv are index-shifted
-    combinations of the separated integrals (the first differences pair I1/J2
-    with consecutive points). Columns of fixed points move to the right-hand
-    side; unknown ordering is row-major over the grid.
+    Rows and columns of the unknown points are kept; columns of fixed points
+    move to the right-hand side. Unknown ordering is row-major over the grid.
     """
     free = _require_plateau(net)
     m, n = net.degree_u, net.degree_v
-    if coeffs.I3.shape != (m - 1, m + 1) or coeffs.J1.shape != (n - 1, n + 1):
-        raise ConfigurationError("stiffness coefficients do not match the net degrees")
+    if coeffs.M_u.shape != (m + 1, m + 1) or coeffs.M_v.shape != (n + 1, n + 1):
+        raise ConfigurationError("Gram matrices do not match the net degrees")
 
-    cu = np.zeros((m - 1, m + 1))
-    cu[:, 1:] += coeffs.I1
-    cu[:, :-1] -= coeffs.I1
-    cu[:, :-1] += coeffs.I2
-    cv = np.zeros((n - 1, n + 1))
-    cv[:, 1:] += coeffs.J2
-    cv[:, :-1] -= coeffs.J2
-    cv[:, :-1] += coeffs.J3
-
-    full = np.einsum("ka,lb->klab", cu, coeffs.J1) + np.einsum("ka,lb->klab", coeffs.I3, cv)
-    flat = full.reshape((m - 1) * (n - 1), (m + 1) * (n + 1))
-
-    free_rows = free[1:m, 1:n].ravel()
-    free_cols = free.ravel()
-    rows = flat[free_rows]
-    matrix = rows[:, free_cols]
-    fixed_points = net.points.reshape(-1, 3)[~free_cols]
-    rhs = -(rows[:, ~free_cols] @ fixed_points)
-    return DenseSystem(matrix=matrix, rhs=rhs, symmetric=True)
+    cols = free.ravel()
+    rows = (np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v))[cols]
+    fixed_points = net.points.reshape(-1, 3)[~cols]
+    rhs = -(rows[:, ~cols] @ fixed_points)
+    return DenseSystem(matrix=rows[:, cols], rhs=rhs, symmetric=True)
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -166,8 +126,7 @@ def assemble_system_generic(
 
     phi for unknown P_ab is the scalar field G_a(u) G_b(v); the fixed part
     enters through its gradient. Independent of assemble_system (no shared
-    integrals), used as its oracle and as the fallback for degrees the
-    difference form cannot serve.
+    integrals), used as its oracle.
     """
     free = _require_plateau(net)
     tu = basis_tables(basis_u, rule.nodes)
@@ -198,23 +157,16 @@ def solve_interior(
     basis_u: BasisSpec,
     basis_v: BasisSpec,
     rule: QuadratureRule,
-    route: str = "auto",
+    route: str = "gram",
 ) -> ExtremalSolution:
     """Fill the unknown interior points with the Dirichlet extremal.
 
     Fixed points are carried over bit for bit. ``route`` picks the assembly:
-    "difference" (production), "generic" (first-principles), or "auto" to use
-    the difference form whenever the degrees allow it.
+    "gram" (production) or "generic" (first-principles).
     """
     if basis_u.degree != net.degree_u or basis_v.degree != net.degree_v:
         raise ConfigurationError("basis degrees must match the net")
-    if route == "auto":
-        route = (
-            "difference"
-            if _difference_route_supported(basis_u) and _difference_route_supported(basis_v)
-            else "generic"
-        )
-    if route == "difference":
+    if route == "gram":
         system = assemble_system(net, assemble_coefficients(basis_u, basis_v, rule))
     elif route == "generic":
         system = assemble_system_generic(net, basis_u, basis_v, rule)

@@ -1,7 +1,7 @@
 """Shared low-level numerics.
 
-Gauss-Legendre quadrature on [0, 1], dense symmetric/general solves with an
-SPD fast path, independent seeded random substreams, and central-difference
+Gauss-Legendre quadrature on [0, 1], dense solves that verify an SPD hint by
+Cholesky, independent seeded random substreams, and central-difference
 utilities used as test oracles throughout the package.
 """
 
@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, SolverError
 
@@ -111,44 +110,39 @@ class DenseSystem:
 
 
 def solve_dense(system: DenseSystem, spd_hint: bool = False) -> np.ndarray:
-    """Solve a dense system, preferring Cholesky when the SPD hint holds.
+    """Solve a dense system by pivoted elimination.
 
-    The hint is verified at runtime: if the Cholesky factorization fails, a
-    warning is emitted and the solve falls back to pivoted elimination.
-    Singular-to-working-precision matrices raise SolverError naming the
-    failing pivot. The returned solution matches the rhs dimensionality.
+    An SPD hint is verified by a Cholesky factorization, which also certifies
+    the matrix nonsingular. Without the hint, or when the factorization fails
+    (with a warning), matrices singular to working precision raise
+    SolverError naming the extreme singular values. The returned solution
+    matches the rhs dimensionality.
     """
     rhs = system.rhs
     squeeze = rhs.ndim == 1
     b = rhs[:, None] if squeeze else rhs
 
-    x = None
+    verified = False
     if spd_hint:
         try:
-            factor = scipy.linalg.cho_factor(system.matrix, check_finite=False)
-            x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            np.linalg.cholesky(system.matrix)
+            verified = True
+        except np.linalg.LinAlgError:
             warnings.warn(
                 "SPD hint failed Cholesky verification; falling back to pivoted elimination",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            x = None
-    if x is None:
-        with warnings.catch_warnings():
-            # scipy warns on exact zero pivots; the explicit check below raises instead
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(system.matrix, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        tol = np.finfo(float).eps * system.size * pivots.max(initial=0.0)
-        bad = np.flatnonzero(pivots <= tol)
-        if pivots.max(initial=0.0) == 0.0 or bad.size:
-            index = int(bad[0]) if bad.size else 0
+    if not verified:
+        # elimination raises only on exact zero pivots; catch near-singularity first
+        sigma = np.linalg.svd(system.matrix, compute_uv=False)
+        largest = sigma.max(initial=0.0)
+        if largest == 0.0 or sigma[-1] <= system.size * np.finfo(float).eps * largest:
             raise SolverError(
-                f"matrix is singular to working precision (pivot {index} = "
-                f"{pivots[index] if pivots.size else 0.0:.3e})"
+                "matrix is singular to working precision (singular values "
+                f"{sigma.min(initial=0.0):.3e} .. {largest:.3e})"
             )
-        x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x = np.linalg.solve(system.matrix, b)
 
     residual = np.abs(system.matrix @ x - b).max(initial=0.0)
     bound = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
@@ -166,10 +160,7 @@ def pivot_ratio(matrix: np.ndarray) -> float:
     try:
         d = np.abs(np.diag(np.linalg.cholesky(matrix)))
     except np.linalg.LinAlgError:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, _ = scipy.linalg.lu_factor(matrix, check_finite=False)
-        d = np.abs(np.diag(lu))
+        d = np.abs(np.diag(np.linalg.qr(matrix, mode="r")))
     if d.size == 0 or d.min() == 0.0:
         return float("inf")
     return float(d.max() / d.min())

@@ -2,9 +2,8 @@
 
 A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
 families per direction (Bernstein x Bernstein, GT x GT, or mixed). The module
-provides evaluation, first/second partials (with an independent difference
-form retained as a cross-check), the Dirichlet energy, surface area, Laplacian
-defect, mean-curvature grids, and uniform tessellation.
+provides evaluation, first/second partials, the Dirichlet energy, surface
+area, Laplacian defect, mean-curvature grids, and uniform tessellation.
 """
 
 from __future__ import annotations
@@ -216,33 +215,6 @@ def partials(patch: Patch, u, v) -> tuple[np.ndarray, np.ndarray]:
     """(S_u, S_v) by termwise differentiation (production path)."""
     su, sv = partial_grids(patch, [u], [v])
     return su[0, 0], sv[0, 0]
-
-
-def partials_difference(patch: Patch, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """(S_u, S_v) via the lower-degree difference identity (cross-check path).
-
-    Writing C_i(v) for the v-contracted control rows, the elevation recursion
-    gives S_u = sum_i (g_i + u g_i') dC_i + sum_i g_i' C_i with g_i the
-    degree-(m-1) basis of the same family and shape, and symmetrically in v.
-    Requires the lower-degree basis to exist (GT degree >= 3).
-    """
-    us, vs = _check_params(u, v)
-    tu = basis_tables(patch.basis_u, us)
-    tv = basis_tables(patch.basis_v, vs)
-    lu = basis_tables(patch.basis_u.lower(), us)
-    lv = basis_tables(patch.basis_v.lower(), vs)
-    p = patch.net.points
-
-    rows = np.einsum("jt,ijc->ic", tv.values, p)  # C_i(v), shape (m+1, 3)
-    drows = np.diff(rows, axis=0)
-    gu = lu.values[:, 0] + us[0] * lu.first[:, 0]
-    su = gu @ drows + lu.first[:, 0] @ rows[:-1]
-
-    cols = np.einsum("it,ijc->jc", tu.values, p)  # C_j(u), shape (n+1, 3)
-    dcols = np.diff(cols, axis=0)
-    gv = lv.values[:, 0] + vs[0] * lv.first[:, 0]
-    sv = gv @ dcols + lv.first[:, 0] @ cols[:-1]
-    return su, sv
 
 
 def second_partials(patch: Patch, u, v):

@@ -1,11 +1,15 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gtplateau
 from gtplateau.cli import NOT_IMPLEMENTED_NOTE, main
 from gtplateau.harmonic import defect_objective
 from gtplateau.io import load_net, save_net
@@ -43,14 +47,14 @@ class TestSolve:
             assert (out / name).exists(), name
         summary = read_summary(out)
         results = summary["results"]
-        assert results["route"] == "difference"
+        assert results["route"] == "gram"
         assert results["solved_points"] == 4
         assert results["discrepancy"] is False
         assert abs(results["energy"] - 39.220659340659346) < 1e-9
         assert abs(results["area"] - 38.84292521991595) < 1e-9
         assert summary["settings"]["basis"] == "bernstein"
         assert summary["settings"]["alpha"] is None
-        assert "route=difference" in capsys.readouterr().out
+        assert "route=gram" in capsys.readouterr().out
         assert load_net(out / "net.json").is_complete
 
     def test_reference_miss_writes_report(self, tmp_path, capsys):
@@ -81,6 +85,27 @@ class TestSolve:
         assert results["discrepancy"] is False
         assert abs(results["area"] - 37.61689526994261) < 1e-9
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--reference-area", "0"),
+            ("--reference-area", "nan"),
+            ("--reference-area", "-38"),
+            ("--reference-area", "inf"),
+            ("--reference-rel-tol", "-0.01"),
+            ("--reference-rel-tol", "0"),
+            ("--reference-rel-tol", "nan"),
+        ],
+    )
+    def test_reference_flags_validated(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        argv = ["solve", WAVE, "--out", str(out), "--reference-area", "38.0"]
+        rc = main(argv + [f"{flag}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and flag in err
+        assert not out.exists()
+
     def test_complete_net_is_reported_not_solved(self, tmp_path):
         net_file = tmp_path / "flat.json"
         save_net(flat_complete_net(), net_file)
@@ -103,7 +128,7 @@ class TestSolve:
         a = read_summary(first)["results"]
         b = read_summary(second)["results"]
         # emitted nets keep the free mask, so the follow-up run solves again
-        assert b["route"] == "difference" and b["solved_points"] == 4
+        assert b["route"] == "gram" and b["solved_points"] == 4
         assert abs(a["energy"] - b["energy"]) < 1e-12
         assert abs(a["area"] - b["area"]) < 1e-12
 
@@ -319,3 +344,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["solve", WAVE, "--alpha", "0.1,2,2,2", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+
+class TestDependencies:
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy blocked from import: the CLI must import and solve with numpy alone
+        script = (
+            "import sys; sys.modules['scipy'] = None; "
+            "import gtplateau.cli; "
+            "sys.exit(gtplateau.cli.main(sys.argv[1:]))"
+        )
+        src = str(pathlib.Path(gtplateau.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        out = tmp_path / "run"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "solve", WAVE, "--tess", "4", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "route=gram" in proc.stdout
+        assert read_summary(out)["results"]["route"] == "gram"

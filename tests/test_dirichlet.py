@@ -7,7 +7,7 @@ import pytest
 
 from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.dirichlet import (
-    StiffnessCoefficients,
+    GramMatrices,
     assemble_coefficients,
     assemble_system,
     assemble_system_generic,
@@ -15,7 +15,7 @@ from gtplateau.dirichlet import (
     solve_interior,
 )
 from gtplateau.errors import ConfigurationError, SolverError
-from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
+from gtplateau.numerics import finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import (
     ControlNet,
     Patch,
@@ -38,26 +38,31 @@ def bernstein_mass(degree: int, k: int, i: int) -> float:
     )
 
 
-def trapezoid_coefficients(basis_u, basis_v, samples: int) -> StiffnessCoefficients:
-    """The six separated integrals by composite trapezoid (independent quadrature)."""
+def trapezoid_coefficients(basis_u, basis_v, samples: int) -> GramMatrices:
+    """The four 1-D Gram matrices by composite trapezoid (independent quadrature)."""
     t = np.linspace(0.0, 1.0, samples)
     w = np.full(samples, 1.0 / (samples - 1))
     w[0] = w[-1] = 0.5 / (samples - 1)
 
     tu = basis_tables(basis_u, t)
-    lu = basis_tables(basis_u.lower(), t)
-    m = basis_u.degree
-    i1 = (tu.first[1:m] * w) @ (lu.values + t * lu.first).T
-    i2 = (tu.first[1:m] * w) @ lu.first.T
-    i3 = (tu.values[1:m] * w) @ tu.values.T
-
     tv = basis_tables(basis_v, t)
-    lv = basis_tables(basis_v.lower(), t)
-    n = basis_v.degree
-    j1 = (tv.values[1:n] * w) @ tv.values.T
-    j2 = (tv.first[1:n] * w) @ (lv.values + t * lv.first).T
-    j3 = (tv.first[1:n] * w) @ lv.first.T
-    return StiffnessCoefficients(I1=i1, I2=i2, I3=i3, J1=j1, J2=j2, J3=j3)
+    return GramMatrices(
+        K_u=(tu.first * w) @ tu.first.T,
+        M_u=(tu.values * w) @ tu.values.T,
+        K_v=(tv.first * w) @ tv.first.T,
+        M_v=(tv.values * w) @ tv.values.T,
+    )
+
+
+def bernstein_stiffness(degree: int) -> np.ndarray:
+    """int B'_k B'_i dt from the mass matrix of degree - 1 and first differences."""
+    low = np.array(
+        [[bernstein_mass(degree - 1, a, b) for b in range(degree)] for a in range(degree)]
+    )
+    diff = np.zeros((degree, degree + 1))
+    diff[:, 1:] += np.eye(degree)
+    diff[:, :-1] -= np.eye(degree)
+    return degree**2 * diff.T @ low @ diff
 
 
 class TestCoefficients:
@@ -66,25 +71,22 @@ class TestCoefficients:
         spec = BasisSpec.bernstein(degree)
         coeffs = assemble_coefficients(spec, spec, rule32)
         expected = np.array(
-            [
-                [bernstein_mass(degree, k, i) for i in range(degree + 1)]
-                for k in range(1, degree)
-            ]
+            [[bernstein_mass(degree, k, i) for i in range(degree + 1)] for k in range(degree + 1)]
         )
-        np.testing.assert_allclose(coeffs.I3, expected, atol=1e-12)
-        np.testing.assert_allclose(coeffs.J1, expected, atol=1e-12)
+        np.testing.assert_allclose(coeffs.M_u, expected, atol=1e-12)
+        np.testing.assert_allclose(coeffs.M_v, expected, atol=1e-12)
+        np.testing.assert_allclose(coeffs.K_u, bernstein_stiffness(degree), atol=1e-12)
 
     def test_mass_diagonal_symmetry(self, rule32):
         coeffs = assemble_coefficients(CUBIC, CUBIC, rule32)
-        # both entries integrate B_1 B_2
-        assert abs(coeffs.I3[0, 2] - coeffs.I3[1, 1]) < 1e-14
+        # both entries integrate B_1 B_2 (and B'_1 B'_2)
+        assert abs(coeffs.M_u[1, 2] - coeffs.M_u[2, 1]) < 1e-14
+        assert abs(coeffs.K_u[1, 2] - coeffs.K_u[2, 1]) < 1e-14
 
     def test_shapes(self, rule32):
         coeffs = assemble_coefficients(CUBIC, BasisSpec.bernstein(4), rule32)
-        assert coeffs.I1.shape == (2, 3) and coeffs.I2.shape == (2, 3)
-        assert coeffs.I3.shape == (2, 4)
-        assert coeffs.J1.shape == (3, 5)
-        assert coeffs.J2.shape == (3, 4) and coeffs.J3.shape == (3, 4)
+        assert coeffs.K_u.shape == coeffs.M_u.shape == (4, 4)
+        assert coeffs.K_v.shape == coeffs.M_v.shape == (5, 5)
 
     @pytest.mark.parametrize(
         "samples,tol", [(10_001, 1e-7), (100_001, 1e-8)], ids=["coarse", "fine"]
@@ -94,15 +96,21 @@ class TestCoefficients:
         bv = BasisSpec.gt(3, 2.0, 2.0)
         gauss = assemble_coefficients(bu, bv, rule32)
         trap = trapezoid_coefficients(bu, bv, samples)
-        for name in ("I1", "I2", "I3", "J1", "J2", "J3"):
+        for name in ("K_u", "M_u", "K_v", "M_v"):
             gap = np.abs(getattr(gauss, name) - getattr(trap, name)).max()
             assert gap < tol, f"{name}: {gap:.3e}"
 
-    def test_degree_floor(self, rule32):
-        with pytest.raises(ConfigurationError, match="degree >= 3"):
-            assemble_coefficients(BasisSpec.gt(2, 2.0, 2.0), CUBIC, rule32)
-        with pytest.raises(ConfigurationError, match="degree >= 2"):
-            assemble_coefficients(BasisSpec.bernstein(1), CUBIC, rule32)
+    def test_low_degrees_accepted(self, rule32, boundary_net_factory):
+        # GT degree 2 and Bernstein degree 1 have no lower family member; the
+        # Gram matrices need none
+        coeffs = assemble_coefficients(BasisSpec.gt(2, 2.0, 2.0), BasisSpec.bernstein(1), rule32)
+        assert coeffs.K_u.shape == coeffs.M_u.shape == (3, 3)
+        np.testing.assert_allclose(coeffs.K_v, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-14)
+        np.testing.assert_allclose(coeffs.M_v, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-14)
+        # a degree-1 direction has no interior row: nothing to solve
+        coeffs = assemble_coefficients(BasisSpec.bernstein(1), CUBIC, rule32)
+        with pytest.raises(ConfigurationError, match="no unknown"):
+            assemble_system(boundary_net_factory(5, shape=(2, 4)), coeffs)
 
 
 class TestAssembly:
@@ -141,12 +149,12 @@ class TestAssembly:
                 for b in alphas:
                     shape = SurfaceShape(a, a, b, b)
                     bu, bv = shape.basis_specs(degree, degree)
-                    diff = assemble_system(net, assemble_coefficients(bu, bv, rule32))
+                    gram = assemble_system(net, assemble_coefficients(bu, bv, rule32))
                     generic = assemble_system_generic(net, bu, bv, rule32)
-                    assert np.abs(diff.matrix - generic.matrix).max() < 1e-9
-                    assert np.abs(diff.rhs - generic.rhs).max() < 1e-9
-                    assert np.abs(diff.matrix - diff.matrix.T).max() < 1e-10
-                    np.linalg.cholesky(diff.matrix)
+                    assert np.abs(gram.matrix - generic.matrix).max() < 1e-9
+                    assert np.abs(gram.rhs - generic.rhs).max() < 1e-9
+                    assert np.abs(gram.matrix - gram.matrix.T).max() < 1e-10
+                    np.linalg.cholesky(gram.matrix)
 
 
 class TestSolveInterior:
@@ -172,21 +180,31 @@ class TestSolveInterior:
             solve_interior(wave_net, BasisSpec.bernstein(4), CUBIC, rule32)
 
     def test_route_selection(self, wave_net, rule32):
-        diff = solve_interior(wave_net, CUBIC, CUBIC, rule32, route="difference")
+        gram = solve_interior(wave_net, CUBIC, CUBIC, rule32, route="gram")
         generic = solve_interior(wave_net, CUBIC, CUBIC, rule32, route="generic")
-        assert diff.route == "difference" and generic.route == "generic"
-        assert abs(diff.energy - generic.energy) < 1e-12
-        np.testing.assert_allclose(generic.net.points, diff.net.points, atol=1e-12)
-        with pytest.raises(ConfigurationError, match="unknown assembly route"):
-            solve_interior(wave_net, CUBIC, CUBIC, rule32, route="fancy")
+        assert gram.route == "gram" and generic.route == "generic"
+        assert solve_interior(wave_net, CUBIC, CUBIC, rule32).route == "gram"
+        assert abs(gram.energy - generic.energy) < 1e-12
+        np.testing.assert_allclose(generic.net.points, gram.net.points, atol=1e-12)
+        for route in ("fancy", "difference", "auto"):
+            with pytest.raises(ConfigurationError, match="unknown assembly route"):
+                solve_interior(wave_net, CUBIC, CUBIC, rule32, route=route)
 
-    def test_auto_falls_back_for_quadratic_gt(self, rule32):
-        points = np.full((3, 3, 3), np.nan)
-        points[[0, -1], :, :] = RngStream(2, 0).uniform(-1.0, 1.0, (2, 3, 3))
-        points[:, [0, -1], :] = RngStream(2, 1).uniform(-1.0, 1.0, (3, 2, 3))
-        net = ControlNet(points=points)
-        bu = bv = BasisSpec.gt(2, 1.5, 2.5)
-        assert solve_interior(net, bu, bv, rule32).route == "generic"
+    @pytest.mark.parametrize(
+        "shape,bases",
+        [
+            ((3, 3), (BasisSpec.gt(2, 1.5, 2.5), BasisSpec.gt(2, 0.7, 3.1))),
+            ((3, 5), (BasisSpec.gt(2, 1.5, 2.5), BasisSpec.bernstein(4))),
+        ],
+        ids=["gt2", "gt2-bernstein4"],
+    )
+    def test_quadratic_gt_on_gram_route(self, shape, bases, rule32, boundary_net_factory):
+        net = boundary_net_factory(2, shape=shape)
+        gram = solve_interior(net, *bases, rule32)
+        generic = solve_interior(net, *bases, rule32, route="generic")
+        assert gram.route == "gram"
+        assert abs(gram.energy - generic.energy) <= 1e-12 * generic.energy
+        np.testing.assert_allclose(gram.net.points, generic.net.points, rtol=0.0, atol=1e-12)
 
     def test_matches_direct_minimization_oracle(
         self, rule32, boundary_net_factory, quadratic_minimizer

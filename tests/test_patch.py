@@ -22,11 +22,12 @@ from gtplateau.patch import (
     mesh_area,
     partial_grids,
     partials,
-    partials_difference,
     second_partial_grids,
     second_partials,
     tessellate,
 )
+
+from difference_form import partials_difference
 
 INNER = np.linspace(0.1, 0.9, 5)
 
