@@ -15,8 +15,6 @@ from .coons import (
     coons_classical_matrix,
     optimize_tb,
     solve_tb_interior,
-    tb_components,
-    tb_coons,
     tb_dirichlet_energy,
     tb_surface_jet,
 )
@@ -103,8 +101,6 @@ __all__ = [
     "save_net",
     "solve_interior",
     "solve_tb_interior",
-    "tb_components",
-    "tb_coons",
     "tb_dirichlet_energy",
     "tb_surface_jet",
     "tessellate",

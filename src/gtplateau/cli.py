@@ -73,6 +73,19 @@ def _float_tuple(flag: str, count: int):
     return parse
 
 
+def _int_at_least(flag: str, low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} needs an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _alpha_type(text: str):
     values = _float_tuple("--alpha", 4)(text)
     try:
@@ -99,7 +112,7 @@ def _add_output_args(parser, tess: bool = True):
     )
     if tess:
         parser.add_argument(
-            "--tess", type=int, default=64, metavar="K",
+            "--tess", type=_int_at_least("--tess", 1), default=64, metavar="K",
             help="tessellation cells per direction for OBJ/curvature output (default 64)",
         )
     parser.add_argument(
@@ -111,7 +124,7 @@ def _add_output_args(parser, tess: bool = True):
 def _add_pso_args(parser, runs: bool = False):
     if runs:
         parser.add_argument(
-            "--runs", type=int, default=1, metavar="R",
+            "--runs", type=_int_at_least("--runs", 0), default=1, metavar="R",
             help="independent swarm runs; run r uses seed SEED+r (default 1)",
         )
     parser.add_argument("--seed", type=int, default=0, metavar="S", help="base RNG seed (default 0)")
@@ -172,6 +185,23 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
         return sol.net, sol.energy, sol.system_condition_hint, sol.route
     surface = Patch(basis_u=basis_u, basis_v=basis_v, net=net)
     return net, dirichlet_energy(surface, rule), None, "none (net already complete)"
+
+
+def _swarm_runs(net, rule, args):
+    """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, re-solved extremal)
+    triples, and the index of the first run of least energy."""
+
+    def objective(x):
+        return reduced_functional(net, SurfaceShape.from_iterable(x), rule)
+
+    runs = []
+    for r in range(args.runs):
+        result = optimize(objective, _pso_config(args, args.seed + r))
+        shape = SurfaceShape.from_iterable(result.position)
+        sol = solve_interior(net, *shape.basis_specs(net.degree_u, net.degree_v), rule)
+        runs.append((result, shape, sol))
+    best = min(range(len(runs)), key=lambda r: runs[r][2].energy)
+    return runs, best
 
 
 def _write_patch_artifacts(surface: Patch, rule, args, out: str) -> float:
@@ -257,31 +287,23 @@ def cmd_optimize(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
 
-    def objective(x):
-        return reduced_functional(net, SurfaceShape.from_iterable(x), rule)
-
+    runs, r_best = _swarm_runs(net, rule, args)
     run_rows = []
-    best = None
-    for r in range(args.runs):
-        result = optimize(objective, _pso_config(args, args.seed + r))
+    for r, (result, shape, sol) in enumerate(runs):
         write_convergence_csv(os.path.join(out, f"convergence_{r:02d}.csv"), result.history)
-        shape = SurfaceShape.from_iterable(result.position)
-        sol = solve_interior(net, *shape.basis_specs(net.degree_u, net.degree_v), rule)
-        run_area = area(Patch.gt(sol.net, shape), rule)
         run_rows.append(
             {
                 "run": r,
                 "seed": args.seed + r,
                 "alpha": _shape_list(shape),
                 "energy": sol.energy,
-                "area": run_area,
+                "area": area(Patch.gt(sol.net, shape), rule),
                 "evaluations": result.evaluations,
             }
         )
-        if best is None or sol.energy < best[1].energy:
-            best = (r, sol, shape, run_area)
 
-    r_best, sol, shape, best_area = best
+    _, shape, sol = runs[r_best]
+    best_area = run_rows[r_best]["area"]
     surface = Patch.gt(sol.net, shape)
     _write_patch_artifacts(surface, rule, args, out)
     summary = RunSummary(
@@ -370,18 +392,11 @@ def cmd_coons(args) -> int:
     write_curvature_csv(os.path.join(out, "curvature.csv"), params, params, forms)
 
     # the two mixed-basis components, as inspectable meshes
-    r1 = Patch(
-        basis_u=BasisSpec.bernstein(3),
-        basis_v=BasisSpec(family="gt", degree=3, shape=optimum.shape.v_pair),
-        net=optimum.net,
-    )
-    r2 = Patch(
-        basis_u=BasisSpec(family="gt", degree=3, shape=optimum.shape.u_pair),
-        basis_v=BasisSpec.bernstein(3),
-        net=optimum.net,
-    )
-    write_obj(os.path.join(out, "r1.obj"), *tessellate(r1, args.tess))
-    write_obj(os.path.join(out, "r2.obj"), *tessellate(r2, args.tess))
+    cubic = BasisSpec.bernstein(3)
+    gu, gv = optimum.shape.basis_specs(3, 3)
+    for name, bu, bv in (("r1.obj", cubic, gv), ("r2.obj", gu, cubic)):
+        surface = Patch(basis_u=bu, basis_v=bv, net=optimum.net)
+        write_obj(os.path.join(out, name), *tessellate(surface, args.tess))
 
     summary = RunSummary(
         command="coons",
@@ -424,16 +439,8 @@ def cmd_compare(args) -> int:
 
     optimized = args.runs > 0 and bool(net.free.any())
     if optimized:
-        best = None
-        for r in range(args.runs):
-            result = optimize(
-                lambda x: reduced_functional(net, SurfaceShape.from_iterable(x), rule),
-                _pso_config(args, args.seed + r),
-            )
-            if best is None or result.value < best.value:
-                best = result
-        shape = SurfaceShape.from_iterable(best.position)
-        sol = solve_interior(net, *shape.basis_specs(net.degree_u, net.degree_v), rule)
+        runs, r_best = _swarm_runs(net, rule, args)
+        _, shape, sol = runs[r_best]
         add_row("gt-optimized", shape, sol.energy, area(Patch.gt(sol.net, shape), rule))
 
     shape0 = args.alpha

@@ -1,14 +1,27 @@
 """Bilinearly blended Coons patches and the hybrid blended surface.
 
 The classical construction interpolates four compatible boundary curves. The
-hybrid surface S = R1 + R2 - T combines two mixed-basis bicubic tensor
-patches (Bernstein in one parameter, GT in the other) with a GT-Coons corner
-correction T built from the net's four GT boundary curves. At every boundary
-parameter the GT contributions cancel, so the patch boundary is exactly the
-Bernstein curve of the boundary control points for every shape vector; the
-shape freedom moves only the interior.
+hybrid surface S = R1 + R2 - T adds two mixed-basis bicubic patches (R1
+Bernstein in u and GT in v, R2 the reverse) and subtracts T, the GT-Coons
+blend of the net's four GT boundary curves. On the boundary the GT terms
+cancel, so the patch edges are the Bernstein curves of the boundary points for
+every shape vector; the shape moves only the interior.
 
-Index convention: in Q_ij, i always indexes u and j always indexes v.
+Each term is a function of u times a function of v, so S is a tensor patch
+over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
+10x10 coefficient net is C = L P, with L a constant 100 x 16 map:
+
+* R1 and R2: C[B_i, Gv_j] = C[Gu_i, B_j] = P_ij;
+* T's edges: C[Gu_i, 1-v] = -P_i0, C[Gu_i, v] = -P_i3, C[1-u, Gv_j] = -P_0j
+  and C[u, Gv_j] = -P_3j;
+* T's corners: C[lin_a, lin_b] = +corner_ab, the point at (u, v) = (a, b).
+
+Jets contract the 10-row tables with C. The energy is 1/2 sum_c C_c^T Q C_c
+with Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, and the interior
+solve keeps the free rows of L^T Q L. ``_tb_system`` builds the same normal
+equations from 2-D gradient fields; it is the independent reference.
+
+Index convention: in P_ij, i always indexes u and j always indexes v.
 """
 
 from __future__ import annotations
@@ -17,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, basis_tables
-from .dirichlet import gradient_normal_system
+from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables
+from .dirichlet import _free_system, _gram, gradient_normal_system
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
-from .patch import ControlNet, SurfaceShape, boundary_mask
+from .patch import ControlNet, SurfaceShape, _contract, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
 _CORNER_TOL = 1e-12
@@ -153,148 +166,105 @@ class SurfaceJet:
     Svv: np.ndarray
 
 
-def _tb_tables(shape: SurfaceShape, us, vs):
-    bu = basis_tables(BasisSpec.bernstein(3), us)
-    bv = basis_tables(BasisSpec.bernstein(3), vs)
-    gu = basis_tables(BasisSpec(family="gt", degree=3, shape=shape.u_pair), us)
-    gv = basis_tables(BasisSpec(family="gt", degree=3, shape=shape.v_pair), vs)
-    return bu, bv, gu, gv
+#: First rows of the blocks of the 10-function tables: Bernstein, GT, (1-t, t).
+_B, _G, _LIN = 0, 4, 8
 
 
-def _mixed_jet(tab_u, tab_v, points) -> SurfaceJet:
-    def c(a, b):
-        return np.einsum("iu,jv,ijc->uvc", a, b, points)
+def _coefficient_map() -> np.ndarray:
+    """L (100 x 16): the row-major 10x10 coefficient net C = L P of a 4x4 net P."""
+    L = np.zeros((10, 10, 4, 4))
+    i, j = np.indices((4, 4))
+    L[_B + i, _G + j, i, j] = 1.0  # R1
+    L[_G + i, _B + j, i, j] = 1.0  # R2
+    k = np.arange(4)
+    L[_G + k, _LIN, k, 0] = L[_G + k, _LIN + 1, k, 3] = -1.0  # T: sides v = 0, 1
+    L[_LIN, _G + k, 0, k] = L[_LIN + 1, _G + k, 3, k] = -1.0  # T: sides u = 0, 1
+    a, b = np.indices((2, 2))
+    L[_LIN + a, _LIN + b, 3 * a, 3 * b] = 1.0  # T's bilinear corner term
+    return L.reshape(100, 16)
 
-    return SurfaceJet(
-        S=c(tab_u.values, tab_v.values),
-        Su=c(tab_u.first, tab_v.values),
-        Sv=c(tab_u.values, tab_v.first),
-        Suu=c(tab_u.second, tab_v.values),
-        Suv=c(tab_u.first, tab_v.first),
-        Svv=c(tab_u.values, tab_v.second),
+
+_L = _coefficient_map()
+
+
+def _blend_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
+    """Rows (B0..B3, G0..G3, 1-t, t) of one direction, with derivatives."""
+    b = basis_tables(BasisSpec.bernstein(3), ts)
+    g = basis_tables(BasisSpec(family="gt", degree=3, shape=pair), ts)
+    one = np.ones_like(ts)
+    return BasisEvaluation(
+        values=np.vstack([b.values, g.values, 1.0 - ts, ts]),
+        first=np.vstack([b.first, g.first, -one, one]),
+        second=np.vstack([b.second, g.second, np.zeros((2, ts.size))]),
     )
 
 
-def _correction_jet(points, gu, gv, us, vs) -> SurfaceJet:
-    """Jet of T: the Coons blend of the four GT boundary curves."""
-    u = us[:, None, None]
-    v = vs[None, :, None]
-
-    def curve(tab, controls):
-        return (
-            (tab.values.T @ controls),
-            (tab.first.T @ controls),
-            (tab.second.T @ controls),
-        )
-
-    gb, gb1, gb2 = curve(gu, points[:, 0])  # v = 0 side, runs in u
-    gt_, gt1, gt2 = curve(gu, points[:, 3])  # v = 1 side
-    gl, gl1, gl2 = curve(gv, points[0, :])  # u = 0 side, runs in v
-    gr, gr1, gr2 = curve(gv, points[3, :])  # u = 1 side
-
-    q00, q03, q30, q33 = points[0, 0], points[0, 3], points[3, 0], points[3, 3]
-    bil = (
-        (1.0 - u) * (1.0 - v) * q00
-        + (1.0 - u) * v * q03
-        + u * (1.0 - v) * q30
-        + u * v * q33
-    )
-    bil_u = -(1.0 - v) * q00 - v * q03 + (1.0 - v) * q30 + v * q33
-    bil_v = -(1.0 - u) * q00 + (1.0 - u) * q03 - u * q30 + u * q33
-    bil_uv = q00 - q03 - q30 + q33
-
-    ub = lambda a: a[:, None, :]  # broadcast u-curves over v
-    vb = lambda a: a[None, :, :]  # broadcast v-curves over u
-    return SurfaceJet(
-        S=(1.0 - v) * ub(gb) + v * ub(gt_) + (1.0 - u) * vb(gl) + u * vb(gr) - bil,
-        Su=(1.0 - v) * ub(gb1) + v * ub(gt1) - vb(gl) + vb(gr) - bil_u,
-        Sv=-ub(gb) + ub(gt_) + (1.0 - u) * vb(gl1) + u * vb(gr1) - bil_v,
-        Suu=(1.0 - v) * ub(gb2) + v * ub(gt2),
-        Suv=-ub(gb1) + ub(gt1) - vb(gl1) + vb(gr1) - bil_uv,
-        Svv=(1.0 - u) * vb(gl2) + u * vb(gr2),
-    )
+def _hybrid_gram(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
+    """K_F (x) M_H + M_F (x) K_H over the 10-function bases (100 x 100)."""
+    k_f, m_f = _gram(_blend_tables(shape.u_pair, rule.nodes), rule)
+    k_h, m_h = _gram(_blend_tables(shape.v_pair, rule.nodes), rule)
+    return np.kron(k_f, m_h) + np.kron(m_f, k_h)
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
     require_blend_net(net, complete=True)
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    for arr in (us, vs):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ConfigurationError("surface parameters must lie in [0, 1]")
-    bu, bv, gu, gv = _tb_tables(shape, us, vs)
-    r1 = _mixed_jet(bu, gv, net.points)
-    r2 = _mixed_jet(gu, bv, net.points)
-    t = _correction_jet(net.points, gu, gv, us, vs)
+    us, vs = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (us, vs))
+    if any(t.size and (t.min() < 0.0 or t.max() > 1.0) for t in (us, vs)):
+        raise ConfigurationError("surface parameters must lie in [0, 1]")
+    tu, tv = _blend_tables(shape.u_pair, us), _blend_tables(shape.v_pair, vs)
+    c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
     return SurfaceJet(
-        **{
-            name: getattr(r1, name) + getattr(r2, name) - getattr(t, name)
-            for name in ("S", "Su", "Sv", "Suu", "Suv", "Svv")
-        }
+        S=_contract(tu.values, tv.values, c),
+        Su=_contract(tu.first, tv.values, c),
+        Sv=_contract(tu.values, tv.first, c),
+        Suu=_contract(tu.second, tv.values, c),
+        Suv=_contract(tu.first, tv.first, c),
+        Svv=_contract(tu.values, tv.second, c),
     )
-
-
-def tb_components(net: ControlNet, shape: SurfaceShape, u, v):
-    """(R1, R2, T) at one parameter point."""
-    require_blend_net(net, complete=True)
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
-    us, vs = np.array([u]), np.array([v])
-    bu, bv, gu, gv = _tb_tables(shape, us, vs)
-    r1 = _mixed_jet(bu, gv, net.points).S[0, 0]
-    r2 = _mixed_jet(gu, bv, net.points).S[0, 0]
-    t = _correction_jet(net.points, gu, gv, us, vs).S[0, 0]
-    return r1, r2, t
-
-
-def tb_coons(net: ControlNet, shape: SurfaceShape, u, v) -> np.ndarray:
-    """The hybrid surface S = R1 + R2 - T at one parameter point."""
-    r1, r2, t = tb_components(net, shape, u, v)
-    return r1 + r2 - t
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
-    jet = tb_surface_jet(net, shape, rule.nodes, rule.nodes)
-    integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
-    return float(rule.weights @ integrand @ rule.weights)
+    """1/2 sum_c C_c^T (K_F (x) M_H + M_F (x) K_H) C_c with C = L P."""
+    require_blend_net(net, complete=True)
+    c = _L @ net.points.reshape(16, 3)
+    return float(0.5 * (c * (_hybrid_gram(shape, rule) @ c)).sum())
+
+
+def _tb_gram_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
+    """Normal equations of the hybrid energy: free rows of L^T Q L, fixed columns moved."""
+    return _free_system(_L.T @ _hybrid_gram(shape, rule) @ _L, net)
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
-    """Normal equations of the hybrid surface energy in the four interior points.
+    """Reference route: the same normal equations from 2-D gradient fields.
 
-    S is affine in them; their scalar coefficient fields come from R1 + R2
-    (T never touches the interior), and the known part enters through the
-    jet of the net with its interior anchored at zero.
+    The interior points' coefficient fields come from R1 + R2 (T never touches
+    the interior); the known part enters through the jet of the net with its
+    interior anchored at zero.
     """
     free = net.free
-    anchored = ControlNet(
-        points=np.where(free[..., None], 0.0, net.points),
-        fixed=np.ones_like(free),
-    )
+    anchored = ControlNet(points=np.where(free[..., None], 0.0, net.points), fixed=np.ones_like(free))
     jet0 = tb_surface_jet(anchored, shape, rule.nodes, rule.nodes)
 
-    bu, bv, gu, gv = _tb_tables(shape, rule.nodes, rule.nodes)
+    bern = basis_tables(BasisSpec.bernstein(3), rule.nodes)
+    gu, gv = (basis_tables(spec, rule.nodes) for spec in shape.basis_specs(3, 3))
     fi, fj = np.nonzero(free)
     phi_u = (
-        bu.first[fi][:, :, None] * gv.values[fj][:, None, :]
-        + gu.first[fi][:, :, None] * bv.values[fj][:, None, :]
+        bern.first[fi][:, :, None] * gv.values[fj][:, None, :]
+        + gu.first[fi][:, :, None] * bern.values[fj][:, None, :]
     )
     phi_v = (
-        bu.values[fi][:, :, None] * gv.first[fj][:, None, :]
-        + gu.values[fi][:, :, None] * bv.first[fj][:, None, :]
+        bern.values[fi][:, :, None] * gv.first[fj][:, None, :]
+        + gu.values[fi][:, :, None] * bern.first[fj][:, None, :]
     )
     return gradient_normal_system(phi_u, phi_v, jet0.Su, jet0.Sv, rule)
 
 
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
-    """Interior points minimizing the Dirichlet energy of the hybrid surface.
-
-    The normal equations follow from the shared gradient quadratic-form
-    engine (see ``_tb_system``).
-    """
+    """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    system = _tb_system(net, shape, rule)
+    system = _tb_gram_system(net, shape, rule)
     try:
         solution = solve_dense(system, spd_hint=True)
     except SolverError as exc:
@@ -329,13 +299,11 @@ def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbO
     result = optimize(fitness, config)
     best_shape = SurfaceShape.from_iterable(result.position)
     solved = solve_tb_interior(net, best_shape, rule)
-    energy = tb_dirichlet_energy(solved, best_shape, rule)
-
     return TbOptimum(
         shape=best_shape,
         net=solved,
-        energy=energy,
+        energy=tb_dirichlet_energy(solved, best_shape, rule),
         history=result.history,
-        system_condition_hint=pivot_ratio(_tb_system(net, best_shape, rule).matrix),
+        system_condition_hint=pivot_ratio(_tb_gram_system(net, best_shape, rule).matrix),
         pso=result,
     )

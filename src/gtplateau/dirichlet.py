@@ -21,7 +21,8 @@ routes are provided:
   ("generic"), the independent reference.
 
 Both integrate with the same quadrature rule, so they agree to rounding. The
-gradient engine behind the generic route also serves the blended-patch solver.
+blended patch of ``coons`` reuses the Gram product and the free/fixed split,
+and the gradient engine behind the generic route is its reference as well.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, basis_tables
+from .basis import BasisEvaluation, BasisSpec, basis_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
 from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
@@ -55,8 +56,8 @@ def _describe(spec: BasisSpec) -> str:
     return f"bernstein(degree={spec.degree})"
 
 
-def _gram(spec: BasisSpec, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    tab = basis_tables(spec, rule.nodes)
+def _gram(tab: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(K, M) of one direction's tables, sampled at the rule's nodes."""
     w = rule.weights
     return (tab.first * w) @ tab.first.T, (tab.values * w) @ tab.values.T
 
@@ -65,8 +66,8 @@ def assemble_coefficients(
     basis_u: BasisSpec, basis_v: BasisSpec, rule: QuadratureRule
 ) -> GramMatrices:
     """Quadrature values of the 1-D Gram matrices of both bases."""
-    k_u, m_u = _gram(basis_u, rule)
-    k_v, m_v = _gram(basis_v, rule)
+    k_u, m_u = _gram(basis_tables(basis_u, rule.nodes), rule)
+    k_v, m_v = _gram(basis_tables(basis_v, rule.nodes), rule)
     return GramMatrices(K_u=k_u, M_u=m_u, K_v=k_v, M_v=m_v)
 
 
@@ -82,16 +83,21 @@ def _require_plateau(net: ControlNet) -> np.ndarray:
 def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     """Normal equations from the Kronecker sum K_u (x) M_v + M_u (x) K_v.
 
-    Rows and columns of the unknown points are kept; columns of fixed points
-    move to the right-hand side. Unknown ordering is row-major over the grid.
+    Unknown ordering is row-major over the grid.
     """
-    free = _require_plateau(net)
+    _require_plateau(net)
     m, n = net.degree_u, net.degree_v
     if coeffs.M_u.shape != (m + 1, m + 1) or coeffs.M_v.shape != (n + 1, n + 1):
         raise ConfigurationError("Gram matrices do not match the net degrees")
 
-    cols = free.ravel()
-    rows = (np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v))[cols]
+    return _free_system(np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v), net)
+
+
+def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
+    """Normal equations of a quadratic form over the row-major flattened net:
+    free rows and columns kept, fixed columns moved to the right-hand side."""
+    cols = net.free.ravel()
+    rows = form[cols]
     fixed_points = net.points.reshape(-1, 3)[~cols]
     rhs = -(rows[:, ~cols] @ fixed_points)
     return DenseSystem(matrix=rows[:, cols], rhs=rhs, symmetric=True)

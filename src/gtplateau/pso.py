@@ -73,24 +73,17 @@ class PsoConfig:
 
 
 @dataclass
-class SwarmState:
-    positions: np.ndarray
-    velocities: np.ndarray
-    personal_best: np.ndarray
-    personal_best_values: np.ndarray
-    global_best: np.ndarray
-    global_best_value: float
-    iteration: int
-    history: list
-
-
-@dataclass
 class PsoResult:
+    """Global best with its per-iteration history, and the final swarm (one row per particle)."""
+
     position: np.ndarray
     value: float
     history: np.ndarray
     evaluations: int
-    state: SwarmState
+    positions: np.ndarray
+    velocities: np.ndarray
+    personal_best: np.ndarray
+    personal_best_values: np.ndarray
 
 
 def project_to_bounds(x, bounds) -> np.ndarray:
@@ -190,20 +183,13 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    state = SwarmState(
-        positions=positions,
-        velocities=velocities,
-        personal_best=personal_best,
-        personal_best_values=personal_values,
-        global_best=global_best,
-        global_best_value=global_value,
-        iteration=config.max_iters,
-        history=history,
-    )
     return PsoResult(
         position=global_best.copy(),
         value=global_value,
         history=np.array(history),
         evaluations=evaluations,
-        state=state,
+        positions=positions,
+        velocities=velocities,
+        personal_best=personal_best,
+        personal_best_values=personal_values,
     )

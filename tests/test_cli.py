@@ -340,6 +340,25 @@ class TestExitCodes:
             rc = main(["solve", WAVE, "--quad", "1", "--out", str(tmp_path / "o")])
         assert rc == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", WAVE, "--tess", "0"],
+            ["optimize", WAVE, "--tess", "0"],
+            ["coons", WAVE, "--tess", "-3"],
+            ["compare", WAVE, "--runs", "-2"],
+            ["optimize", WAVE, "--runs", "-1"],
+            ["solve", WAVE, "--tess", "1.5"],
+        ],
+    )
+    def test_counts_checked_before_any_file_is_written(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert argv[2] in capsys.readouterr().err
+
     def test_alpha_outside_domain(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["solve", WAVE, "--alpha", "0.1,2,2,2", "--out", str(tmp_path)])

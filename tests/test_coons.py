@@ -7,20 +7,21 @@ from gtplateau.basis import BasisSpec
 from gtplateau.coons import (
     BoundaryCurves,
     CurveSpec,
+    _tb_gram_system,
+    _tb_system,
     coons_classical,
     coons_classical_matrix,
     optimize_tb,
     require_blend_net,
     solve_tb_interior,
-    tb_components,
-    tb_coons,
     tb_dirichlet_energy,
     tb_surface_jet,
 )
 from gtplateau.errors import ConfigurationError
-from gtplateau.numerics import RngStream, finite_diff_gradient
+from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
 from gtplateau.pso import PsoConfig
+from hybrid_definition import tb_components, tb_coons
 
 CUBIC = BasisSpec.bernstein(3)
 TS = np.linspace(0.0, 1.0, 21)
@@ -42,6 +43,12 @@ def random_points(seed: int) -> np.ndarray:
 
 def random_shape(seed: int) -> SurfaceShape:
     return SurfaceShape.from_iterable(RngStream(seed, 1).uniform(0.5, 3.5, 4))
+
+
+def open_interior(points: np.ndarray) -> ControlNet:
+    points = points.copy()
+    points[1:3, 1:3] = np.nan
+    return ControlNet(points=points)
 
 
 class TestCurveSpec:
@@ -177,14 +184,18 @@ class TestHybridSurface:
         net = ControlNet(points=points)
         value = tb_coons(net, random_shape(9), 0.0, 0.0)
         np.testing.assert_allclose(value, points[0, 0], atol=1e-13)
+        jet = tb_surface_jet(net, random_shape(9), [0.0], [0.0])
+        np.testing.assert_allclose(jet.S[0, 0], points[0, 0], atol=1e-13)
 
     def test_correction_cancels_r2_on_bottom_edge(self):
         net = ControlNet(points=random_points(10))
         shape = random_shape(10)
-        for u in TS[::3]:
+        edge = tb_surface_jet(net, shape, TS[::3], [0.0]).S[:, 0]
+        for k, u in enumerate(TS[::3]):
             r1, r2, t = tb_components(net, shape, u, 0.0)
             np.testing.assert_allclose(r2, t, atol=1e-12)
             np.testing.assert_allclose(tb_coons(net, shape, u, 0.0), r1, atol=1e-12)
+            np.testing.assert_allclose(edge[k], r1, atol=1e-12)
 
     def test_boundary_is_bernstein_for_every_shape(self):
         points = random_points(11)
@@ -217,9 +228,13 @@ class TestHybridSurface:
         other = points.copy()
         other[1:3, 1:3] += 5.0
         shape = random_shape(12)
-        _, _, t_a = tb_components(ControlNet(points=points), shape, 0.4, 0.7)
-        _, _, t_b = tb_components(ControlNet(points=other), shape, 0.4, 0.7)
+        r1_a, r2_a, t_a = tb_components(ControlNet(points=points), shape, 0.4, 0.7)
+        r1_b, r2_b, t_b = tb_components(ControlNet(points=other), shape, 0.4, 0.7)
         np.testing.assert_array_equal(t_a, t_b)
+        # the library's surface moves with the interior only through R1 + R2
+        s_a = tb_surface_jet(ControlNet(points=points), shape, [0.4], [0.7]).S[0, 0]
+        s_b = tb_surface_jet(ControlNet(points=other), shape, [0.4], [0.7]).S[0, 0]
+        np.testing.assert_allclose(s_b - s_a, (r1_b + r2_b) - (r1_a + r2_a), atol=1e-12)
 
     def test_jet_against_finite_differences(self):
         net = ControlNet(points=random_points(13))
@@ -243,11 +258,70 @@ class TestHybridSurface:
             for fd, exact in checks:
                 assert np.abs(fd - exact).max() / (1 + np.abs(exact).max()) < 1e-5
 
+    @pytest.mark.parametrize("seed", [18, 19, 20])
+    def test_jet_grids_match_the_definition(self, seed):
+        # S against the pointwise definition; its derivatives against central
+        # differences of the definition, not of the library
+        net = ControlNet(points=random_points(seed))
+        shape = random_shape(seed)
+        us, vs = np.array([0.0, 0.23, 0.5, 0.81, 1.0]), np.array([0.0, 0.37, 0.64, 1.0])
+        jet = tb_surface_jet(net, shape, us, vs)
+        for a, u in enumerate(us):
+            for b, v in enumerate(vs):
+                np.testing.assert_allclose(jet.S[a, b], tb_coons(net, shape, u, v), atol=1e-13)
+
+        h = 1e-4
+
+        def s(u, v):
+            return tb_coons(net, shape, u, v)
+
+        for a, u in enumerate(us[1:-1], start=1):
+            for b, v in enumerate(vs[1:-1], start=1):
+                centre = s(u, v)
+                checks = [
+                    (jet.Su, (s(u + h, v) - s(u - h, v)) / (2 * h)),
+                    (jet.Sv, (s(u, v + h) - s(u, v - h)) / (2 * h)),
+                    (jet.Suu, (s(u + h, v) - 2 * centre + s(u - h, v)) / h**2),
+                    (jet.Svv, (s(u, v + h) - 2 * centre + s(u, v - h)) / h**2),
+                    (
+                        jet.Suv,
+                        (s(u + h, v + h) - s(u + h, v - h) - s(u - h, v + h) + s(u - h, v - h))
+                        / (4 * h**2),
+                    ),
+                ]
+                for grid, fd in checks:
+                    exact = grid[a, b]
+                    assert np.abs(fd - exact).max() / (1 + np.abs(exact).max()) < 1e-5
+
     @pytest.mark.parametrize("params", [([-0.1], [0.5]), ([0.5], [1.2])])
     def test_jet_parameter_domain(self, params):
         net = ControlNet(points=random_points(14))
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
             tb_surface_jet(net, random_shape(14), *params)
+
+
+class TestGramAssembly:
+    @pytest.mark.parametrize("seed", range(21, 29))
+    def test_system_matches_2d_reference(self, seed):
+        net = open_interior(random_points(seed))
+        shape = random_shape(seed)
+        rule = gauss_legendre_rule(16 + seed % 3 * 8)
+        gram = _tb_gram_system(net, shape, rule)
+        reference = _tb_system(net, shape, rule)
+        for got, want in ((gram.matrix, reference.matrix), (gram.rhs, reference.rhs)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("seed", range(29, 35))
+    def test_energy_matches_2d_quadrature(self, seed):
+        net = ControlNet(points=random_points(seed))
+        shape = random_shape(seed)
+        rule = gauss_legendre_rule(8 + seed % 4 * 8)
+        jet = tb_surface_jet(net, shape, rule.nodes, rule.nodes)
+        integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
+        quadrature = float(rule.weights @ integrand @ rule.weights)
+        energy = tb_dirichlet_energy(net, shape, rule)
+        assert abs(energy - quadrature) <= 1e-13 * quadrature
 
 
 class TestInteriorSolve:

@@ -20,7 +20,7 @@ from gtplateau.io import (
     write_obj,
     write_summary,
 )
-from gtplateau.patch import ControlNet, Patch, mean_curvature_grid
+from gtplateau.patch import ControlNet, FundamentalForms, Patch, mean_curvature_grid
 
 
 class TestNetRoundTrip:
@@ -125,6 +125,13 @@ class TestWriters:
             "v 0 0 0\nv 1 0 0\nv 0.25 1 -2\nf 1 2 3\n"
         )
 
+        edge = tmp_path / "edge.obj"
+        vertices = np.array([[np.nan, -0.0, 1e-300], [1.5e300, -2.5, 3.0]])
+        write_obj(edge, vertices, np.array([[0, 1, 2**40]]))
+        assert edge.read_text() == (
+            "v nan -0 1e-300\nv 1.5000000000000001e+300 -2.5 3\nf 1 2 1099511627777\n"
+        )
+
     def test_curvature_csv(self, tmp_path):
         points = np.stack(
             np.broadcast_arrays(
@@ -143,6 +150,21 @@ class TestWriters:
         # row-major in u: second row holds u=0, v=1/3
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
+
+        zeros = np.zeros((1, 2))
+        forms = FundamentalForms(
+            E=np.array([[1e-300, 2.0]]),
+            F=np.array([[-0.0, 0.5]]),
+            G=np.array([[3.0, 1.5e300]]),
+            L=zeros, M=zeros, N=zeros,
+            H=np.array([[np.nan, -0.0]]),
+        )
+        edge = tmp_path / "edge.csv"
+        write_curvature_csv(edge, [0.25], [0.0, 1.0], forms)
+        assert edge.read_text().splitlines()[1:] == [
+            "0.25,0,nan,1e-300,-0,3",
+            "0.25,1,-0,2,0.5,1.5000000000000001e+300",
+        ]
 
     def test_convergence_csv(self, tmp_path):
         target = tmp_path / "convergence.csv"

@@ -13,7 +13,6 @@ from gtplateau.pso import (
     THREADS_ENV_VAR,
     PsoConfig,
     PsoResult,
-    SwarmState,
     optimize,
     project_to_bounds,
     resolve_threads,
@@ -85,7 +84,7 @@ class TestOptimize:
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.evaluations == 12 * 31
         assert result.history[-1] == result.value
-        assert result.state.iteration == 30
+        assert len(result.history) - 1 == config.max_iters
 
     def test_constant_objective(self):
         config = PsoConfig(swarm_size=4, max_iters=7, seed=1, bounds=UNIT_BOX)
@@ -114,7 +113,7 @@ class TestOptimize:
         second = optimize(sphere, PsoConfig(swarm_size=8, max_iters=12, seed=13, bounds=UNIT_BOX))
         np.testing.assert_array_equal(first.history, second.history)
         np.testing.assert_array_equal(first.position, second.position)
-        np.testing.assert_array_equal(first.state.positions, second.state.positions)
+        np.testing.assert_array_equal(first.positions, second.positions)
 
     def test_seed_changes_trajectory(self):
         result_a = optimize(sphere, PsoConfig(swarm_size=8, max_iters=5, seed=0, bounds=UNIT_BOX))
@@ -127,7 +126,7 @@ class TestOptimize:
         parallel = optimize(sphere, PsoConfig(threads=2, **kwargs))
         np.testing.assert_array_equal(parallel.history, sequential.history)
         np.testing.assert_array_equal(parallel.position, sequential.position)
-        np.testing.assert_array_equal(parallel.state.velocities, sequential.state.velocities)
+        np.testing.assert_array_equal(parallel.velocities, sequential.velocities)
 
     def test_evaluated_positions_stay_feasible(self):
         seen = []
@@ -154,7 +153,7 @@ class TestOptimize:
         result = optimize(recording, config)
         values = np.array(seen).reshape(-1, n)  # sequential: call k is particle k % n
         per_particle_min = values.min(axis=0)
-        np.testing.assert_array_equal(result.state.personal_best_values, per_particle_min)
+        np.testing.assert_array_equal(result.personal_best_values, per_particle_min)
         assert result.value == per_particle_min.min()
 
     def test_exact_replay_of_update_rule(self):
@@ -207,9 +206,9 @@ class TestOptimize:
             history.append(global_value)
 
         np.testing.assert_array_equal(result.history, np.array(history))
-        np.testing.assert_array_equal(result.state.positions, positions)
-        np.testing.assert_array_equal(result.state.velocities, velocities)
-        np.testing.assert_array_equal(result.state.personal_best, personal_best)
+        np.testing.assert_array_equal(result.positions, positions)
+        np.testing.assert_array_equal(result.velocities, velocities)
+        np.testing.assert_array_equal(result.personal_best, personal_best)
         np.testing.assert_array_equal(result.position, global_best)
         assert result.value == global_value
         assert result.evaluations == 6
