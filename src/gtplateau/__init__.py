@@ -7,12 +7,9 @@ particle swarm. Harmonic reconstruction of partially known nets and a blended
 Coons-style construction with Bernstein boundaries round out the toolkit.
 """
 
-from .basis import BasisSpec, ShapePair, basis_tables, eval_bernstein, eval_gt
+from .basis import BasisSpec, ShapePair, basis_tables
 from .coons import (
-    BoundaryCurves,
     CurveSpec,
-    coons_classical,
-    coons_classical_matrix,
     optimize_tb,
     solve_tb_interior,
     tb_dirichlet_energy,
@@ -33,12 +30,7 @@ from .errors import (
     ReconstructionError,
     SolverError,
 )
-from .harmonic import (
-    defect_objective,
-    elevation_coefficients,
-    harmonic_reconstruct,
-    laplacian_coefficient_operator,
-)
+from .harmonic import defect_objective, harmonic_reconstruct
 from .io import load_net, save_net
 from .numerics import QuadratureRule, RngStream, gauss_legendre_rule
 from .patch import (
@@ -59,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "BoundaryCurves",
     "ConfigurationError",
     "ControlNet",
     "CurveSpec",
@@ -80,17 +71,11 @@ __all__ = [
     "assemble_system",
     "assemble_system_generic",
     "basis_tables",
-    "coons_classical",
-    "coons_classical_matrix",
     "defect_objective",
     "dirichlet_energy",
-    "elevation_coefficients",
-    "eval_bernstein",
-    "eval_gt",
     "evaluate",
     "gauss_legendre_rule",
     "harmonic_reconstruct",
-    "laplacian_coefficient_operator",
     "laplacian_defect",
     "load_net",
     "mean_curvature_grid",

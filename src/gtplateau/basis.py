@@ -176,49 +176,3 @@ def basis_tables(spec: BasisSpec, t) -> BasisEvaluation:
         for _ in range(spec.degree - 2):
             values, first, second = _elevate(values, first, second, t)
     return BasisEvaluation(values=values, first=first, second=second)
-
-
-def _scalar_evaluation(spec: BasisSpec, t) -> BasisEvaluation:
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim != 0:
-        raise DomainError("t must be a scalar")
-    tables = basis_tables(spec, t_arr[None])
-    return BasisEvaluation(
-        values=tables.values[:, 0],
-        first=tables.first[:, 0],
-        second=tables.second[:, 0],
-    )
-
-
-def eval_bernstein(degree: int, t) -> BasisEvaluation:
-    """Bernstein values C(d,k) t^k (1-t)^(d-k) and derivatives at one t."""
-    return _scalar_evaluation(BasisSpec.bernstein(degree), t)
-
-
-def eval_gt(spec: BasisSpec, t) -> BasisEvaluation:
-    """GT basis values and derivatives at one t."""
-    if spec.family != "gt":
-        raise ConfigurationError("eval_gt requires a GT BasisSpec")
-    return _scalar_evaluation(spec, t)
-
-
-def curve_point_and_curvature(spec: BasisSpec, controls, t):
-    """Point and signed curvature of a planar curve F(t) = sum_k G_k(t) b_k.
-
-    kappa = det(F', F'') / |F'|^3; a vanishing tangent makes the curvature
-    undefined and raises a domain error.
-    """
-    controls = np.asarray(controls, dtype=float)
-    if controls.ndim != 2 or controls.shape != (spec.degree + 1, 2):
-        raise ConfigurationError(
-            f"controls must have shape ({spec.degree + 1}, 2) for degree {spec.degree}"
-        )
-    ev = _scalar_evaluation(spec, t)
-    point = ev.values @ controls
-    d1 = ev.first @ controls
-    d2 = ev.second @ controls
-    speed = float(np.hypot(d1[0], d1[1]))
-    if speed <= 1e-12:
-        raise DomainError(f"curvature undefined at t={float(t)}: tangent vanishes")
-    kappa = float((d1[0] * d2[1] - d1[1] * d2[0]) / speed**3)
-    return point, kappa

@@ -1,11 +1,9 @@
-"""Bilinearly blended Coons patches and the hybrid blended surface.
+"""The hybrid blended surface S = R1 + R2 - T on a 4x4 control net.
 
-The classical construction interpolates four compatible boundary curves. The
-hybrid surface S = R1 + R2 - T adds two mixed-basis bicubic patches (R1
-Bernstein in u and GT in v, R2 the reverse) and subtracts T, the GT-Coons
-blend of the net's four GT boundary curves. On the boundary the GT terms
-cancel, so the patch edges are the Bernstein curves of the boundary points for
-every shape vector; the shape moves only the interior.
+R1 is the bicubic patch Bernstein in u and GT in v, R2 the reverse, and T the
+GT-Coons blend of the net's four GT boundary curves. On the boundary the GT
+terms cancel, so the patch edges are the Bernstein curves of the boundary
+points for every shape vector; the shape moves only the interior.
 
 Each term is a function of u times a function of v, so S is a tensor patch
 over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
@@ -37,8 +35,6 @@ from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
 from .patch import ControlNet, SurfaceShape, _contract, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
-_CORNER_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class CurveSpec:
@@ -59,85 +55,6 @@ class CurveSpec:
 
     def at(self, ts) -> np.ndarray:
         return basis_tables(self.basis, ts).values.T @ self.controls
-
-
-@dataclass(frozen=True)
-class BoundaryCurves:
-    """Four boundary curves: sides v=0, v=1 run in u; sides u=0, u=1 run in v."""
-
-    side_v0: CurveSpec
-    side_v1: CurveSpec
-    side_u0: CurveSpec
-    side_u1: CurveSpec
-
-    def __post_init__(self):
-        pairs = [
-            ("side_v0(0) vs side_u0(0)", self.side_v0.at([0.0])[0], self.side_u0.at([0.0])[0]),
-            ("side_v0(1) vs side_u1(0)", self.side_v0.at([1.0])[0], self.side_u1.at([0.0])[0]),
-            ("side_v1(0) vs side_u0(1)", self.side_v1.at([0.0])[0], self.side_u0.at([1.0])[0]),
-            ("side_v1(1) vs side_u1(1)", self.side_v1.at([1.0])[0], self.side_u1.at([1.0])[0]),
-        ]
-        for label, a, b in pairs:
-            if np.abs(a - b).max() > _CORNER_TOL:
-                raise ConfigurationError(f"incompatible boundary corners: {label}")
-
-    def corners(self) -> np.ndarray:
-        """C[a, b] = patch corner at (u, v) = (a, b)."""
-        c = np.empty((2, 2, 3))
-        c[0, 0] = self.side_v0.at([0.0])[0]
-        c[1, 0] = self.side_v0.at([1.0])[0]
-        c[0, 1] = self.side_v1.at([0.0])[0]
-        c[1, 1] = self.side_v1.at([1.0])[0]
-        return c
-
-
-def _check_unit(name, value) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must lie in [0, 1]")
-    return value
-
-
-def _bilinear(corners: np.ndarray, u: float, v: float) -> np.ndarray:
-    return (
-        (1.0 - u) * (1.0 - v) * corners[0, 0]
-        + (1.0 - u) * v * corners[0, 1]
-        + u * (1.0 - v) * corners[1, 0]
-        + u * v * corners[1, 1]
-    )
-
-
-def coons_classical(curves: BoundaryCurves, u, v) -> np.ndarray:
-    """Bilinear blend of the two curve pairs minus the bilinear corner term."""
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
-    blend = (
-        (1.0 - v) * curves.side_v0.at([u])[0]
-        + v * curves.side_v1.at([u])[0]
-        + (1.0 - u) * curves.side_u0.at([v])[0]
-        + u * curves.side_u1.at([v])[0]
-    )
-    return blend - _bilinear(curves.corners(), u, v)
-
-
-def coons_classical_matrix(curves: BoundaryCurves, u, v) -> np.ndarray:
-    """Same patch in compact matrix form: S = -row(u) . M . col(v)."""
-    u = _check_unit("u", u)
-    v = _check_unit("v", v)
-    corners = curves.corners()
-    row = np.array([-1.0, 1.0 - u, u])
-    col = np.array([-1.0, 1.0 - v, v])
-    m = np.empty((3, 3, 3))
-    m[0, 0] = 0.0
-    m[0, 1] = curves.side_v0.at([u])[0]
-    m[0, 2] = curves.side_v1.at([u])[0]
-    m[1, 0] = curves.side_u0.at([v])[0]
-    m[2, 0] = curves.side_u1.at([v])[0]
-    m[1, 1] = corners[0, 0]
-    m[1, 2] = corners[0, 1]
-    m[2, 1] = corners[1, 0]
-    m[2, 2] = corners[1, 1]
-    return -np.einsum("i,ijc,j->c", row, m, col)
 
 
 def require_blend_net(net: ControlNet, complete: bool | None = None) -> None:
@@ -210,8 +127,9 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
     require_blend_net(net, complete=True)
     us, vs = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (us, vs))
-    if any(t.size and (t.min() < 0.0 or t.max() > 1.0) for t in (us, vs)):
-        raise ConfigurationError("surface parameters must lie in [0, 1]")
+    for t in (us, vs):
+        if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
+            raise ConfigurationError("surface parameters must lie in [0, 1]")
     tu, tv = _blend_tables(shape.u_pair, us), _blend_tables(shape.v_pair, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
     return SurfaceJet(
@@ -266,7 +184,7 @@ def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule
     require_blend_net(net, complete=False)
     system = _tb_gram_system(net, shape, rule)
     try:
-        solution = solve_dense(system, spd_hint=True)
+        solution = solve_dense(system)
     except SolverError as exc:
         raise SolverError(f"{exc} [blended-patch interior at alpha={tuple(shape.as_array())}]") from exc
 

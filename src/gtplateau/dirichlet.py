@@ -100,7 +100,7 @@ def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
     rows = form[cols]
     fixed_points = net.points.reshape(-1, 3)[~cols]
     rhs = -(rows[:, ~cols] @ fixed_points)
-    return DenseSystem(matrix=rows[:, cols], rhs=rhs, symmetric=True)
+    return DenseSystem(matrix=rows[:, cols], rhs=rhs)
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -122,7 +122,7 @@ def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRul
         np.tensordot(pu, fixed_su, axes=([1, 2], [0, 1]))
         + np.tensordot(pv, fixed_sv, axes=([1, 2], [0, 1]))
     )
-    return DenseSystem(matrix=matrix, rhs=rhs, symmetric=True)
+    return DenseSystem(matrix=matrix, rhs=rhs)
 
 
 def assemble_system_generic(
@@ -180,7 +180,7 @@ def solve_interior(
         raise ConfigurationError(f"unknown assembly route {route!r}")
 
     try:
-        solution = solve_dense(system, spd_hint=True)
+        solution = solve_dense(system)
     except SolverError as exc:
         raise SolverError(
             f"{exc} [bases: {_describe(basis_u)} x {_describe(basis_v)}]"

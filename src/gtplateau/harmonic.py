@@ -1,109 +1,43 @@
 """Reconstruction of unknown control points from harmonicity.
 
-In the Bernstein setting the Laplacian of a patch is itself a degree-(m, n)
-Bernstein surface whose coefficients are linear in the control points: the
-second differences in each direction, degree-elevated back up by two. Setting
-every Laplacian coefficient to zero yields a linear system in the unknown
-points, solved here in the least-squares sense that actually minimizes the
-integrated squared Laplacian (coefficient equations weighted by the Bernstein
-Gram matrix), so the result coincides with direct minimization of the defect
-even when the data admit no exactly harmonic completion.
+Unknown points are chosen to minimize the integrated squared Laplacian
+``int |S_uu + S_vv|^2`` of the Bernstein patch (the harmonic condition of
+Monterde and Ugail, "On harmonic and biharmonic Bezier surfaces", CAGD 21,
+2004). The Laplacian is linear in the control points, and its square has
+degree at most 2m in u and 2n in v, so sampling it at the nodes of a
+(max(m, n) + 1)-point Gauss rule, each row weighted by the root of its
+quadrature weight, turns the integral into an exact sum of squares. The
+unknowns are the least-squares solution of that sampled system. When the data
+admit an exactly harmonic completion this recovers it; otherwise it is the
+completion of least defect.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .basis import BasisSpec, basis_tables
 from .errors import ConfigurationError, ReconstructionError
-from .numerics import QuadratureRule
+from .numerics import QuadratureRule, gauss_legendre_rule
 from .patch import ControlNet, Patch, SurfaceShape, laplacian_defect
 
 #: Certificate threshold scale: defect < 1e-8 * (1 + scale^2).
 CERTIFICATE_FACTOR = 1e-8
 
 
-def elevation_coefficients(degree: int) -> np.ndarray:
-    """Weights (a_k, b_k, c_k) expressing a degree-(n-2) Bernstein function in degree n.
-
-    Row k (k = 0..n-2) holds a_k = (n-k)(n-k-1), b_k = 2(k+1)(n-k-1),
-    c_k = (k+1)(k+2); each row sums to n(n+1).
-    """
-    if not isinstance(degree, (int, np.integer)) or degree < 2:
-        raise ConfigurationError("elevation coefficients need degree >= 2")
-    n = int(degree)
-    k = np.arange(n - 1)
-    return np.stack(
-        [
-            (n - k) * (n - k - 1.0),
-            2.0 * (k + 1) * (n - k - 1.0),
-            (k + 1) * (k + 2.0),
-        ],
-        axis=1,
-    )
-
-
-def _direction_operator(degree: int) -> np.ndarray:
-    """Matrix taking control values to the direction's Laplacian coefficients.
-
-    Composition of the second-difference stencil with the two-step degree
-    elevation; the derivative prefactors n(n-1) cancel exactly against the
-    elevation denominators, so none appear here.
-    """
-    coeff = elevation_coefficients(degree)
-    size = degree + 1
-    elevate = np.zeros((size, degree - 1))
-    for k in range(degree - 1):
-        elevate[k, k] = coeff[k, 0]
-        elevate[k + 1, k] = coeff[k, 1]
-        elevate[k + 2, k] = coeff[k, 2]
-    second_diff = np.zeros((degree - 1, size))
-    for i in range(degree - 1):
-        second_diff[i, i] = 1.0
-        second_diff[i, i + 1] = -2.0
-        second_diff[i, i + 2] = 1.0
-    return elevate @ second_diff
-
-
-def laplacian_coefficient_operator(degree_u: int, degree_v: int) -> np.ndarray:
-    """Flat linear map from grid points to the Bernstein coefficients of S_uu + S_vv.
-
-    Acts on row-major flattened (m+1) x (n+1) grids, one coordinate channel at
-    a time.
-    """
-    ku = _direction_operator(degree_u)
-    kv = _direction_operator(degree_v)
-    return np.kron(ku, np.eye(degree_v + 1)) + np.kron(np.eye(degree_u + 1), kv)
-
-
-def bernstein_gram(degree: int) -> np.ndarray:
-    """Closed-form products int B_i B_k dt = C(d,i) C(d,k) / (C(2d,i+k) (2d+1))."""
-    d = int(degree)
-    idx = np.arange(d + 1)
-    comb_d = np.array([math.comb(d, int(i)) for i in idx], dtype=float)
-    comb_2d = np.array([math.comb(2 * d, int(s)) for s in range(2 * d + 1)], dtype=float)
-    return comb_d[:, None] * comb_d[None, :] / (comb_2d[idx[:, None] + idx[None, :]] * (2 * d + 1))
-
-
 def defect_certificate_bound(net: ControlNet) -> float:
     return CERTIFICATE_FACTOR * (1.0 + net.scale() ** 2)
 
 
-def harmonic_reconstruct(net: ControlNet, degrees: tuple[int, int] | None = None) -> ControlNet:
+def harmonic_reconstruct(net: ControlNet) -> ControlNet:
     """Fill unknown points so the Bernstein patch is as harmonic as possible.
 
-    Unknowns may sit anywhere, but the four corners must be known. The
-    equations are the full set of Laplacian coefficients (out-of-range
-    elevation terms simply never arise), weighted so the least-squares
-    minimum is the true integrated defect minimum. Rank deficiency (too
-    little known data) raises a reconstruction error naming the deficiency.
+    Unknowns may sit anywhere, but the four corners must be known. Rows of the
+    least-squares system are Gauss node pairs (a, b), columns are points
+    (i, j): ``sqrt(w_a w_b) (G''_i(u_a) G_j(v_b) + G_i(u_a) G''_j(v_b))``.
+    Rank deficiency (too little known data) raises a reconstruction error
+    naming the deficiency.
     """
-    if degrees is not None and tuple(degrees) != (net.degree_u, net.degree_v):
-        raise ConfigurationError(
-            f"requested degrees {tuple(degrees)} do not match the net "
-            f"({net.degree_u}, {net.degree_v})"
-        )
     if net.degree_u < 2 or net.degree_v < 2:
         raise ConfigurationError("harmonic reconstruction needs degree >= 2 in each direction")
     corner_fixed = net.fixed[[0, 0, -1, -1], [0, -1, 0, -1]]
@@ -115,15 +49,18 @@ def harmonic_reconstruct(net: ControlNet, degrees: tuple[int, int] | None = None
     if unknowns == 0:
         return net.copy()
 
-    operator = laplacian_coefficient_operator(net.degree_u, net.degree_v)
+    rule = gauss_legendre_rule(max(net.degree_u, net.degree_v) + 1)
+    root = np.sqrt(rule.weights)
+    tu, tv = (
+        basis_tables(BasisSpec.bernstein(degree), rule.nodes)
+        for degree in (net.degree_u, net.degree_v)
+    )
+    design = np.kron((tu.second * root).T, (tv.values * root).T) + np.kron(
+        (tu.values * root).T, (tv.second * root).T
+    )
     known_points = np.where(net.fixed[..., None], net.points, 0.0).reshape(-1, 3)
-    rhs = -(operator[:, ~free_flat] @ known_points[~free_flat])
-    coefficient_matrix = operator[:, free_flat]
-
-    # weight by the L2 inner product of the coefficient space
-    gram = np.kron(bernstein_gram(net.degree_u), bernstein_gram(net.degree_v))
-    weight = np.linalg.cholesky(gram).T
-    solution, _, rank, _ = np.linalg.lstsq(weight @ coefficient_matrix, weight @ rhs, rcond=None)
+    rhs = -(design[:, ~free_flat] @ known_points[~free_flat])
+    solution, _, rank, _ = np.linalg.lstsq(design[:, free_flat], rhs, rcond=None)
     if rank < unknowns:
         raise ReconstructionError(
             f"harmonic system is rank deficient: rank {rank} < {unknowns} unknowns; "

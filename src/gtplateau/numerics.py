@@ -8,7 +8,7 @@ utilities used as test oracles throughout the package.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +65,16 @@ def gauss_legendre_rule(k: int) -> QuadratureRule:
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-def integrate_2d(f, rule: QuadratureRule) -> float:
-    """Tensor-product quadrature of a scalar field on the unit square.
-
-    ``f`` is called pointwise on every node pair (u_i, v_j).
-    """
-    u = rule.nodes
-    w = rule.weights
-    values = np.array([[float(f(ui, vj)) for vj in u] for ui in u])
-    return float(w @ values @ w)
-
-
 @dataclass
 class DenseSystem:
-    """A dense linear system ``matrix @ X = rhs`` with K right-hand sides.
+    """A dense symmetric linear system ``matrix @ X = rhs`` with K right-hand sides.
 
-    ``symmetric=True`` asserts near-symmetry at construction time; the solver
-    uses it to decide whether an SPD fast path is worth attempting.
+    Every system here is the normal equations of a quadratic energy, so
+    near-symmetry is checked at construction time.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    symmetric: bool = field(default=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -96,44 +84,39 @@ class DenseSystem:
         n = self.matrix.shape[0]
         if self.rhs.shape[:1] != (n,) or self.rhs.ndim not in (1, 2):
             raise ConfigurationError("rhs must have one row per matrix row")
-        if self.symmetric:
-            gap = np.abs(self.matrix - self.matrix.T).max(initial=0.0)
-            scale = 1.0 + np.abs(self.matrix).max(initial=0.0)
-            if gap >= 1e-10 * scale:
-                raise ConfigurationError(
-                    f"system flagged symmetric but max asymmetry {gap:.3e} exceeds tolerance"
-                )
+        gap = np.abs(self.matrix - self.matrix.T).max(initial=0.0)
+        scale = 1.0 + np.abs(self.matrix).max(initial=0.0)
+        if gap >= 1e-10 * scale:
+            raise ConfigurationError(
+                f"system must be symmetric but max asymmetry {gap:.3e} exceeds tolerance"
+            )
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
 
 
-def solve_dense(system: DenseSystem, spd_hint: bool = False) -> np.ndarray:
+def solve_dense(system: DenseSystem) -> np.ndarray:
     """Solve a dense system by pivoted elimination.
 
-    An SPD hint is verified by a Cholesky factorization, which also certifies
-    the matrix nonsingular. Without the hint, or when the factorization fails
-    (with a warning), matrices singular to working precision raise
-    SolverError naming the extreme singular values. The returned solution
-    matches the rhs dimensionality.
+    The system is hinted SPD; a Cholesky factorization verifies the hint and
+    so certifies the matrix nonsingular. When the factorization fails (with a
+    warning), matrices singular to working precision raise SolverError naming
+    the extreme singular values. The returned solution matches the rhs
+    dimensionality.
     """
     rhs = system.rhs
     squeeze = rhs.ndim == 1
     b = rhs[:, None] if squeeze else rhs
 
-    verified = False
-    if spd_hint:
-        try:
-            np.linalg.cholesky(system.matrix)
-            verified = True
-        except np.linalg.LinAlgError:
-            warnings.warn(
-                "SPD hint failed Cholesky verification; falling back to pivoted elimination",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if not verified:
+    try:
+        np.linalg.cholesky(system.matrix)
+    except np.linalg.LinAlgError:
+        warnings.warn(
+            "SPD hint failed Cholesky verification; falling back to pivoted elimination",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         # elimination raises only on exact zero pivots; catch near-singularity first
         sigma = np.linalg.svd(system.matrix, compute_uv=False)
         largest = sigma.max(initial=0.0)

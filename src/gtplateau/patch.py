@@ -217,12 +217,6 @@ def partials(patch: Patch, u, v) -> tuple[np.ndarray, np.ndarray]:
     return su[0, 0], sv[0, 0]
 
 
-def second_partials(patch: Patch, u, v):
-    """(S_uu, S_uv, S_vv) as 3-vectors."""
-    suu, suv, svv = second_partial_grids(patch, [u], [v])
-    return suu[0, 0], suv[0, 0], svv[0, 0]
-
-
 def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
     su, sv = partial_grids(patch, rule.nodes, rule.nodes)
@@ -333,10 +327,3 @@ def tessellate(patch: Patch, cells: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError("tessellation needs at least 1 cell per direction")
     params = np.linspace(0.0, 1.0, cells + 1)
     return triangulate_grid(evaluate_grid(patch, params, params))
-
-
-def mesh_area(vertices: np.ndarray, faces: np.ndarray) -> float:
-    """Total area of a triangle mesh (test oracle for area convergence)."""
-    a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
-    b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    return float(0.5 * np.linalg.norm(np.cross(a, b), axis=-1).sum())

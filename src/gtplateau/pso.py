@@ -31,6 +31,9 @@ THREADS_ENV_VAR = "GT_PLATEAU_THREADS"
 
 _DEFAULT_BOUNDS = ((0.5, 3.5), (0.5, 3.5), (0.5, 3.5), (0.5, 3.5))
 
+#: Initial velocities are uniform in +-(this fraction of each box width).
+VELOCITY_INIT_FRACTION = 0.25
+
 
 @dataclass
 class PsoConfig:
@@ -41,7 +44,6 @@ class PsoConfig:
     max_iters: int = 200
     bounds: np.ndarray = field(default_factory=lambda: np.array(_DEFAULT_BOUNDS))
     seed: int = 0
-    velocity_init_fraction: float = 0.25
     threads: int | None = None
 
     def __post_init__(self):
@@ -60,8 +62,6 @@ class PsoConfig:
             raise ConfigurationError("accelerations must be positive")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be >= 0")
-        if not self.velocity_init_fraction > 0.0:
-            raise ConfigurationError("velocity_init_fraction must be positive")
         if self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
         if self.threads is not None and self.threads < 1:
@@ -138,7 +138,7 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
     for i, stream in enumerate(streams):
         positions[i] = lo + width * stream.uniform(size=dims)
         velocities[i] = (
-            config.velocity_init_fraction * width * (2.0 * stream.uniform(size=dims) - 1.0)
+            VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=dims) - 1.0)
         )
 
     threads = resolve_threads(config.threads)

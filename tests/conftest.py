@@ -12,6 +12,7 @@ import pytest
 from gtplateau.io import load_net
 from gtplateau.numerics import RngStream, gauss_legendre_rule
 from gtplateau.patch import ControlNet, area, boundary_mask, dirichlet_energy
+from laplacian_operator import _direction_operator
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -110,26 +111,27 @@ def quadratic_minimizer():
     return minimize
 
 
+def _bernstein_mass(m: int):
+    """Exact int B_i^m B_j^m = C(m,i) C(m,j) / ((2m+1) C(2m,i+j)) on [0, 1]."""
+    return [
+        [
+            Fraction(comb(m, i) * comb(m, j), (2 * m + 1) * comb(2 * m, i + j))
+            for j in range(m + 1)
+        ]
+        for i in range(m + 1)
+    ]
+
+
 def _bernstein_grams(n: int):
     """Exact mass M[i][j] = int B_i B_j and stiffness K[i][j] = int B_i' B_j'.
 
-    Closed forms on [0, 1]: int B_i^m B_j^m = C(m,i) C(m,j) / ((2m+1) C(2m,i+j)),
-    and B_i^n' = n (B_{i-1}^{n-1} - B_i^{n-1}), out-of-range terms vanishing.
+    B_i^n' = n (B_{i-1}^{n-1} - B_i^{n-1}), out-of-range terms vanishing.
     """
-
-    def mass(m):
-        return [
-            [
-                Fraction(comb(m, i) * comb(m, j), (2 * m + 1) * comb(2 * m, i + j))
-                for j in range(m + 1)
-            ]
-            for i in range(m + 1)
-        ]
 
     def d(i, k):
         return n * ((k == i - 1) - (k == i))
 
-    lower = mass(n - 1)
+    lower = _bernstein_mass(n - 1)
     stiffness = [
         [
             sum(d(i, a) * lower[a][b] * d(j, b) for a in range(n) for b in range(n))
@@ -137,7 +139,7 @@ def _bernstein_grams(n: int):
         ]
         for i in range(n + 1)
     ]
-    return mass(n), stiffness
+    return _bernstein_mass(n), stiffness
 
 
 def _solve_exact(matrix, rhs):
@@ -196,3 +198,46 @@ def bernstein_extremal_energy():
         ) / 2
 
     return energy
+
+
+@pytest.fixture(scope="session")
+def exact_harmonic_points():
+    """Exact minimizer of the integrated squared Laplacian over a net's unknowns.
+
+    With K the integer direction operator of the coefficient route and B the
+    rational Bernstein mass matrix, the defect is sum_c P_c^T Q P_c with
+    Q = (K_u (x) I + I (x) K_v)^T (B_u (x) B_v) (K_u (x) I + I (x) K_v). Per
+    direction that needs S = K^T B K, X = K^T B and B. The free rows of Q are
+    solved in rational arithmetic from the binary values of the known points;
+    the result is rounded to floats, one row per unknown in row-major order.
+    """
+
+    def factors(degree):
+        k = [[int(x) for x in row] for row in _direction_operator(degree)]
+        b = _bernstein_mass(degree)
+        size = range(degree + 1)
+        x = [[sum(k[a][i] * b[a][j] for a in size) for j in size] for i in size]
+        s = [[sum(x[i][a] * k[a][j] for a in size) for j in size] for i in size]
+        return s, x, b
+
+    def solve(net):
+        su, xu, bu = factors(net.degree_u)
+        sv, xv, bv = factors(net.degree_v)
+
+        def q(p, r):
+            (i, j), (k, l) = p, r
+            return (
+                su[i][k] * bv[j][l]
+                + xu[i][k] * xv[l][j]
+                + xu[k][i] * xv[j][l]
+                + bu[i][k] * sv[j][l]
+            )
+
+        cells = list(itertools.product(range(net.degree_u + 1), range(net.degree_v + 1)))
+        free = [p for p in cells if not net.fixed[p]]
+        known = {p: [Fraction(float(x)) for x in net.points[p]] for p in cells if net.fixed[p]}
+        rhs = [[-sum(q(p, r) * known[r][c] for r in known) for c in range(3)] for p in free]
+        solution = _solve_exact([[q(p, r) for r in free] for p in free], rhs)
+        return np.array(solution, dtype=float)
+
+    return solve

@@ -1,16 +1,13 @@
-"""Coons interpolation and the hybrid blended patch."""
+"""The hybrid blended patch."""
 
 import numpy as np
 import pytest
 
 from gtplateau.basis import BasisSpec
 from gtplateau.coons import (
-    BoundaryCurves,
     CurveSpec,
     _tb_gram_system,
     _tb_system,
-    coons_classical,
-    coons_classical_matrix,
     optimize_tb,
     require_blend_net,
     solve_tb_interior,
@@ -25,16 +22,6 @@ from hybrid_definition import tb_components, tb_coons
 
 CUBIC = BasisSpec.bernstein(3)
 TS = np.linspace(0.0, 1.0, 21)
-
-
-def border_curves(points: np.ndarray, u0_basis: BasisSpec = CUBIC) -> BoundaryCurves:
-    """The four border curves of a complete 4x4 net."""
-    return BoundaryCurves(
-        side_v0=CurveSpec(basis=CUBIC, controls=points[:, 0]),
-        side_v1=CurveSpec(basis=CUBIC, controls=points[:, 3]),
-        side_u0=CurveSpec(basis=u0_basis, controls=points[0, :]),
-        side_u1=CurveSpec(basis=CUBIC, controls=points[3, :]),
-    )
 
 
 def random_points(seed: int) -> np.ndarray:
@@ -69,90 +56,6 @@ class TestCurveSpec:
         assert values.shape == (21, 3)
         np.testing.assert_array_equal(values[0], controls[0])
         np.testing.assert_array_equal(values[-1], controls[-1])
-
-
-class TestBoundaryCurves:
-    def test_compatible_net_border(self):
-        curves = border_curves(random_points(2))
-        corners = curves.corners()
-        points = random_points(2)
-        np.testing.assert_allclose(corners[0, 0], points[0, 0], atol=1e-15)
-        np.testing.assert_allclose(corners[1, 0], points[3, 0], atol=1e-15)
-        np.testing.assert_allclose(corners[0, 1], points[0, 3], atol=1e-15)
-        np.testing.assert_allclose(corners[1, 1], points[3, 3], atol=1e-15)
-
-    def test_gt_side_is_still_compatible(self):
-        border_curves(random_points(3), u0_basis=BasisSpec.gt(3, 1.2, 2.8))
-
-    def test_corner_mismatch_rejected(self):
-        points = random_points(4)
-        broken = points[:, 0].copy()
-        broken[0] += 0.5
-        with pytest.raises(ConfigurationError, match="incompatible boundary corners"):
-            BoundaryCurves(
-                side_v0=CurveSpec(basis=CUBIC, controls=broken),
-                side_v1=CurveSpec(basis=CUBIC, controls=points[:, 3]),
-                side_u0=CurveSpec(basis=CUBIC, controls=points[0, :]),
-                side_u1=CurveSpec(basis=CUBIC, controls=points[3, :]),
-            )
-
-
-class TestClassicalCoons:
-    def test_straight_sides_give_bilinear(self):
-        corners = np.array(
-            [[[0.0, 0.0, 0.0], [0.0, 3.0, 1.0]], [[2.0, 0.0, -1.0], [2.0, 3.0, 2.0]]]
-        )
-        t = np.arange(4.0)[:, None] / 3.0
-        points = np.empty((4, 4, 3))
-        side = lambda p, q: p + t * (q - p)
-        points[:, 0] = side(corners[0, 0], corners[1, 0])
-        points[:, 3] = side(corners[0, 1], corners[1, 1])
-        points[0, :] = side(corners[0, 0], corners[0, 1])
-        points[3, :] = side(corners[1, 0], corners[1, 1])
-        curves = border_curves(points)
-        for u in TS[::4]:
-            for v in TS[::4]:
-                bilinear = (
-                    (1 - u) * (1 - v) * corners[0, 0]
-                    + (1 - u) * v * corners[0, 1]
-                    + u * (1 - v) * corners[1, 0]
-                    + u * v * corners[1, 1]
-                )
-                np.testing.assert_allclose(
-                    coons_classical(curves, u, v), bilinear, atol=1e-14
-                )
-
-    def test_interpolates_all_four_sides(self):
-        curves = border_curves(random_points(5), u0_basis=BasisSpec.gt(3, 0.6, 3.1))
-        for t in TS:
-            np.testing.assert_allclose(
-                coons_classical(curves, t, 0.0), curves.side_v0.at([t])[0], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                coons_classical(curves, t, 1.0), curves.side_v1.at([t])[0], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                coons_classical(curves, 0.0, t), curves.side_u0.at([t])[0], atol=1e-12
-            )
-            np.testing.assert_allclose(
-                coons_classical(curves, 1.0, t), curves.side_u1.at([t])[0], atol=1e-12
-            )
-
-    def test_matrix_form_agrees(self):
-        curves = border_curves(random_points(6))
-        for u in TS[::2]:
-            for v in TS[::2]:
-                np.testing.assert_allclose(
-                    coons_classical_matrix(curves, u, v),
-                    coons_classical(curves, u, v),
-                    atol=1e-13,
-                )
-
-    @pytest.mark.parametrize("u,v", [(-0.01, 0.5), (0.5, 1.5)])
-    def test_parameter_domain(self, u, v):
-        curves = border_curves(random_points(7))
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
-            coons_classical(curves, u, v)
 
 
 class TestBlendNetValidation:
@@ -293,7 +196,10 @@ class TestHybridSurface:
                     exact = grid[a, b]
                     assert np.abs(fd - exact).max() / (1 + np.abs(exact).max()) < 1e-5
 
-    @pytest.mark.parametrize("params", [([-0.1], [0.5]), ([0.5], [1.2])])
+    @pytest.mark.parametrize(
+        "params",
+        [([-0.1], [0.5]), ([0.5], [1.2]), ([float("nan")], [0.5]), ([0.5], [float("nan")])],
+    )
     def test_jet_parameter_domain(self, params):
         net = ControlNet(points=random_points(14))
         with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):

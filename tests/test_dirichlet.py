@@ -22,9 +22,9 @@ from gtplateau.patch import (
     SurfaceShape,
     area,
     dirichlet_energy,
-    mesh_area,
     tessellate,
 )
+from mesh_reference import mesh_area
 
 CUBIC = BasisSpec.bernstein(3)
 

@@ -1,4 +1,4 @@
-"""Harmonic-net reconstruction: elevation weights, operator, least squares."""
+"""Harmonic-net reconstruction: the sampled least squares against the coefficient route."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,10 @@ import pytest
 from gtplateau.errors import ConfigurationError, ReconstructionError
 from gtplateau.harmonic import (
     CERTIFICATE_FACTOR,
-    bernstein_gram,
     bernstein_laplacian_defect,
     defect_certificate_bound,
     defect_objective,
-    elevation_coefficients,
     harmonic_reconstruct,
-    laplacian_coefficient_operator,
 )
 from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.patch import (
@@ -23,6 +20,12 @@ from gtplateau.patch import (
     second_partial_grids,
 )
 from gtplateau.pso import PsoConfig, optimize
+from laplacian_operator import (
+    bernstein_gram,
+    elevation_coefficients,
+    laplacian_coefficient_operator,
+    operator_reconstruct,
+)
 
 
 def affine_net(rows: int = 5, cols: int = 5) -> ControlNet:
@@ -161,10 +164,6 @@ class TestReconstruct:
         with pytest.raises(ConfigurationError, match="corners"):
             harmonic_reconstruct(ControlNet(points=points))
 
-    def test_degrees_must_match(self, columns_net):
-        with pytest.raises(ConfigurationError, match="do not match"):
-            harmonic_reconstruct(columns_net, degrees=(4, 3))
-
     def test_degree_floor(self):
         points = np.zeros((2, 4, 3))
         with pytest.raises(ConfigurationError, match="degree >= 2"):
@@ -177,6 +176,65 @@ class TestReconstruct:
                 points[i, j] = (float(i), float(j), 1.0)
         with pytest.raises(ReconstructionError, match="rank 8 < 12 unknowns"):
             harmonic_reconstruct(ControlNet(points=points))
+
+    def test_one_short_is_rank_deficient(self):
+        # three edge points more than the corners still leave one direction free
+        points = np.full((4, 4, 3), np.nan)
+        for i, j in [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (0, 2), (1, 0)]:
+            points[i, j] = (float(i), float(j), 1.0 + i * j)
+        with pytest.raises(ReconstructionError, match="rank 8 < 9 unknowns"):
+            harmonic_reconstruct(ControlNet(points=points))
+
+
+def random_partial_net(seed: int, degree_u: int, degree_v: int) -> ControlNet:
+    """Random points, about 15% unknown anywhere but the corners, at least one on an edge."""
+    rng = np.random.default_rng(seed)
+    rows, cols = degree_u + 1, degree_v + 1
+    points = rng.uniform(-1.0, 1.0, (rows, cols, 3))
+    corners = ([0, 0, -1, -1], [0, -1, 0, -1])
+    edge = boundary_mask(rows, cols)
+    edge[corners] = False
+    free = rng.random((rows, cols)) < 0.15
+    free.ravel()[rng.choice(np.flatnonzero(edge))] = True
+    free[corners] = False
+    return ControlNet(points=points, fixed=~free)
+
+
+class TestAgainstCoefficientRoute:
+    """The sampled system against the Gram-weighted coefficient equations.
+
+    Both have the normal matrix of the exact defect, so they agree up to the
+    rounding of each route. On data with no harmonic completion the
+    coefficient route is the less accurate one: the Cholesky factor of the
+    Bernstein Gram matrix grows ill-conditioned with degree, so with many
+    unknowns at high degree it leaves the exact minimizer by more than 1e-12
+    of the scale while the sampled route does not (test_matches_exact_minimizer).
+    The random nets keep few unknowns so the comparison measures the library,
+    not the reference.
+    """
+
+    @pytest.mark.parametrize("fixture", ["columns_net", "rows_net", "wave_net"])
+    def test_fixtures(self, fixture, request):
+        net = request.getfixturevalue(fixture)
+        reference, _ = operator_reconstruct(net)
+        gap = np.abs(harmonic_reconstruct(net).points - reference.points).max()
+        assert gap <= 1e-12 * net.scale()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_nets(self, seed):
+        net = random_partial_net(seed, 3 + seed, 3 + (7 * seed) % 10)
+        reference, rank = operator_reconstruct(net)
+        assert rank == int(net.free.sum())
+        rebuilt = harmonic_reconstruct(net)
+        np.testing.assert_array_equal(rebuilt.points[net.fixed], net.points[net.fixed])
+        assert np.abs(rebuilt.points - reference.points).max() <= 1e-12 * net.scale()
+
+    def test_matches_exact_minimizer(self, exact_harmonic_points):
+        points = np.random.default_rng(7).uniform(-1.0, 1.0, (8, 8, 3))
+        net = ControlNet(points=points, fixed=boundary_mask(8, 8))
+        exact = exact_harmonic_points(net)
+        rebuilt = harmonic_reconstruct(net)
+        assert np.abs(rebuilt.points[net.free] - exact).max() <= 1e-12 * net.scale()
 
 
 class TestDefectMeasures:

@@ -11,7 +11,6 @@ from gtplateau.numerics import (
     RngStream,
     finite_diff_gradient,
     gauss_legendre_rule,
-    integrate_2d,
     pivot_ratio,
     solve_dense,
 )
@@ -61,21 +60,6 @@ class TestGaussLegendre:
             QuadratureRule(nodes=np.array([]), weights=np.array([]))
 
 
-class TestIntegrate2d:
-    def test_constant(self):
-        rule = gauss_legendre_rule(2)
-        assert abs(integrate_2d(lambda u, v: 1.0, rule) - 1.0) < 1e-15
-
-    def test_bilinear(self):
-        rule = gauss_legendre_rule(2)
-        assert abs(integrate_2d(lambda u, v: u * v, rule) - 0.25) < 1e-15
-
-    def test_biquadratic(self):
-        # degree 2 per direction is within the 2-node exactness envelope
-        rule = gauss_legendre_rule(2)
-        assert abs(integrate_2d(lambda u, v: u**2 * v**2, rule) - 1.0 / 9.0) < 1e-14
-
-
 class TestSolveDense:
     def test_identity(self):
         system = DenseSystem(matrix=np.eye(3), rhs=np.array([1.0, 2.0, 3.0]))
@@ -85,21 +69,21 @@ class TestSolveDense:
         system = DenseSystem(
             matrix=np.array([[2.0, 1.0], [1.0, 2.0]]),
             rhs=np.array([3.0, 3.0]),
-            symmetric=True,
         )
-        np.testing.assert_allclose(solve_dense(system, spd_hint=True), [1.0, 1.0], atol=1e-14)
+        np.testing.assert_allclose(solve_dense(system), [1.0, 1.0], atol=1e-14)
 
     def test_singular_raises(self):
         system = DenseSystem(matrix=np.ones((2, 2)), rhs=np.array([1.0, 1.0]))
-        with pytest.raises(SolverError, match="singular"):
-            solve_dense(system)
+        with pytest.warns(RuntimeWarning, match="SPD hint"):
+            with pytest.raises(SolverError, match="singular"):
+                solve_dense(system)
 
     def test_spd_random_multiple_rhs(self):
         rng = RngStream(314, 0)
         raw = rng.uniform(-1.0, 1.0, size=(6, 6))
         matrix = raw.T @ raw + np.eye(6)
         rhs = rng.uniform(-2.0, 2.0, size=(6, 3))
-        x = solve_dense(DenseSystem(matrix=matrix, rhs=rhs, symmetric=True), spd_hint=True)
+        x = solve_dense(DenseSystem(matrix=matrix, rhs=rhs))
         assert x.shape == (6, 3)
         assert np.abs(matrix @ x - rhs).max() < 1e-9
 
@@ -108,10 +92,9 @@ class TestSolveDense:
         system = DenseSystem(
             matrix=np.array([[0.0, 1.0], [1.0, 0.0]]),
             rhs=np.array([1.0, 2.0]),
-            symmetric=True,
         )
         with pytest.warns(RuntimeWarning, match="SPD hint"):
-            x = solve_dense(system, spd_hint=True)
+            x = solve_dense(system)
         np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-14)
 
     def test_rhs_dimensionality_is_preserved(self):
@@ -127,7 +110,7 @@ class TestSolveDense:
         with pytest.raises(ConfigurationError, match="one row per matrix row"):
             DenseSystem(matrix=np.eye(2), rhs=np.ones(3))
         with pytest.raises(ConfigurationError, match="asymmetry"):
-            DenseSystem(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), rhs=np.ones(2), symmetric=True)
+            DenseSystem(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), rhs=np.ones(2))
 
 
 class TestPivotRatio:

@@ -11,6 +11,7 @@ from gtplateau.numerics import RngStream
 from gtplateau.patch import Patch, SurfaceShape, area
 from gtplateau.pso import (
     THREADS_ENV_VAR,
+    VELOCITY_INIT_FRACTION,
     PsoConfig,
     PsoResult,
     optimize,
@@ -55,7 +56,6 @@ class TestConfigValidation:
             {"c1": 0.0},
             {"c2": -1.0},
             {"max_iters": -1},
-            {"velocity_init_fraction": 0.0},
             {"seed": -1},
             {"threads": 0},
         ],
@@ -176,7 +176,7 @@ class TestOptimize:
         for i, stream in enumerate(streams):
             positions[i] = lo + width * stream.uniform(size=2)
             velocities[i] = (
-                config.velocity_init_fraction * width * (2.0 * stream.uniform(size=2) - 1.0)
+                VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=2) - 1.0)
             )
         personal_best = positions.copy()
         personal_values = np.array([objective(p) for p in positions])
