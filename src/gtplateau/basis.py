@@ -37,13 +37,9 @@ class ShapePair:
     theta2: float
 
     def __post_init__(self):
-        for name, value in (("theta1", self.theta1), ("theta2", self.theta2)):
-            value = float(value)
-            if not np.isfinite(value) or not THETA_MIN <= value <= THETA_MAX:
-                raise DomainError(
-                    f"{name} must lie in [{THETA_MIN}, {THETA_MAX}], got {value!r}"
-                )
-            object.__setattr__(self, name, value)
+        theta1, theta2 = check_theta_stack([float(self.theta1), float(self.theta2)])
+        object.__setattr__(self, "theta1", float(theta1))
+        object.__setattr__(self, "theta2", float(theta2))
 
 
 @dataclass(frozen=True)
@@ -125,9 +121,12 @@ def _bernstein_tables(degree: int, t: np.ndarray):
     return values, first, second
 
 
-def _gt_seed_tables(shape: ShapePair, t: np.ndarray):
-    """Quadratic seed values and analytic derivatives, rows k = 0, 1, 2."""
-    th1, th2 = shape.theta1, shape.theta2
+def _gt_seed_tables(th1, th2, t: np.ndarray):
+    """Quadratic seed values and analytic derivatives, rows k = 0, 1, 2.
+
+    The shape parameters are scalars, giving (3, len(t)) tables, or (k, 1)
+    columns, giving a (k, 3, len(t)) stack with one table per row.
+    """
     s = np.sin(_HALF_PI * t)
     c = np.cos(_HALF_PI * t)
 
@@ -145,21 +144,70 @@ def _gt_seed_tables(shape: ShapePair, t: np.ndarray):
     dd2 = _HALF_PI**2 * (c * b + s * s * (th2 - 2.0))
     dd1 = -dd0 - dd2
 
-    return np.stack([g0, g1, g2]), np.stack([d0, d1, d2]), np.stack([dd0, dd1, dd2])
+    return (
+        np.stack([g0, g1, g2], axis=-2),
+        np.stack([d0, d1, d2], axis=-2),
+        np.stack([dd0, dd1, dd2], axis=-2),
+    )
 
 
 def _elevate(values, first, second, t):
-    """One degree-elevation step applied to value/derivative tables."""
-    zero = np.zeros((1, t.size))
-    lo_v, hi_v = np.vstack([values, zero]), np.vstack([zero, values])
-    lo_1, hi_1 = np.vstack([first, zero]), np.vstack([zero, first])
-    lo_2, hi_2 = np.vstack([second, zero]), np.vstack([zero, second])
+    """One degree-elevation step applied to value/derivative tables (rows on axis -2)."""
+    zero = np.zeros(values.shape[:-2] + (1, t.size))
+
+    def shifted(table):
+        return np.concatenate([table, zero], axis=-2), np.concatenate([zero, table], axis=-2)
+
+    lo_v, hi_v = shifted(values)
+    lo_1, hi_1 = shifted(first)
+    lo_2, hi_2 = shifted(second)
     w = 1.0 - t
     return (
         w * lo_v + t * hi_v,
         -lo_v + w * lo_1 + hi_v + t * hi_1,
         -2.0 * lo_1 + w * lo_2 + 2.0 * hi_1 + t * hi_2,
     )
+
+
+def _gt_tables(degree: int, th1, th2, t: np.ndarray):
+    values, first, second = _gt_seed_tables(th1, th2, t)
+    for _ in range(degree - 2):
+        values, first, second = _elevate(values, first, second, t)
+    return values, first, second
+
+
+def check_theta_stack(thetas) -> np.ndarray:
+    """Validate an array of shape parameters against the admissible interval.
+
+    Raises the ``DomainError`` a ShapePair raises for the first offending entry
+    (row-major), naming it theta1 or theta2 by the parity of its column.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    bad = ~(np.isfinite(thetas) & (thetas >= THETA_MIN) & (thetas <= THETA_MAX))
+    if bad.any():
+        index = np.unravel_index(np.flatnonzero(bad)[0], thetas.shape)
+        name = "theta1" if index[-1] % 2 == 0 else "theta2"
+        raise DomainError(
+            f"{name} must lie in [{THETA_MIN}, {THETA_MAX}], got {float(thetas[index])!r}"
+        )
+    return thetas
+
+
+def gt_table_stack(degree: int, pairs, t) -> BasisEvaluation:
+    """GT tables of one degree for a (k, 2) stack of shape pairs.
+
+    One pass of the seed and the elevation recursion serves the whole stack:
+    each array has shape (k, degree + 1, len(t)), and row i equals
+    ``basis_tables(BasisSpec.gt(degree, *pairs[i]), t)`` bit for bit.
+    """
+    if degree < 2:
+        raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ConfigurationError("shape pairs must be a (k, 2) array")
+    check_theta_stack(pairs)
+    values, first, second = _gt_tables(degree, pairs[:, :1], pairs[:, 1:], _check_t(t))
+    return BasisEvaluation(values=values, first=first, second=second)
 
 
 def basis_tables(spec: BasisSpec, t) -> BasisEvaluation:
@@ -172,7 +220,5 @@ def basis_tables(spec: BasisSpec, t) -> BasisEvaluation:
     if spec.family == "bernstein":
         values, first, second = _bernstein_tables(spec.degree, t)
     else:
-        values, first, second = _gt_seed_tables(spec.shape, t)
-        for _ in range(spec.degree - 2):
-            values, first, second = _elevate(values, first, second, t)
+        values, first, second = _gt_tables(spec.degree, spec.shape.theta1, spec.shape.theta2, t)
     return BasisEvaluation(values=values, first=first, second=second)

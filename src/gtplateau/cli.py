@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .basis import BasisSpec, ShapePair, basis_tables
+from .basis import THETA_MAX, THETA_MIN, BasisSpec, ShapePair, basis_tables
 from .coons import optimize_tb, tb_surface_jet
-from .dirichlet import reduced_functional, solve_interior
+from .dirichlet import reduced_functional_stack, solve_interior
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -86,6 +86,15 @@ def _int_at_least(flag: str, low: int):
     return parse
 
 
+def _bounds_type(text: str):
+    lo, hi = _float_tuple("--bounds", 2)(text)
+    if not THETA_MIN <= lo < hi <= THETA_MAX:
+        raise argparse.ArgumentTypeError(
+            f"--bounds needs {THETA_MIN} <= LO < HI <= {THETA_MAX}, got {text!r}"
+        )
+    return lo, hi
+
+
 def _alpha_type(text: str):
     values = _float_tuple("--alpha", 4)(text)
     try:
@@ -128,17 +137,23 @@ def _add_pso_args(parser, runs: bool = False):
             help="independent swarm runs; run r uses seed SEED+r (default 1)",
         )
     parser.add_argument("--seed", type=int, default=0, metavar="S", help="base RNG seed (default 0)")
-    parser.add_argument("--swarm", type=int, default=50, metavar="N", help="particles (default 50)")
+    parser.add_argument(
+        "--swarm", type=_int_at_least("--swarm", 1), default=50, metavar="N",
+        help="particles (default 50)",
+    )
     parser.add_argument("--inertia", type=float, default=0.7, metavar="W", help="inertia weight (default 0.7)")
     parser.add_argument("--c1", type=float, default=1.5, help="acceleration toward the global best (default 1.5)")
     parser.add_argument("--c2", type=float, default=1.5, help="acceleration toward the personal best (default 1.5)")
-    parser.add_argument("--iters", type=int, default=200, metavar="T", help="swarm iterations (default 200)")
     parser.add_argument(
-        "--bounds", type=_float_tuple("--bounds", 2), default=(0.5, 3.5), metavar="LO,HI",
-        help="shape-parameter box, applied per component (default 0.5,3.5)",
+        "--iters", type=_int_at_least("--iters", 0), default=200, metavar="T",
+        help="swarm iterations (default 200)",
     )
     parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
+        "--bounds", type=_bounds_type, default=(THETA_MIN, THETA_MAX), metavar="LO,HI",
+        help="shape-parameter box inside [0.5, 3.5], applied per component (default 0.5,3.5)",
+    )
+    parser.add_argument(
+        "--threads", type=_int_at_least("--threads", 1), default=None, metavar="N",
         help="fitness evaluation threads (default: GT_PLATEAU_THREADS or 1)",
     )
 
@@ -191,8 +206,8 @@ def _swarm_runs(net, rule, args):
     """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, re-solved extremal)
     triples, and the index of the first run of least energy."""
 
-    def objective(x):
-        return reduced_functional(net, SurfaceShape.from_iterable(x), rule)
+    def objective(alphas):
+        return reduced_functional_stack(net, alphas, rule)
 
     runs = []
     for r in range(args.runs):
@@ -334,6 +349,7 @@ def cmd_optimize(args) -> int:
 def cmd_harmonic(args) -> int:
     net = load_net(args.net)
     rule = gauss_legendre_rule(args.quad)
+    config = _pso_config(args, args.seed) if args.tune_alpha else None  # validated before writing
     reconstructed = harmonic_reconstruct(net)
     defect = bernstein_laplacian_defect(reconstructed, rule)
     bound = defect_certificate_bound(reconstructed)
@@ -354,10 +370,13 @@ def cmd_harmonic(args) -> int:
         "tune_alpha": bool(args.tune_alpha),
     }
     if args.tune_alpha:
-        result = optimize(
-            lambda x: defect_objective(reconstructed, SurfaceShape.from_iterable(x), rule),
-            _pso_config(args, args.seed),
-        )
+        def objective(alphas):
+            return [
+                defect_objective(reconstructed, SurfaceShape.from_iterable(x), rule)
+                for x in alphas
+            ]
+
+        result = optimize(objective, config)
         write_convergence_csv(os.path.join(out, "convergence.csv"), result.history)
         shape = SurfaceShape.from_iterable(result.position)
         results["alpha"] = _shape_list(shape)

@@ -17,7 +17,10 @@ over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
 Jets contract the 10-row tables with C. The energy is 1/2 sum_c C_c^T Q C_c
 with Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, and the interior
 solve keeps the free rows of L^T Q L. ``_tb_system`` builds the same normal
-equations from 2-D gradient fields; it is the independent reference.
+equations from 2-D gradient fields; it is the independent reference. The
+swarm's fitness ``tb_reduced_functional_stack`` forms L^T Q L for a whole
+stack of shape vectors, one Kronecker factor at a time, and takes each energy
+from its solved form.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -28,8 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables
-from .dirichlet import _free_system, _gram, gradient_normal_system
+from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_table_stack
+from .dirichlet import (
+    _extremal_energies,
+    _free_system,
+    _gram,
+    _kron_sum,
+    _shape_stack,
+    gradient_normal_system,
+)
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
 from .patch import ControlNet, SurfaceShape, _contract, boundary_mask
@@ -104,23 +114,36 @@ def _coefficient_map() -> np.ndarray:
 _L = _coefficient_map()
 
 
-def _blend_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
-    """Rows (B0..B3, G0..G3, 1-t, t) of one direction, with derivatives."""
+def _blend_tables(gt: BasisEvaluation, ts: np.ndarray) -> BasisEvaluation:
+    """Rows (B0..B3, G0..G3, 1-t, t) of one direction around its cubic GT
+    tables, with derivatives; stacked GT tables give a stack of blend tables."""
     b = basis_tables(BasisSpec.bernstein(3), ts)
-    g = basis_tables(BasisSpec(family="gt", degree=3, shape=pair), ts)
     one = np.ones_like(ts)
+    lead = gt.values.shape[:-2]
+
+    def rows(bernstein, gt_rows, linear):
+        return np.concatenate(
+            [np.broadcast_to(bernstein, lead + bernstein.shape), gt_rows,
+             np.broadcast_to(linear, lead + linear.shape)],
+            axis=-2,
+        )
+
     return BasisEvaluation(
-        values=np.vstack([b.values, g.values, 1.0 - ts, ts]),
-        first=np.vstack([b.first, g.first, -one, one]),
-        second=np.vstack([b.second, g.second, np.zeros((2, ts.size))]),
+        values=rows(b.values, gt.values, np.stack([1.0 - ts, ts])),
+        first=rows(b.first, gt.first, np.stack([-one, one])),
+        second=rows(b.second, gt.second, np.zeros((2, ts.size))),
     )
+
+
+def _pair_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
+    return _blend_tables(basis_tables(BasisSpec(family="gt", degree=3, shape=pair), ts), ts)
 
 
 def _hybrid_gram(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
     """K_F (x) M_H + M_F (x) K_H over the 10-function bases (100 x 100)."""
-    k_f, m_f = _gram(_blend_tables(shape.u_pair, rule.nodes), rule)
-    k_h, m_h = _gram(_blend_tables(shape.v_pair, rule.nodes), rule)
-    return np.kron(k_f, m_h) + np.kron(m_f, k_h)
+    k_f, m_f = _gram(_pair_tables(shape.u_pair, rule.nodes), rule)
+    k_h, m_h = _gram(_pair_tables(shape.v_pair, rule.nodes), rule)
+    return _kron_sum(k_f, m_f, k_h, m_h)
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
@@ -130,7 +153,7 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     for t in (us, vs):
         if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
             raise ConfigurationError("surface parameters must lie in [0, 1]")
-    tu, tv = _blend_tables(shape.u_pair, us), _blend_tables(shape.v_pair, vs)
+    tu, tv = _pair_tables(shape.u_pair, us), _pair_tables(shape.v_pair, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
     return SurfaceJet(
         S=_contract(tu.values, tv.values, c),
@@ -193,6 +216,35 @@ def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule
     return solved
 
 
+def tb_reduced_functional_stack(net: ControlNet, alphas, rule: QuadratureRule) -> np.ndarray:
+    """Hybrid extremal energy at each row of a (k, 4) stack of shape vectors.
+
+    The stacked counterpart of ``tb_dirichlet_energy(solve_tb_interior(...))``:
+    one Gram build per shape serves both the solve and the energy, which is
+    the form L^T Q L evaluated on the solved net. Rows do not depend on which
+    rows share their stack; any failed solve raises for the stack.
+    """
+    require_blend_net(net, complete=False)
+    alphas = _shape_stack(alphas)
+    k_f, m_f = _gram(_blend_tables(gt_table_stack(3, alphas[:, :2], rule.nodes), rule.nodes), rule)
+    k_h, m_h = _gram(_blend_tables(gt_table_stack(3, alphas[:, 2:], rule.nodes), rule.nodes), rule)
+    return _extremal_energies(_net_form_stack(k_f, m_f, k_h, m_h), net)
+
+
+def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
+    """L^T (K_F (x) M_H + M_F (x) K_H) L (k x 16 x 16) from stacks of 10x10
+    Gram matrices, one Kronecker factor at a time: the 100 x 100 form is
+    never built."""
+    by_f = _L.reshape(10, 10 * 16)  # rows: F index; columns: (H index, net point)
+
+    def applied(a, b):
+        # sum_cd a[i, c] b[j, d] L[(c, d), q], laid out as (k, i, j, q)
+        return b[:, None] @ (a @ by_f).reshape(-1, 10, 10, 16)
+
+    form = applied(k_f, m_h) + applied(m_f, k_h)
+    return _L.T @ form.reshape(-1, 100, 16)
+
+
 @dataclass
 class TbOptimum:
     shape: SurfaceShape
@@ -209,12 +261,7 @@ def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbO
     if config.dims != 4:
         raise ConfigurationError("shape optimization needs 4-dimensional bounds")
 
-    def fitness(x):
-        shape = SurfaceShape.from_iterable(x)
-        solved = solve_tb_interior(net, shape, rule)
-        return tb_dirichlet_energy(solved, shape, rule)
-
-    result = optimize(fitness, config)
+    result = optimize(lambda alphas: tb_reduced_functional_stack(net, alphas, rule), config)
     best_shape = SurfaceShape.from_iterable(result.position)
     solved = solve_tb_interior(net, best_shape, rule)
     return TbOptimum(

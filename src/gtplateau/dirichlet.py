@@ -23,6 +23,11 @@ routes are provided:
 Both integrate with the same quadrature rule, so they agree to rounding. The
 blended patch of ``coons`` reuses the Gram product and the free/fixed split,
 and the gradient engine behind the generic route is its reference as well.
+
+The swarm evaluates J(alpha) through ``reduced_functional_stack``: the same
+Gram route over a (k, 4) stack of shape vectors, with one stacked factor and
+solve, and each energy read off the quadratic form at its solution instead
+of a second quadrature pass.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, basis_tables
+from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_table_stack
 from .errors import ConfigurationError, SolverError
-from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
+from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense, solve_spd_stack
 from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
 
 
@@ -57,9 +62,27 @@ def _describe(spec: BasisSpec) -> str:
 
 
 def _gram(tab: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(K, M) of one direction's tables, sampled at the rule's nodes."""
+    """(K, M) of one direction's tables, sampled at the rule's nodes.
+
+    Tables may carry leading stack axes; each stacked table gets its own
+    matrix product, so its Gram matrices do not depend on the stack.
+    """
     w = rule.weights
-    return (tab.first * w) @ tab.first.T, (tab.values * w) @ tab.values.T
+    return (
+        (tab.first * w) @ np.swapaxes(tab.first, -1, -2),
+        (tab.values * w) @ np.swapaxes(tab.values, -1, -2),
+    )
+
+
+def _kron_sum(k_u: np.ndarray, m_u: np.ndarray, k_v: np.ndarray, m_v: np.ndarray) -> np.ndarray:
+    """K_u (x) M_v + M_u (x) K_v over any leading stack axes (np.kron's products)."""
+
+    def kron(a, b):
+        rows = a.shape[-1] * b.shape[-1]
+        outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+        return outer.reshape(outer.shape[:-4] + (rows, rows))
+
+    return kron(k_u, m_v) + kron(m_u, k_v)
 
 
 def assemble_coefficients(
@@ -90,17 +113,44 @@ def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     if coeffs.M_u.shape != (m + 1, m + 1) or coeffs.M_v.shape != (n + 1, n + 1):
         raise ConfigurationError("Gram matrices do not match the net degrees")
 
-    return _free_system(np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v), net)
+    return _free_system(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net)
+
+
+def _free_split(form: np.ndarray, net: ControlNet) -> tuple[np.ndarray, np.ndarray]:
+    """(matrix, rhs) of the normal equations of a quadratic form (or a stack
+    of forms) over the row-major flattened net: free rows and columns kept,
+    fixed columns moved to the right-hand side."""
+    cols = net.free.ravel()
+    rows = form[..., cols, :]
+    fixed_points = net.points.reshape(-1, 3)[~cols]
+    return _columns(rows, cols), -(_columns(rows, ~cols) @ fixed_points)
+
+
+def _columns(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``rows[..., mask]`` with each matrix of a stack column-major, the layout
+    numpy gives ``rows[:, mask]`` of a single matrix. Matrix products then take
+    the same BLAS route, and round the same, with or without a stack."""
+    picked = np.take(np.swapaxes(rows, -1, -2), np.flatnonzero(mask), axis=-2)
+    return np.swapaxes(picked, -1, -2)
 
 
 def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
-    """Normal equations of a quadratic form over the row-major flattened net:
-    free rows and columns kept, fixed columns moved to the right-hand side."""
-    cols = net.free.ravel()
-    rows = form[cols]
-    fixed_points = net.points.reshape(-1, 3)[~cols]
-    rhs = -(rows[:, ~cols] @ fixed_points)
-    return DenseSystem(matrix=rows[:, cols], rhs=rhs)
+    matrix, rhs = _free_split(form, net)
+    return DenseSystem(matrix=matrix, rhs=rhs)
+
+
+def _extremal_energies(forms: np.ndarray, net: ControlNet) -> np.ndarray:
+    """Energies 1/2 sum_c P_c^T Q P_c of the extremals of a (k, N, N) stack of
+    forms Q over the flattened net, one per form.
+
+    Each free system is solved by ``solve_spd_stack``, so a failed check raises
+    for the whole stack; the energy is the form evaluated on the filled net.
+    """
+    matrix, rhs = _free_split(forms, net)
+    solution = solve_spd_stack(matrix, rhs)
+    points = np.repeat(net.points.reshape(1, -1, 3), len(forms), axis=0)
+    points[:, net.free.ravel()] = solution
+    return 0.5 * np.einsum("kic,kic->k", points, forms @ points)
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -201,3 +251,26 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
     """J(alpha): energy of the GT Dirichlet extremal on the given boundary."""
     bu, bv = shape.basis_specs(net.degree_u, net.degree_v)
     return solve_interior(net, bu, bv, rule).energy
+
+
+def _shape_stack(alphas) -> np.ndarray:
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 2 or alphas.shape[1] != 4:
+        raise ConfigurationError("shape vectors must be a (k, 4) array")
+    return alphas
+
+
+def reduced_functional_stack(net: ControlNet, alphas, rule: QuadratureRule) -> np.ndarray:
+    """J at each row of a (k, 4) stack of shape vectors: the swarm's fitness.
+
+    Agrees with ``reduced_functional`` row by row to rounding. The GT tables
+    of the whole stack come from one pass of the elevation recursion, and the
+    k interior systems are factored and solved as one stack, so a row's value
+    does not depend on which rows share its stack. Any failed solve raises
+    for the stack (``pso.optimize`` then retries its rows one at a time).
+    """
+    _require_plateau(net)
+    alphas = _shape_stack(alphas)
+    k_u, m_u = _gram(gt_table_stack(net.degree_u, alphas[:, :2], rule.nodes), rule)
+    k_v, m_v = _gram(gt_table_stack(net.degree_v, alphas[:, 2:], rule.nodes), rule)
+    return _extremal_energies(_kron_sum(k_u, m_u, k_v, m_v), net)

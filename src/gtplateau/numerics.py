@@ -84,16 +84,54 @@ class DenseSystem:
         n = self.matrix.shape[0]
         if self.rhs.shape[:1] != (n,) or self.rhs.ndim not in (1, 2):
             raise ConfigurationError("rhs must have one row per matrix row")
-        gap = np.abs(self.matrix - self.matrix.T).max(initial=0.0)
-        scale = 1.0 + np.abs(self.matrix).max(initial=0.0)
-        if gap >= 1e-10 * scale:
-            raise ConfigurationError(
-                f"system must be symmetric but max asymmetry {gap:.3e} exceeds tolerance"
-            )
+        _check_symmetric(self.matrix)
 
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_symmetric(matrix: np.ndarray) -> None:
+    """Raise ConfigurationError unless every matrix of the stack (last two
+    axes) is symmetric to 1e-10 of its largest entry."""
+    axes = (-2, -1)
+    gap = np.abs(matrix - np.swapaxes(matrix, -1, -2)).max(axis=axes, initial=0.0)
+    scale = 1.0 + np.abs(matrix).max(axis=axes, initial=0.0)
+    bad = gap >= 1e-10 * scale
+    if bad.any():
+        raise ConfigurationError(
+            f"system must be symmetric but max asymmetry {gap[bad].max():.3e} exceeds tolerance"
+        )
+
+
+def _check_residual(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
+    """Raise SolverError unless every solve of the stack meets the residual bound."""
+    axes = (-2, -1)
+    residual = np.abs(matrix @ x - b).max(axis=axes, initial=0.0)
+    bound = 1e-9 * (1.0 + np.abs(b).max(axis=axes, initial=0.0))
+    bad = ~np.isfinite(residual) | (residual >= bound)
+    if bad.any():
+        worst = np.flatnonzero(bad.ravel())[0]
+        raise SolverError(
+            f"solve residual {residual.ravel()[worst]:.3e} exceeds bound "
+            f"{bound.ravel()[worst]:.3e}; system is numerically unusable"
+        )
+
+
+def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a (k, n, n) stack of SPD systems with (k, n, r) right-hand sides.
+
+    Every matrix is checked for symmetry, verified SPD by one stacked Cholesky
+    (``np.linalg.LinAlgError`` when any factor fails), solved by one stacked
+    LU solve, and held to the residual bound of ``solve_dense``. Each matrix
+    goes through LAPACK on its own, so a system's solution does not depend
+    on the rest of the stack.
+    """
+    _check_symmetric(matrices)
+    np.linalg.cholesky(matrices)
+    x = np.linalg.solve(matrices, rhs)
+    _check_residual(matrices, x, rhs)
+    return x
 
 
 def solve_dense(system: DenseSystem) -> np.ndarray:
@@ -126,14 +164,7 @@ def solve_dense(system: DenseSystem) -> np.ndarray:
                 f"{sigma.min(initial=0.0):.3e} .. {largest:.3e})"
             )
     x = np.linalg.solve(system.matrix, b)
-
-    residual = np.abs(system.matrix @ x - b).max(initial=0.0)
-    bound = 1e-9 * (1.0 + np.abs(b).max(initial=0.0))
-    if not np.isfinite(residual) or residual >= bound:
-        raise SolverError(
-            f"solve residual {residual:.3e} exceeds bound {bound:.3e}; "
-            "system is numerically unusable"
-        )
+    _check_residual(system.matrix, x, b)
     return x[:, 0] if squeeze else x
 
 

@@ -8,11 +8,18 @@ second with the particle's personal best:
 with componentwise draws r1, r2. Updates are synchronous: every particle in
 iteration t sees the global best settled at the end of iteration t - 1.
 
+The objective is evaluated on stacks: it maps a (k, dims) array of positions
+to k values, so a whole swarm costs one call. With more than one thread
+(``threads`` or ``GT_PLATEAU_THREADS``) each iteration's swarm is split into
+one contiguous chunk per worker. A chunk whose call raises a solver failure
+is re-evaluated one row at a time, so only the failing particles score +inf.
+
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its
 velocity, and every iteration draws r1 then r2, always in particle order on
-the driver thread. Fitness evaluation may fan out to a thread pool, but results
-are reduced in particle order, so parallel runs replay sequential ones.
+the driver thread. Chunks are reassembled in particle order, so parallel runs
+replay sequential ones whenever a particle's value does not depend on the
+chunk it is evaluated in (true of the package's stacked fitnesses).
 """
 
 from __future__ import annotations
@@ -108,13 +115,30 @@ def resolve_threads(threads: int | None) -> int:
     return value
 
 
+#: Failures of one fitness evaluation that score +inf instead of aborting the swarm.
+_FITNESS_FAILURES = (SolverError, FloatingPointError, np.linalg.LinAlgError)
+
+
 def _guard(objective):
-    def call(x):
+    """Evaluate one chunk of positions; NaN and failed evaluations become +inf.
+
+    A failure of the stacked call is pinned to its rows by evaluating them one
+    at a time.
+    """
+
+    def call(points):
         try:
-            value = float(objective(x))
-        except (SolverError, FloatingPointError, np.linalg.LinAlgError):
-            return math.inf
-        return math.inf if math.isnan(value) else value
+            values = np.asarray(objective(points), dtype=float)
+        except _FITNESS_FAILURES:
+            if len(points) == 1:
+                return np.array([math.inf])
+            return np.concatenate([call(points[i : i + 1]) for i in range(len(points))])
+        if values.shape != (len(points),):
+            raise ConfigurationError(
+                f"objective must return one value per position: {len(points)} positions "
+                f"gave shape {values.shape}"
+            )
+        return np.where(np.isnan(values), math.inf, values)
 
     return call
 
@@ -122,6 +146,7 @@ def _guard(objective):
 def optimize(objective, config: PsoConfig) -> PsoResult:
     """Minimize ``objective`` over the configured box.
 
+    ``objective`` maps a (k, dims) stack of positions to an array of k values.
     Inner-solver failures count as +inf fitness rather than aborting the
     swarm. The returned history holds the global best value per iteration,
     including the initial swarm (index 0), and is non-increasing.
@@ -141,13 +166,14 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
             VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=dims) - 1.0)
         )
 
-    threads = resolve_threads(config.threads)
+    threads = min(resolve_threads(config.threads), n)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         def evaluate_all(points):
             if pool is None:
-                return np.array([guarded(p) for p in points])
-            return np.array(list(pool.map(guarded, points)))  # map preserves order
+                return guarded(points)
+            # one contiguous chunk per worker; map preserves order
+            return np.concatenate(list(pool.map(guarded, np.array_split(points, threads))))
 
         values = evaluate_all(positions)
         evaluations = n
@@ -158,16 +184,18 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
         global_value = float(personal_values[best_index])
         history = [global_value]
 
+        r1 = np.empty((n, dims))
+        r2 = np.empty((n, dims))
         for iteration in range(1, config.max_iters + 1):
             for i, stream in enumerate(streams):
-                r1 = stream.uniform(size=dims)
-                r2 = stream.uniform(size=dims)
-                velocities[i] = (
-                    config.inertia * velocities[i]
-                    + config.c1 * r1 * (global_best - positions[i])
-                    + config.c2 * r2 * (personal_best[i] - positions[i])
-                )
-                positions[i] = project_to_bounds(positions[i] + velocities[i], config.bounds)
+                r1[i] = stream.uniform(size=dims)
+                r2[i] = stream.uniform(size=dims)
+            velocities = (
+                config.inertia * velocities
+                + config.c1 * r1 * (global_best - positions)
+                + config.c2 * r2 * (personal_best - positions)
+            )
+            positions = project_to_bounds(positions + velocities, config.bounds)
 
             values = evaluate_all(positions)
             evaluations += n

@@ -188,6 +188,28 @@ class TestOptimize:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+class TestParallelReplay:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["optimize", WAVE, "--runs", "2", "--swarm", "7", "--iters", "4", "--tess", "4"],
+             ("convergence_00.csv", "convergence_01.csv", "net.json", "summary.json")),
+            (["coons", DOME, "--swarm", "7", "--iters", "4", "--tess", "4"],
+             ("convergence.csv", "net.json", "summary.json")),
+        ],
+    )
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch, argv, names):
+        # 7 particles: 2 workers get chunks of 4 and 3, one worker gets the whole stack
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        outs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("GT_PLATEAU_THREADS", threads)
+            outs[threads] = tmp_path / f"threads-{threads}"
+            assert main(argv + ["--seed", "9", "--out", str(outs[threads])]) == 0
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
 class TestHarmonic:
     def test_columns_case_certified(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -349,6 +371,16 @@ class TestExitCodes:
             ["compare", WAVE, "--runs", "-2"],
             ["optimize", WAVE, "--runs", "-1"],
             ["solve", WAVE, "--tess", "1.5"],
+            ["harmonic", COLUMNS, "--swarm", "0", "--tune-alpha"],
+            ["harmonic", COLUMNS, "--iters", "-1", "--tune-alpha"],
+            ["harmonic", COLUMNS, "--threads", "0", "--tune-alpha"],
+            ["harmonic", COLUMNS, "--bounds", "0.2,3.0", "--tune-alpha"],
+            ["optimize", WAVE, "--swarm", "0"],
+            ["optimize", WAVE, "--threads", "0"],
+            ["coons", WAVE, "--bounds", "0.2,3.0"],
+            ["coons", WAVE, "--iters", "-1"],
+            ["compare", WAVE, "--bounds", "1.0,3.6"],
+            ["compare", WAVE, "--bounds", "3.0,1.0"],
         ],
     )
     def test_counts_checked_before_any_file_is_written(self, tmp_path, capsys, argv):
@@ -358,6 +390,12 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
         assert argv[2] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--inertia", "1.5"), ("--c1", "0"), ("--seed", "-1")])
+    def test_harmonic_swarm_settings_checked_before_writing(self, tmp_path, flag, value):
+        out = tmp_path / "run"
+        assert main(["harmonic", COLUMNS, "--tune-alpha", flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_alpha_outside_domain(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -26,6 +26,7 @@ from laplacian_operator import (
     laplacian_coefficient_operator,
     operator_reconstruct,
 )
+from rowwise import rowwise
 
 
 def affine_net(rows: int = 5, cols: int = 5) -> ControlNet:
@@ -264,7 +265,7 @@ class TestDefectMeasures:
             return defect_objective(net, SurfaceShape.from_iterable(x), rule16)
 
         config = PsoConfig(swarm_size=12, max_iters=8, seed=0, threads=1)
-        result = optimize(objective, config)
+        result = optimize(rowwise(objective), config)
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.value <= result.history[0]
         assert result.value < 10.0

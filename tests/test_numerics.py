@@ -13,6 +13,7 @@ from gtplateau.numerics import (
     gauss_legendre_rule,
     pivot_ratio,
     solve_dense,
+    solve_spd_stack,
 )
 
 
@@ -111,6 +112,44 @@ class TestSolveDense:
             DenseSystem(matrix=np.eye(2), rhs=np.ones(3))
         with pytest.raises(ConfigurationError, match="asymmetry"):
             DenseSystem(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), rhs=np.ones(2))
+
+
+class TestSolveSpdStack:
+    def spd_stack(self, k, n=5, seed=2):
+        rng = RngStream(seed, 0)
+        raw = rng.uniform(-1.0, 1.0, size=(k, n, n))
+        matrices = raw @ np.swapaxes(raw, -1, -2) + np.eye(n)
+        return matrices, rng.uniform(-2.0, 2.0, size=(k, n, 3))
+
+    def test_rows_match_solve_dense_bitwise(self):
+        matrices, rhs = self.spd_stack(4)
+        x = solve_spd_stack(matrices, rhs)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                x[i], solve_dense(DenseSystem(matrix=matrices[i], rhs=rhs[i]))
+            )
+
+    def test_one_indefinite_matrix_fails_the_stack(self):
+        # solve_dense would fall back to elimination here; the stack refuses
+        matrices, rhs = self.spd_stack(3, n=2)
+        matrices[1] = [[0.0, 1.0], [1.0, 0.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spd_stack(matrices, rhs)
+        solve_spd_stack(matrices[[0, 2]], rhs[[0, 2]])
+
+    def test_asymmetry_checked_per_matrix(self):
+        matrices, rhs = self.spd_stack(3)
+        matrices[2, 0, 1] += 1e-6
+        with pytest.raises(ConfigurationError, match="asymmetry"):
+            solve_spd_stack(matrices, rhs)
+
+    def test_residual_bound_checked_per_matrix(self):
+        # Cholesky succeeds, but the solve of the last system is swamped by rounding
+        matrices, rhs = self.spd_stack(2, n=2)
+        matrices[1] = [[1.0, 1.0], [1.0, 1.0 + 1e-15]]
+        rhs[1] = [[1e6] * 3, [-1e6] * 3]
+        with pytest.raises(SolverError, match="residual"):
+            solve_spd_stack(matrices, rhs)
 
 
 class TestPivotRatio:

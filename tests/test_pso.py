@@ -18,6 +18,7 @@ from gtplateau.pso import (
     project_to_bounds,
     resolve_threads,
 )
+from rowwise import rowwise
 
 UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0]])
 
@@ -73,13 +74,13 @@ class TestConfigValidation:
 
 class TestOptimize:
     def test_sphere_converges(self):
-        result = optimize(sphere, PsoConfig(seed=42))
+        result = optimize(rowwise(sphere), PsoConfig(seed=42))
         assert np.abs(result.position - 2.0).max() < 1e-3
         assert result.value < 1e-6
 
     def test_history_contract(self):
         config = PsoConfig(swarm_size=12, max_iters=30, seed=5, bounds=UNIT_BOX)
-        result = optimize(lambda x: float(np.cos(9.0 * x).sum()), config)
+        result = optimize(rowwise(lambda x: float(np.cos(9.0 * x).sum())), config)
         assert result.history.shape == (31,)
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.evaluations == 12 * 31
@@ -88,13 +89,13 @@ class TestOptimize:
 
     def test_constant_objective(self):
         config = PsoConfig(swarm_size=4, max_iters=7, seed=1, bounds=UNIT_BOX)
-        result = optimize(lambda x: 5.0, config)
+        result = optimize(rowwise(lambda x: 5.0), config)
         assert np.all(result.history == 5.0)
         assert result.history.shape == (8,)
 
     def test_zero_iterations_reports_initial_swarm(self):
         config = PsoConfig(swarm_size=3, max_iters=0, seed=9, bounds=UNIT_BOX)
-        result = optimize(sphere, config)
+        result = optimize(rowwise(sphere), config)
         assert result.history.shape == (1,) and result.evaluations == 3
 
         # replay the initialization draws: position first, then velocity
@@ -109,21 +110,21 @@ class TestOptimize:
 
     def test_runs_replay_exactly(self):
         config = PsoConfig(swarm_size=8, max_iters=12, seed=13, bounds=UNIT_BOX)
-        first = optimize(sphere, config)
-        second = optimize(sphere, PsoConfig(swarm_size=8, max_iters=12, seed=13, bounds=UNIT_BOX))
+        first = optimize(rowwise(sphere), config)
+        second = optimize(rowwise(sphere), PsoConfig(swarm_size=8, max_iters=12, seed=13, bounds=UNIT_BOX))
         np.testing.assert_array_equal(first.history, second.history)
         np.testing.assert_array_equal(first.position, second.position)
         np.testing.assert_array_equal(first.positions, second.positions)
 
     def test_seed_changes_trajectory(self):
-        result_a = optimize(sphere, PsoConfig(swarm_size=8, max_iters=5, seed=0, bounds=UNIT_BOX))
-        result_b = optimize(sphere, PsoConfig(swarm_size=8, max_iters=5, seed=1, bounds=UNIT_BOX))
+        result_a = optimize(rowwise(sphere), PsoConfig(swarm_size=8, max_iters=5, seed=0, bounds=UNIT_BOX))
+        result_b = optimize(rowwise(sphere), PsoConfig(swarm_size=8, max_iters=5, seed=1, bounds=UNIT_BOX))
         assert not np.array_equal(result_a.history, result_b.history)
 
     def test_parallel_replays_sequential(self):
         kwargs = dict(swarm_size=10, max_iters=15, seed=21, bounds=UNIT_BOX)
-        sequential = optimize(sphere, PsoConfig(threads=1, **kwargs))
-        parallel = optimize(sphere, PsoConfig(threads=2, **kwargs))
+        sequential = optimize(rowwise(sphere), PsoConfig(threads=1, **kwargs))
+        parallel = optimize(rowwise(sphere), PsoConfig(threads=2, **kwargs))
         np.testing.assert_array_equal(parallel.history, sequential.history)
         np.testing.assert_array_equal(parallel.position, sequential.position)
         np.testing.assert_array_equal(parallel.velocities, sequential.velocities)
@@ -136,7 +137,7 @@ class TestOptimize:
             return sphere(x)
 
         config = PsoConfig(swarm_size=6, max_iters=10, seed=3, threads=1, bounds=UNIT_BOX)
-        optimize(recording, config)
+        optimize(rowwise(recording), config)
         stacked = np.array(seen)
         assert stacked.shape == (6 * 11, 2)
         assert stacked.min() >= 0.0 and stacked.max() <= 1.0
@@ -150,7 +151,7 @@ class TestOptimize:
 
         n = 5
         config = PsoConfig(swarm_size=n, max_iters=9, seed=11, threads=1, bounds=UNIT_BOX)
-        result = optimize(recording, config)
+        result = optimize(rowwise(recording), config)
         values = np.array(seen).reshape(-1, n)  # sequential: call k is particle k % n
         per_particle_min = values.min(axis=0)
         np.testing.assert_array_equal(result.personal_best_values, per_particle_min)
@@ -167,7 +168,7 @@ class TestOptimize:
         def objective(x):
             return float((x * x).sum())
 
-        result = optimize(objective, config)
+        result = optimize(rowwise(objective), config)
 
         lo, width = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
         streams = [RngStream(7, i) for i in range(2)]
@@ -222,7 +223,7 @@ class TestGuards:
             return float(x.sum())
 
         config = PsoConfig(swarm_size=12, max_iters=8, seed=2, bounds=UNIT_BOX)
-        result = optimize(fragile, config)
+        result = optimize(rowwise(fragile), config)
         assert math.isfinite(result.value)
         assert result.position[0] >= 0.5
 
@@ -231,7 +232,7 @@ class TestGuards:
             return float("nan") if x[0] > 0.3 else float(x[1])
 
         config = PsoConfig(swarm_size=12, max_iters=8, seed=4, bounds=UNIT_BOX)
-        result = optimize(patchy, config)
+        result = optimize(rowwise(patchy), config)
         assert math.isfinite(result.value)
         assert result.position[0] <= 0.3
 
@@ -240,7 +241,7 @@ class TestGuards:
             raise np.linalg.LinAlgError("always singular")
 
         config = PsoConfig(swarm_size=3, max_iters=2, seed=6, bounds=UNIT_BOX)
-        result = optimize(hopeless, config)
+        result = optimize(rowwise(hopeless), config)
         assert math.isinf(result.value)
         assert np.all(np.isinf(result.history))
 
@@ -249,7 +250,7 @@ class TestGuards:
             raise ValueError("not a solver failure")
 
         with pytest.raises(ValueError):
-            optimize(broken, PsoConfig(swarm_size=2, max_iters=1, seed=0, bounds=UNIT_BOX))
+            optimize(rowwise(broken), PsoConfig(swarm_size=2, max_iters=1, seed=0, bounds=UNIT_BOX))
 
 
 class TestResolveThreads:
@@ -280,7 +281,7 @@ class TestShapeOptimization:
             return reduced_functional(wave_net, SurfaceShape.from_iterable(x), rule16)
 
         config = PsoConfig(swarm_size=8, max_iters=5, seed=0, threads=1)
-        result = optimize(objective, config)
+        result = optimize(rowwise(objective), config)
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.value <= result.history[0]
 

@@ -1,0 +1,203 @@
+"""Shape-stacked swarm fitnesses against their scalar routes.
+
+``reduced_functional_stack`` and ``tb_reduced_functional_stack`` evaluate a
+whole (k, 4) stack of shape vectors at once. They must agree with the scalar
+routes row by row, give each row the same bits whatever stack it sits in, and
+let ``pso.optimize`` pin a failure on the one particle that caused it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_table_stack
+from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_stack
+from gtplateau.dirichlet import reduced_functional, reduced_functional_stack
+from gtplateau.errors import ConfigurationError, DomainError, SolverError
+from gtplateau.numerics import gauss_legendre_rule
+from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
+from gtplateau.pso import PsoConfig, optimize
+
+RULE = gauss_legendre_rule(24)
+
+#: Scalar and stacked routes round differently (quadrature vs. quadratic form).
+ROUTE_RTOL = 1e-13
+
+PROPERTY = settings(max_examples=25, deadline=None)
+
+thetas = st.floats(THETA_MIN, THETA_MAX)
+alpha_stacks = st.lists(st.lists(thetas, min_size=4, max_size=4), min_size=1, max_size=9).map(
+    lambda rows: np.array(rows)
+)
+
+
+def boundary_net(seed: int, rows: int, cols: int) -> ControlNet:
+    rng = np.random.default_rng(seed)
+    points = np.full((rows, cols, 3), np.nan)
+    mask = boundary_mask(rows, cols)
+    points[mask] = rng.uniform(-3.0, 5.0, size=(int(mask.sum()), 3))
+    return ControlNet(points=points, fixed=mask)
+
+
+@st.composite
+def tensor_nets(draw):
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    return boundary_net(draw(st.integers(0, 2**32 - 1)), m + 1, n + 1)
+
+
+hybrid_nets = st.integers(0, 2**32 - 1).map(lambda seed: boundary_net(seed, 4, 4))
+
+
+def tensor_scalar(net, alphas):
+    return np.array([reduced_functional(net, SurfaceShape.from_iterable(a), RULE) for a in alphas])
+
+
+def hybrid_scalar(net, alphas):
+    values = []
+    for a in alphas:
+        shape = SurfaceShape.from_iterable(a)
+        values.append(tb_dirichlet_energy(solve_tb_interior(net, shape, RULE), shape, RULE))
+    return np.array(values)
+
+
+def tensor_stack(net, alphas):
+    return reduced_functional_stack(net, alphas, RULE)
+
+
+def hybrid_stack(net, alphas):
+    return tb_reduced_functional_stack(net, alphas, RULE)
+
+
+ROUTES = {
+    "tensor": (tensor_nets(), tensor_stack, tensor_scalar),
+    "hybrid": (hybrid_nets, hybrid_stack, hybrid_scalar),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_stack_matches_scalar_route(route):
+    nets, stacked, scalar = ROUTES[route]
+
+    @PROPERTY
+    @given(net=nets, alphas=alpha_stacks)
+    def check(net, alphas):
+        want = scalar(net, alphas)
+        got = stacked(net, alphas)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=ROUTE_RTOL, atol=0.0)
+
+    check()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_row_value_independent_of_stack(route):
+    nets, stacked, _ = ROUTES[route]
+
+    @PROPERTY
+    @given(net=nets, alphas=alpha_stacks, chunks=st.integers(1, 4))
+    def check(net, alphas, chunks):
+        whole = stacked(net, alphas)
+        alone = np.concatenate([stacked(net, alphas[i : i + 1]) for i in range(len(alphas))])
+        split = np.concatenate(
+            [stacked(net, part) for part in np.array_split(alphas, chunks) if len(part)]
+        )
+        np.testing.assert_array_equal(whole, alone)
+        np.testing.assert_array_equal(whole, split)
+
+    check()
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("failure", [SolverError, np.linalg.LinAlgError, FloatingPointError])
+def test_failing_particle_scores_inf_alone(route, failure):
+    nets, stacked, _ = ROUTES[route]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        net=nets,
+        swarm=st.integers(2, 9),
+        threads=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def check(net, swarm, threads, seed, data):
+        config = PsoConfig(swarm_size=swarm, max_iters=0, seed=seed, threads=threads)
+        clean = optimize(lambda alphas: stacked(net, alphas), config)
+        poisoned_row = clean.positions[data.draw(st.integers(0, swarm - 1))]
+
+        def fragile(alphas):
+            if any(np.array_equal(a, poisoned_row) for a in alphas):
+                raise failure("inner solve failed")
+            return stacked(net, alphas)
+
+        result = optimize(fragile, config)
+        poisoned = np.all(clean.positions == poisoned_row, axis=1)
+        alone = np.concatenate([stacked(net, a[None]) for a in clean.positions])
+        assert np.all(np.isinf(result.personal_best_values[poisoned]))
+        np.testing.assert_array_equal(result.personal_best_values[~poisoned], alone[~poisoned])
+        np.testing.assert_array_equal(clean.personal_best_values, alone)
+
+    check()
+
+
+@pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
+def test_nan_value_scores_inf(stacked, wave_net):
+    config = PsoConfig(swarm_size=5, max_iters=0, seed=0, threads=1)
+    clean = optimize(lambda alphas: stacked(wave_net, alphas), config)
+
+    def with_nan(alphas):
+        values = stacked(wave_net, alphas)
+        values[0] = math.nan
+        return values
+
+    result = optimize(with_nan, config)
+    assert math.isinf(result.personal_best_values[0])
+    np.testing.assert_array_equal(result.personal_best_values[1:], clean.personal_best_values[1:])
+
+
+class TestStackValidation:
+    @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([2.0, 0.3, 2.0, 2.0], "theta2 must lie in"),
+            ([2.0, 2.0, 3.6, 2.0], "theta1 must lie in"),
+            ([2.0, 2.0, 2.0, math.nan], "theta2 must lie in"),
+        ],
+    )
+    def test_domain_checked_per_particle(self, stacked, wave_net, row, message):
+        alphas = np.array([[1.0, 1.0, 1.0, 1.0], row])
+        with pytest.raises(DomainError, match=message):
+            stacked(wave_net, alphas)
+        with pytest.raises(DomainError, match=message):
+            SurfaceShape.from_iterable(row)
+
+    @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
+    def test_domain_error_aborts_the_swarm(self, stacked, wave_net):
+        config = PsoConfig(swarm_size=3, max_iters=1, seed=0, bounds=[[0.1, 0.4]] * 4)
+        with pytest.raises(DomainError):
+            optimize(lambda alphas: stacked(wave_net, alphas), config)
+
+    @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
+    def test_stack_shape(self, stacked, wave_net):
+        with pytest.raises(ConfigurationError, match=r"\(k, 4\)"):
+            stacked(wave_net, np.ones(4))
+
+    def test_objective_must_return_one_value_per_row(self):
+        config = PsoConfig(swarm_size=3, max_iters=0, seed=0)
+        with pytest.raises(ConfigurationError, match="one value per position"):
+            optimize(lambda alphas: 1.0, config)
+
+
+@PROPERTY
+@given(degree=st.integers(2, 7), pairs=st.lists(st.tuples(thetas, thetas), min_size=1, max_size=6))
+def test_gt_table_stack_rows_are_basis_tables(degree, pairs):
+    stack = gt_table_stack(degree, np.array(pairs), RULE.nodes)
+    for row, pair in enumerate(pairs):
+        single = basis_tables(BasisSpec.gt(degree, *pair), RULE.nodes)
+        np.testing.assert_array_equal(stack.values[row], single.values)
+        np.testing.assert_array_equal(stack.first[row], single.first)
+        np.testing.assert_array_equal(stack.second[row], single.second)
