@@ -193,21 +193,19 @@ def check_theta_stack(thetas) -> np.ndarray:
     return thetas
 
 
-def gt_table_stack(degree: int, pairs, t) -> BasisEvaluation:
-    """GT tables of one degree for a (k, 2) stack of shape pairs.
+def gt_affine_tables(degree: int, t) -> BasisEvaluation:
+    """Parts (T0, T1, T2) of the GT tables, which are affine in the shape pair.
 
-    One pass of the seed and the elevation recursion serves the whole stack:
-    each array has shape (k, degree + 1, len(t)), and row i equals
-    ``basis_tables(BasisSpec.gt(degree, *pairs[i]), t)`` bit for bit.
+    ``basis_tables(BasisSpec.gt(degree, th1, th2), t)`` equals
+    ``T0 + th1 T1 + th2 T2`` to rounding, for values and both derivatives:
+    the seed is affine in (th1, th2) and elevation is linear. Each array has
+    shape (3, degree + 1, len(t)), the parts stacked on axis 0.
     """
     if degree < 2:
         raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ConfigurationError("shape pairs must be a (k, 2) array")
-    check_theta_stack(pairs)
-    values, first, second = _gt_tables(degree, pairs[:, :1], pairs[:, 1:], _check_t(t))
-    return BasisEvaluation(values=values, first=first, second=second)
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # tables T0, T0 + T1, T0 + T2
+    at = _gt_tables(degree, corners[:, :1], corners[:, 1:], _check_t(t))
+    return BasisEvaluation(*(np.stack([x[0], x[1] - x[0], x[2] - x[0]]) for x in at))
 
 
 def basis_tables(spec: BasisSpec, t) -> BasisEvaluation:

@@ -10,6 +10,7 @@ success, 2 invalid input or usage, 3 solver failure, 4 file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, ShapePair, basis_tables
 from .coons import optimize_tb, tb_surface_jet
-from .dirichlet import reduced_functional_stack, solve_interior
+from .dirichlet import reduced_functional_family, solve_interior
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -205,10 +206,7 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
 def _swarm_runs(net, rule, args):
     """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, re-solved extremal)
     triples, and the index of the first run of least energy."""
-
-    def objective(alphas):
-        return reduced_functional_stack(net, alphas, rule)
-
+    objective = reduced_functional_family(net, rule)  # prepared once, shared by the runs
     runs = []
     for r in range(args.runs):
         result = optimize(objective, _pso_config(args, args.seed + r))
@@ -219,14 +217,13 @@ def _swarm_runs(net, rule, args):
     return runs, best
 
 
-def _write_patch_artifacts(surface: Patch, rule, args, out: str) -> float:
-    """net.json, surface.obj, curvature.csv; returns the surface area."""
+def _write_patch_artifacts(surface: Patch, args, out: str) -> None:
+    """net.json, surface.obj, curvature.csv."""
     save_net(surface.net, os.path.join(out, "net.json"))
     vertices, faces = tessellate(surface, args.tess)
     write_obj(os.path.join(out, "surface.obj"), vertices, faces)
     us, vs, forms = mean_curvature_grid(surface, args.tess + 1)
     write_curvature_csv(os.path.join(out, "curvature.csv"), us, vs, forms)
-    return area(surface, rule)
 
 
 def cmd_solve(args) -> int:
@@ -244,7 +241,8 @@ def cmd_solve(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     surface = Patch(basis_u=basis_u, basis_v=basis_v, net=solved)
-    area_value = _write_patch_artifacts(surface, rule, args, out)
+    _write_patch_artifacts(surface, args, out)
+    area_value = area(surface, rule)
 
     discrepancy = None
     if args.reference_area is not None:
@@ -320,7 +318,7 @@ def cmd_optimize(args) -> int:
     _, shape, sol = runs[r_best]
     best_area = run_rows[r_best]["area"]
     surface = Patch.gt(sol.net, shape)
-    _write_patch_artifacts(surface, rule, args, out)
+    _write_patch_artifacts(surface, args, out)
     summary = RunSummary(
         command="optimize",
         settings={
@@ -541,6 +539,7 @@ def cmd_basis_eval(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gtplateau",
@@ -613,8 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigurationError, DomainError) as exc:

@@ -17,10 +17,10 @@ over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
 Jets contract the 10-row tables with C. The energy is 1/2 sum_c C_c^T Q C_c
 with Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, and the interior
 solve keeps the free rows of L^T Q L. ``_tb_system`` builds the same normal
-equations from 2-D gradient fields; it is the independent reference. The
-swarm's fitness ``tb_reduced_functional_stack`` forms L^T Q L for a whole
-stack of shape vectors, one Kronecker factor at a time, and takes each energy
-from its solved form.
+equations from 2-D gradient fields; it is the independent reference. Only
+the GT rows of the tables carry the shape, affinely, so L^T Q L is
+bi-quadratic in it: the swarm's fitness ``tb_reduced_functional_family``
+forms its 36 blocks once and evaluates them as the tensor patch's does.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -31,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_table_stack
+from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_affine_tables
 from .dirichlet import (
-    _extremal_energies,
+    _PAIRS,
+    _family_fitness,
     _free_system,
     _gram,
     _kron_sum,
-    _shape_stack,
+    _monomial_grams,
     gradient_normal_system,
 )
 from .errors import ConfigurationError, SolverError
@@ -168,13 +169,17 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
     """1/2 sum_c C_c^T (K_F (x) M_H + M_F (x) K_H) C_c with C = L P."""
     require_blend_net(net, complete=True)
+    return _tb_energy(net, _hybrid_gram(shape, rule))
+
+
+def _tb_energy(net: ControlNet, gram: np.ndarray) -> float:
     c = _L @ net.points.reshape(16, 3)
-    return float(0.5 * (c * (_hybrid_gram(shape, rule) @ c)).sum())
+    return float(0.5 * (c * (gram @ c)).sum())
 
 
-def _tb_gram_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
+def _tb_gram_system(net: ControlNet, gram: np.ndarray) -> DenseSystem:
     """Normal equations of the hybrid energy: free rows of L^T Q L, fixed columns moved."""
-    return _free_system(_L.T @ _hybrid_gram(shape, rule) @ _L, net)
+    return _free_system(_L.T @ gram @ _L, net)
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
@@ -205,30 +210,30 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
     """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    system = _tb_gram_system(net, shape, rule)
+    return _solve_tb(net, shape, _tb_gram_system(net, _hybrid_gram(shape, rule)))
+
+
+def _solve_tb(net: ControlNet, shape: SurfaceShape, system: DenseSystem) -> ControlNet:
     try:
         solution = solve_dense(system)
     except SolverError as exc:
         raise SolverError(f"{exc} [blended-patch interior at alpha={tuple(shape.as_array())}]") from exc
-
     solved = net.copy()
     solved.points[net.free] = solution
     return solved
 
 
-def tb_reduced_functional_stack(net: ControlNet, alphas, rule: QuadratureRule) -> np.ndarray:
-    """Hybrid extremal energy at each row of a (k, 4) stack of shape vectors.
-
-    The stacked counterpart of ``tb_dirichlet_energy(solve_tb_interior(...))``:
-    one Gram build per shape serves both the solve and the energy, which is
-    the form L^T Q L evaluated on the solved net. Rows do not depend on which
-    rows share their stack; any failed solve raises for the stack.
-    """
+def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):
+    """The swarm's hybrid fitness: prepares the 36 blocks of L^T Q L once and
+    returns the map from a (k, 4) stack of shape vectors to k extremal energies,
+    equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to rounding."""
     require_blend_net(net, complete=False)
-    alphas = _shape_stack(alphas)
-    k_f, m_f = _gram(_blend_tables(gt_table_stack(3, alphas[:, :2], rule.nodes), rule.nodes), rule)
-    k_h, m_h = _gram(_blend_tables(gt_table_stack(3, alphas[:, 2:], rule.nodes), rule.nodes), rule)
-    return _extremal_energies(_net_form_stack(k_f, m_f, k_h, m_h), net)
+    parts = _blend_tables(gt_affine_tables(3, rule.nodes), rule.nodes)
+    for table in (parts.values, parts.first, parts.second):
+        table[1:, :_G] = table[1:, _LIN:] = 0.0  # the Bernstein and linear rows are constant
+    k, m = _monomial_grams(parts, rule)  # both directions: cubic, on the same nodes
+    p, q = _PAIRS
+    return _family_fitness(_net_form_stack(k[p], m[p], k[q], m[q]), net)
 
 
 def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
@@ -261,14 +266,16 @@ def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbO
     if config.dims != 4:
         raise ConfigurationError("shape optimization needs 4-dimensional bounds")
 
-    result = optimize(lambda alphas: tb_reduced_functional_stack(net, alphas, rule), config)
+    result = optimize(tb_reduced_functional_family(net, rule), config)
     best_shape = SurfaceShape.from_iterable(result.position)
-    solved = solve_tb_interior(net, best_shape, rule)
+    gram = _hybrid_gram(best_shape, rule)  # one Gram serves the solve, energy and hint
+    system = _tb_gram_system(net, gram)
+    solved = _solve_tb(net, best_shape, system)
     return TbOptimum(
         shape=best_shape,
         net=solved,
-        energy=tb_dirichlet_energy(solved, best_shape, rule),
+        energy=_tb_energy(solved, gram),
         history=result.history,
-        system_condition_hint=pivot_ratio(_tb_gram_system(net, best_shape, rule).matrix),
+        system_condition_hint=pivot_ratio(system.matrix),
         pso=result,
     )

@@ -24,10 +24,10 @@ Both integrate with the same quadrature rule, so they agree to rounding. The
 blended patch of ``coons`` reuses the Gram product and the free/fixed split,
 and the gradient engine behind the generic route is its reference as well.
 
-The swarm evaluates J(alpha) through ``reduced_functional_stack``: the same
-Gram route over a (k, 4) stack of shape vectors, with one stacked factor and
-solve, and each energy read off the quadratic form at its solution instead
-of a second quadrature pass.
+The swarm's fitness ``reduced_functional_family`` uses that the GT tables
+are affine in each shape pair: K and M are quadratic in it, so the free/fixed
+split of the Kronecker sum is bi-quadratic in alpha, 36 blocks built once per
+net and rule. A call weights them, then factors and solves the whole stack.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_table_stack
+from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense, solve_spd_stack
 from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
@@ -123,15 +123,7 @@ def _free_split(form: np.ndarray, net: ControlNet) -> tuple[np.ndarray, np.ndarr
     cols = net.free.ravel()
     rows = form[..., cols, :]
     fixed_points = net.points.reshape(-1, 3)[~cols]
-    return _columns(rows, cols), -(_columns(rows, ~cols) @ fixed_points)
-
-
-def _columns(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``rows[..., mask]`` with each matrix of a stack column-major, the layout
-    numpy gives ``rows[:, mask]`` of a single matrix. Matrix products then take
-    the same BLAS route, and round the same, with or without a stack."""
-    picked = np.take(np.swapaxes(rows, -1, -2), np.flatnonzero(mask), axis=-2)
-    return np.swapaxes(picked, -1, -2)
+    return rows[..., cols], -(rows[..., ~cols] @ fixed_points)
 
 
 def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
@@ -139,18 +131,52 @@ def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
     return DenseSystem(matrix=matrix, rhs=rhs)
 
 
-def _extremal_energies(forms: np.ndarray, net: ControlNet) -> np.ndarray:
-    """Energies 1/2 sum_c P_c^T Q P_c of the extremals of a (k, N, N) stack of
-    forms Q over the flattened net, one per form.
+#: Monomials (1, t1, t2, t1^2, t1 t2, t2^2) of a pair as products t_a t_b, t_0 = 1.
+_MONOMIALS = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
+#: (u, v) monomial indices of the 36 blocks of a bi-quadratic family.
+_PAIRS = np.divmod(np.arange(36), 6)
 
-    Each free system is solved by ``solve_spd_stack``, so a failed check raises
-    for the whole stack; the energy is the form evaluated on the filled net.
+
+def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(K, M) of tables T0 + t1 T1 + t2 T2, given the parts stacked on axis
+    0, as (6, n, n) coefficient stacks: K(t) = sum_p monomial_p(t) K[p]."""
+    a, b = _MONOMIALS
+
+    def coefficients(table):
+        cross = (table[a] * rule.weights) @ np.swapaxes(table[b], -1, -2)
+        return np.where((a != b)[:, None, None], cross + np.swapaxes(cross, -1, -2), cross)
+
+    return coefficients(parts.first), coefficients(parts.values)
+
+
+def _family_fitness(forms: np.ndarray, net: ControlNet):
+    """Extremal energies at a (k, 4) stack of shape vectors, where forms[6p + q]
+    over the flattened net multiplies monomial p of the u pair times q of the v.
+
+    The split is made once on the net centred at the mean of its fixed points:
+    translation leaves the energy alone, and centring saves the digits a far
+    offset would cost. Each row is weighted by its own matrix product, so it
+    does not depend on its stack; E = 1/2 (c - sum x . rhs) at the solution.
     """
-    matrix, rhs = _free_split(forms, net)
-    solution = solve_spd_stack(matrix, rhs)
-    points = np.repeat(net.points.reshape(1, -1, 3), len(forms), axis=0)
-    points[:, net.free.ravel()] = solution
-    return 0.5 * np.einsum("kic,kic->k", points, forms @ points)
+    centred = ControlNet(points=net.points - net.points[net.fixed].mean(axis=0), fixed=net.fixed)
+    matrix, rhs = _free_split(forms, centred)
+    known = np.where(centred.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
+    const = (known * (forms @ known)).sum(axis=(-2, -1))
+    blocks = np.concatenate([matrix.reshape(36, -1), rhs.reshape(36, -1), const[:, None]], axis=1)
+    n = matrix.shape[-1]
+
+    def fitness(alphas) -> np.ndarray:
+        alphas = check_theta_stack(alphas)
+        if alphas.ndim != 2 or alphas.shape[1] != 4:
+            raise ConfigurationError("shape vectors must be a (k, 4) array")
+        lifted = np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)  # per pair: 1, t1, t2
+        mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
+        mixed = ((mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 1, 36) @ blocks)[:, 0]
+        b = mixed[:, n * n : -1].reshape(-1, n, 3)
+        x = solve_spd_stack(mixed[:, : n * n].reshape(-1, n, n), b)
+        return 0.5 * (mixed[:, -1] - (x * b).reshape(len(x), -1).sum(axis=1))
+
+    return fitness
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -253,24 +279,15 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
     return solve_interior(net, bu, bv, rule).energy
 
 
-def _shape_stack(alphas) -> np.ndarray:
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 2 or alphas.shape[1] != 4:
-        raise ConfigurationError("shape vectors must be a (k, 4) array")
-    return alphas
+def reduced_functional_family(net: ControlNet, rule: QuadratureRule):
+    """J over the GT shape family of a net: the swarm's fitness, mapping a
+    (k, 4) stack of shape vectors to k energies.
 
-
-def reduced_functional_stack(net: ControlNet, alphas, rule: QuadratureRule) -> np.ndarray:
-    """J at each row of a (k, 4) stack of shape vectors: the swarm's fitness.
-
-    Agrees with ``reduced_functional`` row by row to rounding. The GT tables
-    of the whole stack come from one pass of the elevation recursion, and the
-    k interior systems are factored and solved as one stack, so a row's value
-    does not depend on which rows share its stack. Any failed solve raises
-    for the stack (``pso.optimize`` then retries its rows one at a time).
+    Prepares the 36 blocks once; the returned function agrees with
+    ``reduced_functional`` row by row to rounding.
     """
     _require_plateau(net)
-    alphas = _shape_stack(alphas)
-    k_u, m_u = _gram(gt_table_stack(net.degree_u, alphas[:, :2], rule.nodes), rule)
-    k_v, m_v = _gram(gt_table_stack(net.degree_v, alphas[:, 2:], rule.nodes), rule)
-    return _extremal_energies(_kron_sum(k_u, m_u, k_v, m_v), net)
+    k_u, m_u = _monomial_grams(gt_affine_tables(net.degree_u, rule.nodes), rule)
+    k_v, m_v = _monomial_grams(gt_affine_tables(net.degree_v, rule.nodes), rule)
+    p, q = _PAIRS
+    return _family_fitness(_kron_sum(k_u[p], m_u[p], k_v[q], m_v[q]), net)

@@ -7,6 +7,7 @@ utilities used as test oracles throughout the package.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -61,8 +62,15 @@ def gauss_legendre_rule(k: int) -> QuadratureRule:
         raise ConfigurationError(
             f"node count must lie in [1, {MAX_QUADRATURE_ORDER}], got {k}"
         )
-    x, w = np.polynomial.legendre.leggauss(int(k))
-    return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    return _gauss_legendre(int(k))
+
+
+@functools.cache
+def _gauss_legendre(k: int) -> QuadratureRule:  # one rule per order, shared read-only
+    x, w = np.polynomial.legendre.leggauss(k)
+    rule = QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
+    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
+    return rule
 
 
 @dataclass

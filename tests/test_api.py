@@ -11,13 +11,18 @@ import gtplateau
 #: evaluation, curve curvature, pointwise 2-D quadrature, single-point second
 #: partials and the mesh area had no caller outside their own tests; the
 #: harmonic coefficient route gave way to sampled least squares. The
-#: coefficient route and the mesh area stay in ``tests/`` as references.
+#: coefficient route and the mesh area stay in ``tests/`` as references. The
+#: per-call stacked fitnesses gave way to the prepared shape families.
 REMOVED = {
-    "basis": ("eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature"),
+    "basis": (
+        "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
+        "gt_table_stack",
+    ),
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
-        "_check_unit", "_CORNER_TOL",
+        "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack",
     ),
+    "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
         "bernstein_gram",

@@ -188,6 +188,35 @@ class TestOptimize:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+class TestBackToBackCalls:
+    """One process reuses one parser: no call may see another's flags."""
+
+    PLAIN = ["optimize", WAVE, "--swarm", "4", "--iters", "2", "--tess", "4"]
+
+    def test_calls_share_no_defaults_or_state(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        assert main(self.PLAIN + ["--out", str(tmp_path / "first")]) == 0
+        flagged = ["optimize", DOME, "--runs", "2", "--seed", "7", "--swarm", "5", "--iters", "3",
+                   "--quad", "16", "--bounds", "1,2", "--threads", "2", "--inertia", "0.5",
+                   "--tess", "2", "--out", str(tmp_path / "flagged")]
+        assert main(flagged) == 0
+        assert main(["solve", WAVE, "--basis", "bernstein", "--alpha", "1,1,1,1", "--tess", "3",
+                     "--reference-area", "38.0", "--out", str(tmp_path / "solve")]) == 0
+        assert main(["compare", DOME, "--runs", "0", "--alpha", "1,3,1,3",
+                     "--out", str(tmp_path / "compare")]) == 0
+        with pytest.raises(SystemExit):
+            main(["optimize", WAVE, "--swarm", "0", "--out", str(tmp_path / "bad")])
+        assert main(self.PLAIN + ["--out", str(tmp_path / "again")]) == 0
+        for name in ("summary.json", "net.json", "convergence_00.csv", "surface.obj"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+        settings = read_summary(tmp_path / "again")["settings"]
+        assert (settings["quadrature_order"], settings["runs"], settings["seed"]) == (32, 1, 0)
+        assert (settings["bounds"], settings["threads"], settings["inertia"]) == ([0.5, 3.5], None, 0.7)
+        solve = read_summary(tmp_path / "solve")["settings"]
+        assert (solve["quadrature_order"], solve["alpha"]) == (32, None)
+        capsys.readouterr()
+
+
 class TestParallelReplay:
     @pytest.mark.parametrize(
         "argv, names",

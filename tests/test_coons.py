@@ -6,6 +6,7 @@ import pytest
 from gtplateau.basis import BasisSpec
 from gtplateau.coons import (
     CurveSpec,
+    _hybrid_gram,
     _tb_gram_system,
     _tb_system,
     optimize_tb,
@@ -212,7 +213,7 @@ class TestGramAssembly:
         net = open_interior(random_points(seed))
         shape = random_shape(seed)
         rule = gauss_legendre_rule(16 + seed % 3 * 8)
-        gram = _tb_gram_system(net, shape, rule)
+        gram = _tb_gram_system(net, _hybrid_gram(shape, rule))
         reference = _tb_system(net, shape, rule)
         for got, want in ((gram.matrix, reference.matrix), (gram.rhs, reference.rhs)):
             assert got.shape == want.shape

@@ -45,6 +45,13 @@ class TestGaussLegendre:
     def test_order_property(self):
         assert gauss_legendre_rule(7).order == 7
 
+    def test_rule_is_shared_and_read_only(self):
+        rule = gauss_legendre_rule(7)
+        assert gauss_legendre_rule(np.int64(7)) is rule
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
     @pytest.mark.parametrize("bad", [0, -3, MAX_QUADRATURE_ORDER + 1, 2.5, True])
     def test_rejects_bad_node_counts(self, bad):
         with pytest.raises(ConfigurationError):

@@ -1,7 +1,8 @@
-"""Shape-stacked swarm fitnesses against their scalar routes.
+"""Prepared shape-family swarm fitnesses against their scalar routes.
 
-``reduced_functional_stack`` and ``tb_reduced_functional_stack`` evaluate a
-whole (k, 4) stack of shape vectors at once. They must agree with the scalar
+``reduced_functional_family`` and ``tb_reduced_functional_family`` prepare a
+net's bi-quadratic shape family once; the function they return evaluates a
+whole (k, 4) stack of shape vectors at once. It must agree with the scalar
 routes row by row, give each row the same bits whatever stack it sits in, and
 let ``pso.optimize`` pin a failure on the one particle that caused it.
 """
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_table_stack
-from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_stack
-from gtplateau.dirichlet import reduced_functional, reduced_functional_stack
+from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_affine_tables
+from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_family
+from gtplateau.dirichlet import reduced_functional, reduced_functional_family
 from gtplateau.errors import ConfigurationError, DomainError, SolverError
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
@@ -23,7 +24,7 @@ from gtplateau.pso import PsoConfig, optimize
 
 RULE = gauss_legendre_rule(24)
 
-#: Scalar and stacked routes round differently (quadrature vs. quadratic form).
+#: Scalar and prepared routes round differently (quadrature vs. quadratic form).
 ROUTE_RTOL = 1e-13
 
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -64,11 +65,11 @@ def hybrid_scalar(net, alphas):
 
 
 def tensor_stack(net, alphas):
-    return reduced_functional_stack(net, alphas, RULE)
+    return reduced_functional_family(net, RULE)(alphas)
 
 
 def hybrid_stack(net, alphas):
-    return tb_reduced_functional_stack(net, alphas, RULE)
+    return tb_reduced_functional_family(net, RULE)(alphas)
 
 
 ROUTES = {
@@ -194,10 +195,20 @@ class TestStackValidation:
 
 @PROPERTY
 @given(degree=st.integers(2, 7), pairs=st.lists(st.tuples(thetas, thetas), min_size=1, max_size=6))
-def test_gt_table_stack_rows_are_basis_tables(degree, pairs):
-    stack = gt_table_stack(degree, np.array(pairs), RULE.nodes)
-    for row, pair in enumerate(pairs):
-        single = basis_tables(BasisSpec.gt(degree, *pair), RULE.nodes)
-        np.testing.assert_array_equal(stack.values[row], single.values)
-        np.testing.assert_array_equal(stack.first[row], single.first)
-        np.testing.assert_array_equal(stack.second[row], single.second)
+def test_gt_affine_tables_rebuild_basis_tables(degree, pairs):
+    parts = gt_affine_tables(degree, RULE.nodes)
+    for th1, th2 in pairs:
+        single = basis_tables(BasisSpec.gt(degree, th1, th2), RULE.nodes)
+        for name in ("values", "first", "second"):
+            part, want = getattr(parts, name), getattr(single, name)
+            rebuilt = part[0] + th1 * part[1] + th2 * part[2]
+            assert np.abs(rebuilt - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@PROPERTY
+@given(net=tensor_nets(), alphas=alpha_stacks)
+def test_translated_net_keeps_scalar_agreement(net, alphas):
+    """An offset far from the net's size costs the prepared fitness no digits."""
+    moved = ControlNet(points=net.points + 100.0, fixed=net.fixed)
+    want = tensor_scalar(moved, alphas)
+    np.testing.assert_allclose(tensor_stack(moved, alphas), want, rtol=ROUTE_RTOL, atol=0.0)
