@@ -39,10 +39,9 @@ from .patch import (
     SurfaceShape,
     area,
     dirichlet_energy,
-    evaluate,
     laplacian_defect,
     mean_curvature_grid,
-    partials,
+    surface_jet,
     tessellate,
 )
 from .pso import PsoConfig, PsoResult, optimize
@@ -73,7 +72,6 @@ __all__ = [
     "basis_tables",
     "defect_objective",
     "dirichlet_energy",
-    "evaluate",
     "gauss_legendre_rule",
     "harmonic_reconstruct",
     "laplacian_defect",
@@ -81,11 +79,11 @@ __all__ = [
     "mean_curvature_grid",
     "optimize",
     "optimize_tb",
-    "partials",
     "reduced_functional",
     "save_net",
     "solve_interior",
     "solve_tb_interior",
+    "surface_jet",
     "tb_dirichlet_energy",
     "tb_surface_jet",
     "tessellate",

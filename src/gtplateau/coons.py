@@ -14,13 +14,14 @@ over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
   and C[u, Gv_j] = -P_3j;
 * T's corners: C[lin_a, lin_b] = +corner_ab, the point at (u, v) = (a, b).
 
-Jets contract the 10-row tables with C. The energy is 1/2 sum_c C_c^T Q C_c
-with Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, and the interior
-solve keeps the free rows of L^T Q L. ``_tb_system`` builds the same normal
-equations from 2-D gradient fields; it is the independent reference. Only
-the GT rows of the tables carry the shape, affinely, so L^T Q L is
-bi-quadratic in it: the swarm's fitness ``tb_reduced_functional_family``
-forms its 36 blocks once and evaluates them as the tensor patch's does.
+Jets contract the 10-row tables with C by the tensor patch's ``_jet``. With
+Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
+P_c^T F P_c for the 16 x 16 form F = L^T Q L from ``_net_form_stack``, and
+the interior solve keeps the free rows of F. ``_tb_system`` builds the same
+normal equations from 2-D gradient fields; it is the independent reference.
+The GT rows of the tables carry the shape, affinely, so F is bi-quadratic in
+it: the swarm's fitness ``tb_reduced_functional_family`` forms its 36 blocks
+once and evaluates them as the tensor patch's does.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -37,13 +38,12 @@ from .dirichlet import (
     _family_fitness,
     _free_system,
     _gram,
-    _kron_sum,
     _monomial_grams,
     gradient_normal_system,
 )
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
-from .patch import ControlNet, SurfaceShape, _contract, boundary_mask
+from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -80,18 +80,6 @@ def require_blend_net(net: ControlNet, complete: bool | None = None) -> None:
         raise ConfigurationError("interior points must be known for evaluation")
     if complete is False and not net.free[1:3, 1:3].all():
         raise ConfigurationError("interior points must be unknown for the solve")
-
-
-@dataclass(frozen=True)
-class SurfaceJet:
-    """Value and derivative grids of a surface on a tensor parameter grid."""
-
-    S: np.ndarray
-    Su: np.ndarray
-    Sv: np.ndarray
-    Suu: np.ndarray
-    Suv: np.ndarray
-    Svv: np.ndarray
 
 
 #: First rows of the blocks of the 10-function tables: Bernstein, GT, (1-t, t).
@@ -140,11 +128,11 @@ def _pair_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
     return _blend_tables(basis_tables(BasisSpec(family="gt", degree=3, shape=pair), ts), ts)
 
 
-def _hybrid_gram(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
-    """K_F (x) M_H + M_F (x) K_H over the 10-function bases (100 x 100)."""
+def _tb_form(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
+    """F = L^T Q L (16 x 16) of one shape vector: the hybrid energy over the net."""
     k_f, m_f = _gram(_pair_tables(shape.u_pair, rule.nodes), rule)
     k_h, m_h = _gram(_pair_tables(shape.v_pair, rule.nodes), rule)
-    return _kron_sum(k_f, m_f, k_h, m_h)
+    return _net_form_stack(k_f[None], m_f[None], k_h[None], m_h[None])[0]
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
@@ -154,32 +142,21 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     for t in (us, vs):
         if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
             raise ConfigurationError("surface parameters must lie in [0, 1]")
-    tu, tv = _pair_tables(shape.u_pair, us), _pair_tables(shape.v_pair, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
-    return SurfaceJet(
-        S=_contract(tu.values, tv.values, c),
-        Su=_contract(tu.first, tv.values, c),
-        Sv=_contract(tu.values, tv.first, c),
-        Suu=_contract(tu.second, tv.values, c),
-        Suv=_contract(tu.first, tv.first, c),
-        Svv=_contract(tu.values, tv.second, c),
-    )
+    return _jet(_pair_tables(shape.u_pair, us), _pair_tables(shape.v_pair, vs), c)
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
-    """1/2 sum_c C_c^T (K_F (x) M_H + M_F (x) K_H) C_c with C = L P."""
+    """1/2 sum_c P_c^T F P_c with F = L^T (K_F (x) M_H + M_F (x) K_H) L."""
     require_blend_net(net, complete=True)
-    return _tb_energy(net, _hybrid_gram(shape, rule))
+    return _tb_energy(net, _tb_form(shape, rule))
 
 
-def _tb_energy(net: ControlNet, gram: np.ndarray) -> float:
-    c = _L @ net.points.reshape(16, 3)
-    return float(0.5 * (c * (gram @ c)).sum())
-
-
-def _tb_gram_system(net: ControlNet, gram: np.ndarray) -> DenseSystem:
-    """Normal equations of the hybrid energy: free rows of L^T Q L, fixed columns moved."""
-    return _free_system(_L.T @ gram @ _L, net)
+def _tb_energy(net: ControlNet, form: np.ndarray) -> float:
+    """On the net centred at its mean (F 1 = 0), so a far offset costs no digits."""
+    p = net.points.reshape(16, 3)
+    p = p - p.mean(axis=0)
+    return float(0.5 * (p * (form @ p)).sum())
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
@@ -210,7 +187,7 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
     """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    return _solve_tb(net, shape, _tb_gram_system(net, _hybrid_gram(shape, rule)))
+    return _solve_tb(net, shape, _free_system(_tb_form(shape, rule), net))
 
 
 def _solve_tb(net: ControlNet, shape: SurfaceShape, system: DenseSystem) -> ControlNet:
@@ -268,13 +245,13 @@ def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbO
 
     result = optimize(tb_reduced_functional_family(net, rule), config)
     best_shape = SurfaceShape.from_iterable(result.position)
-    gram = _hybrid_gram(best_shape, rule)  # one Gram serves the solve, energy and hint
-    system = _tb_gram_system(net, gram)
+    form = _tb_form(best_shape, rule)  # one form serves the solve, energy and hint
+    system = _free_system(form, net)
     solved = _solve_tb(net, best_shape, system)
     return TbOptimum(
         shape=best_shape,
         net=solved,
-        energy=_tb_energy(solved, gram),
+        energy=_tb_energy(solved, form),
         history=result.history,
         system_condition_hint=pivot_ratio(system.matrix),
         pso=result,

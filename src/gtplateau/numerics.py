@@ -1,14 +1,15 @@
 """Shared low-level numerics.
 
-Gauss-Legendre quadrature on [0, 1], dense solves that verify an SPD hint by
-Cholesky, independent seeded random substreams, and central-difference
-utilities used as test oracles throughout the package.
+Gauss-Legendre quadrature on [0, 1], SPD solves, independent seeded random
+substreams, and central-difference utilities used as test oracles throughout
+the package. Every system is the normal equations of a positive-definite
+energy, so every solve is certified by Cholesky and a residual bound, and
+fails with ``SolverError`` instead of falling back to elimination.
 """
 
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,7 +132,7 @@ def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Every matrix is checked for symmetry, verified SPD by one stacked Cholesky
     (``np.linalg.LinAlgError`` when any factor fails), solved by one stacked
-    LU solve, and held to the residual bound of ``solve_dense``. Each matrix
+    LU solve, and held to a residual bound (``SolverError``). Each matrix
     goes through LAPACK on its own, so a system's solution does not depend
     on the rest of the stack.
     """
@@ -143,37 +144,20 @@ def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_dense(system: DenseSystem) -> np.ndarray:
-    """Solve a dense system by pivoted elimination.
+    """Solve one system by ``solve_spd_stack``.
 
-    The system is hinted SPD; a Cholesky factorization verifies the hint and
-    so certifies the matrix nonsingular. When the factorization fails (with a
-    warning), matrices singular to working precision raise SolverError naming
-    the extreme singular values. The returned solution matches the rhs
-    dimensionality.
+    A matrix whose Cholesky factorization fails raises SolverError: it is
+    singular or indefinite to working precision. The returned solution
+    matches the rhs dimensionality.
     """
-    rhs = system.rhs
-    squeeze = rhs.ndim == 1
-    b = rhs[:, None] if squeeze else rhs
-
+    b = system.rhs.reshape(system.size, -1)
     try:
-        np.linalg.cholesky(system.matrix)
-    except np.linalg.LinAlgError:
-        warnings.warn(
-            "SPD hint failed Cholesky verification; falling back to pivoted elimination",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        # elimination raises only on exact zero pivots; catch near-singularity first
-        sigma = np.linalg.svd(system.matrix, compute_uv=False)
-        largest = sigma.max(initial=0.0)
-        if largest == 0.0 or sigma[-1] <= system.size * np.finfo(float).eps * largest:
-            raise SolverError(
-                "matrix is singular to working precision (singular values "
-                f"{sigma.min(initial=0.0):.3e} .. {largest:.3e})"
-            )
-    x = np.linalg.solve(system.matrix, b)
-    _check_residual(system.matrix, x, b)
-    return x[:, 0] if squeeze else x
+        x = solve_spd_stack(system.matrix[None], b[None])[0]
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            "matrix is not positive definite (singular or indefinite to working precision)"
+        ) from exc
+    return x.reshape(system.rhs.shape)
 
 
 def pivot_ratio(matrix: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Tensor-product surface patches over any pair of basis specs.
 
 A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
-families per direction (Bernstein x Bernstein, GT x GT, or mixed). The module
-provides evaluation, first/second partials, the Dirichlet energy, surface
-area, Laplacian defect, mean-curvature grids, and uniform tessellation.
+families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
+``surface_jet``, evaluates the surface with its first and second partials on
+a tensor grid; the Dirichlet energy, surface area, Laplacian defect,
+mean-curvature grids and uniform tessellation all read from it, and so does
+the hybrid patch of ``coons`` through ``_jet``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, ShapePair, basis_tables
+from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables
 from .errors import ConfigurationError, DomainError
 from .numerics import QuadratureRule
 
@@ -173,68 +175,66 @@ def _check_params(us, vs):
     return us, vs
 
 
-def _contract(table_u: np.ndarray, table_v: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(m+1,U), (n+1,V), (m+1,n+1,3) -> (U,V,3)."""
-    partial = np.tensordot(table_u.T, points, axes=(1, 0))
-    return np.tensordot(partial, table_v, axes=(1, 0)).transpose(0, 2, 1)
+@dataclass(frozen=True)
+class SurfaceJet:
+    """Value and derivative grids of a surface on a tensor parameter grid."""
+
+    S: np.ndarray
+    Su: np.ndarray
+    Sv: np.ndarray
+    Suu: np.ndarray
+    Suv: np.ndarray
+    Svv: np.ndarray
 
 
-def evaluate_grid(patch: Patch, us, vs) -> np.ndarray:
+def _jet(tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray) -> SurfaceJet:
+    """(U, V, 3) grids of the surface of ``points`` (m+1, n+1, 3) over u tables
+    (m+1, U) and v tables (n+1, V): ``np.tensordot``'s products without its
+    call overhead, each u table contracted once to rows (u node, coordinate)."""
+    cols = points.shape[1]
+    flat = points.reshape(points.shape[0], -1)
+    p0, p1, p2 = (
+        np.dot(t.T, flat).reshape(-1, cols, 3).transpose(0, 2, 1).reshape(-1, cols)
+        for t in (tu.values, tu.first, tu.second)
+    )
+
+    def along_v(partial, table):
+        return np.dot(partial, table).reshape(-1, 3, table.shape[1]).transpose(0, 2, 1)
+
+    return SurfaceJet(
+        S=along_v(p0, tv.values),
+        Su=along_v(p1, tv.values),
+        Sv=along_v(p0, tv.first),
+        Suu=along_v(p2, tv.values),
+        Suv=along_v(p1, tv.first),
+        Svv=along_v(p0, tv.second),
+    )
+
+
+def surface_jet(patch: Patch, us, vs) -> SurfaceJet:
+    """Value, first and second partials of the patch on the grid us x vs."""
     us, vs = _check_params(us, vs)
-    tu = basis_tables(patch.basis_u, us)
-    tv = basis_tables(patch.basis_v, vs)
-    return _contract(tu.values, tv.values, patch.net.points)
-
-
-def partial_grids(patch: Patch, us, vs) -> tuple[np.ndarray, np.ndarray]:
-    us, vs = _check_params(us, vs)
-    tu = basis_tables(patch.basis_u, us)
-    tv = basis_tables(patch.basis_v, vs)
-    su = _contract(tu.first, tv.values, patch.net.points)
-    sv = _contract(tu.values, tv.first, patch.net.points)
-    return su, sv
-
-
-def second_partial_grids(patch: Patch, us, vs):
-    us, vs = _check_params(us, vs)
-    tu = basis_tables(patch.basis_u, us)
-    tv = basis_tables(patch.basis_v, vs)
-    p = patch.net.points
-    suu = _contract(tu.second, tv.values, p)
-    suv = _contract(tu.first, tv.first, p)
-    svv = _contract(tu.values, tv.second, p)
-    return suu, suv, svv
-
-
-def evaluate(patch: Patch, u, v) -> np.ndarray:
-    """S(u, v) as a 3-vector."""
-    return evaluate_grid(patch, [u], [v])[0, 0]
-
-
-def partials(patch: Patch, u, v) -> tuple[np.ndarray, np.ndarray]:
-    """(S_u, S_v) by termwise differentiation (production path)."""
-    su, sv = partial_grids(patch, [u], [v])
-    return su[0, 0], sv[0, 0]
+    return _jet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
 
 
 def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
-    su, sv = partial_grids(patch, rule.nodes, rule.nodes)
-    integrand = 0.5 * ((su * su).sum(axis=-1) + (sv * sv).sum(axis=-1))
+    jet = surface_jet(patch, rule.nodes, rule.nodes)
+    integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
     return float(rule.weights @ integrand @ rule.weights)
 
 
 def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square."""
-    su, sv = partial_grids(patch, rule.nodes, rule.nodes)
-    integrand = np.linalg.norm(np.cross(su, sv), axis=-1)
+    jet = surface_jet(patch, rule.nodes, rule.nodes)
+    integrand = np.linalg.norm(np.cross(jet.Su, jet.Sv), axis=-1)
     return float(rule.weights @ integrand @ rule.weights)
 
 
 def laplacian_defect(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_uu + S_vv|^2 over the unit square."""
-    suu, _, svv = second_partial_grids(patch, rule.nodes, rule.nodes)
-    lap = suu + svv
+    jet = surface_jet(patch, rule.nodes, rule.nodes)
+    lap = jet.Suu + jet.Svv
     integrand = (lap * lap).sum(axis=-1)
     return float(rule.weights @ integrand @ rule.weights)
 
@@ -297,9 +297,8 @@ def mean_curvature_grid(patch: Patch, samples: int):
     if not isinstance(samples, (int, np.integer)) or samples < 2:
         raise ConfigurationError("mean-curvature grid needs at least 2 samples per direction")
     us = np.linspace(0.0, 1.0, samples)
-    su, sv = partial_grids(patch, us, us)
-    suu, suv, svv = second_partial_grids(patch, us, us)
-    return us, us, fundamental_forms(su, sv, suu, suv, svv)
+    jet = surface_jet(patch, us, us)
+    return us, us, fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
 
 
 def triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,4 +325,4 @@ def tessellate(patch: Patch, cells: int) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(cells, (int, np.integer)) or cells < 1:
         raise ConfigurationError("tessellation needs at least 1 cell per direction")
     params = np.linspace(0.0, 1.0, cells + 1)
-    return triangulate_grid(evaluate_grid(patch, params, params))
+    return triangulate_grid(surface_jet(patch, params, params).S)

@@ -12,7 +12,9 @@ import gtplateau
 #: partials and the mesh area had no caller outside their own tests; the
 #: harmonic coefficient route gave way to sampled least squares. The
 #: coefficient route and the mesh area stay in ``tests/`` as references. The
-#: per-call stacked fitnesses gave way to the prepared shape families.
+#: per-call stacked fitnesses gave way to the prepared shape families. The
+#: patch evaluators gave way to one jet, ``surface_jet``, and the 100 x 100
+#: hybrid Gram to the 16 x 16 form of ``_net_form_stack``.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -20,7 +22,8 @@ REMOVED = {
     ),
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
-        "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack",
+        "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
+        "_tb_gram_system",
     ),
     "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns"),
     "harmonic": (
@@ -28,7 +31,10 @@ REMOVED = {
         "bernstein_gram",
     ),
     "numerics": ("integrate_2d",),
-    "patch": ("second_partials", "mesh_area"),
+    "patch": (
+        "second_partials", "mesh_area", "evaluate_grid", "partial_grids",
+        "second_partial_grids", "evaluate", "partials",
+    ),
 }
 
 

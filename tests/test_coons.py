@@ -6,8 +6,7 @@ import pytest
 from gtplateau.basis import BasisSpec
 from gtplateau.coons import (
     CurveSpec,
-    _hybrid_gram,
-    _tb_gram_system,
+    _tb_form,
     _tb_system,
     optimize_tb,
     require_blend_net,
@@ -15,6 +14,7 @@ from gtplateau.coons import (
     tb_dirichlet_energy,
     tb_surface_jet,
 )
+from gtplateau.dirichlet import _free_system
 from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
@@ -213,7 +213,7 @@ class TestGramAssembly:
         net = open_interior(random_points(seed))
         shape = random_shape(seed)
         rule = gauss_legendre_rule(16 + seed % 3 * 8)
-        gram = _tb_gram_system(net, _hybrid_gram(shape, rule))
+        gram = _free_system(_tb_form(shape, rule), net)
         reference = _tb_system(net, shape, rule)
         for got, want in ((gram.matrix, reference.matrix), (gram.rhs, reference.rhs)):
             assert got.shape == want.shape
@@ -229,6 +229,17 @@ class TestGramAssembly:
         quadrature = float(rule.weights @ integrand @ rule.weights)
         energy = tb_dirichlet_energy(net, shape, rule)
         assert abs(energy - quadrature) <= 1e-13 * quadrature
+
+    @pytest.mark.parametrize("seed", range(35, 41))
+    def test_translated_net_keeps_energy(self, seed):
+        # translation leaves the energy alone; an uncentred quadratic form
+        # loses about (offset / size)^2 of it to cancellation
+        rule = gauss_legendre_rule(24)
+        shape = random_shape(seed)
+        solved = solve_tb_interior(open_interior(random_points(seed)), shape, rule)
+        energy = tb_dirichlet_energy(solved, shape, rule)
+        far = ControlNet(points=solved.points + 1e4)
+        assert abs(tb_dirichlet_energy(far, shape, rule) - energy) <= 1e-11 * energy
 
 
 class TestInteriorSolve:

@@ -17,7 +17,7 @@ from gtplateau.patch import (
     Patch,
     SurfaceShape,
     boundary_mask,
-    second_partial_grids,
+    surface_jet,
 )
 from gtplateau.pso import PsoConfig, optimize
 from laplacian_operator import (
@@ -81,11 +81,11 @@ class TestOperator:
         coeffs = (operator @ points.reshape(-1, 3)).reshape(4, 5, 3)
         patch = Patch.bernstein(net)
         t = np.linspace(0.0, 1.0, 9)
-        suu, _, svv = second_partial_grids(patch, t, t)
+        jet = surface_jet(patch, t, t)
         tu = basis_tables(BasisSpec.bernstein(3), t)
         tv = basis_tables(BasisSpec.bernstein(4), t)
         resampled = np.einsum("iu,jv,ijc->uvc", tu.values, tv.values, coeffs)
-        np.testing.assert_allclose(resampled, suu + svv, atol=1e-10)
+        np.testing.assert_allclose(resampled, jet.Suu + jet.Svv, atol=1e-10)
 
 
 class TestBernsteinGram:

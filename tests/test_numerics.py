@@ -82,9 +82,8 @@ class TestSolveDense:
 
     def test_singular_raises(self):
         system = DenseSystem(matrix=np.ones((2, 2)), rhs=np.array([1.0, 1.0]))
-        with pytest.warns(RuntimeWarning, match="SPD hint"):
-            with pytest.raises(SolverError, match="singular"):
-                solve_dense(system)
+        with pytest.raises(SolverError, match="singular"):
+            solve_dense(system)
 
     def test_spd_random_multiple_rhs(self):
         rng = RngStream(314, 0)
@@ -95,15 +94,14 @@ class TestSolveDense:
         assert x.shape == (6, 3)
         assert np.abs(matrix @ x - rhs).max() < 1e-9
 
-    def test_spd_hint_falls_back_with_warning(self):
-        # symmetric but indefinite: Cholesky must fail, elimination must not
+    def test_indefinite_raises(self):
+        # symmetric and nonsingular, but no positive-definite energy has it as its form
         system = DenseSystem(
             matrix=np.array([[0.0, 1.0], [1.0, 0.0]]),
             rhs=np.array([1.0, 2.0]),
         )
-        with pytest.warns(RuntimeWarning, match="SPD hint"):
-            x = solve_dense(system)
-        np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-14)
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_dense(system)
 
     def test_rhs_dimensionality_is_preserved(self):
         matrix = np.array([[2.0, 0.0], [0.0, 4.0]])
@@ -137,7 +135,7 @@ class TestSolveSpdStack:
             )
 
     def test_one_indefinite_matrix_fails_the_stack(self):
-        # solve_dense would fall back to elimination here; the stack refuses
+        # the stack reports the failed factor; solve_dense turns it into SolverError
         matrices, rhs = self.spd_stack(3, n=2)
         matrices[1] = [[0.0, 1.0], [1.0, 0.0]]
         with pytest.raises(np.linalg.LinAlgError):

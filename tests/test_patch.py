@@ -1,5 +1,7 @@
 """Tensor-product patches: evaluation, partials, functionals, curvature, meshes."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,17 +13,14 @@ from gtplateau.patch import (
     ControlNet,
     FundamentalForms,
     Patch,
+    SurfaceJet,
     SurfaceShape,
     area,
     boundary_mask,
     dirichlet_energy,
-    evaluate,
-    evaluate_grid,
     laplacian_defect,
     mean_curvature_grid,
-    partial_grids,
-    partials,
-    second_partial_grids,
+    surface_jet,
     tessellate,
 )
 
@@ -39,6 +38,12 @@ def flat_chart(degree_u: int = 3, degree_v: int = 3) -> Patch:
         np.broadcast_arrays(i[:, None], j[None, :], np.zeros((1, 1))), axis=-1
     )
     return Patch.bernstein(ControlNet(points=points))
+
+
+def at(patch: Patch, u: float, v: float) -> SurfaceJet:
+    """The jet at one parameter pair: every field a 3-vector."""
+    jet = surface_jet(patch, [u], [v])
+    return SurfaceJet(**{f.name: getattr(jet, f.name)[0, 0] for f in fields(jet)})
 
 
 def random_net(seed: int, rows: int = 4, cols: int = 4) -> ControlNet:
@@ -130,7 +135,7 @@ class TestEvaluation:
     def test_corner_is_control_point_exactly(self):
         net = random_net(7)
         patch = Patch.bernstein(net)
-        assert evaluate(patch, 0.0, 0.0).tolist() == net.points[0, 0].tolist()
+        assert at(patch, 0.0, 0.0).S.tolist() == net.points[0, 0].tolist()
 
     def test_bicubic_center(self):
         i = np.arange(4, dtype=float)
@@ -139,7 +144,7 @@ class TestEvaluation:
             axis=-1,
         )
         patch = Patch.bernstein(ControlNet(points=points))
-        np.testing.assert_allclose(evaluate(patch, 0.5, 0.5), [3.0, 3.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(at(patch, 0.5, 0.5).S, [3.0, 3.0, 0.0], atol=1e-14)
 
     def test_solved_wave_corners(self, wave_net, rule32):
         shape = SurfaceShape(0.8706, 0.8706, 0.8706, 0.8706)
@@ -152,12 +157,13 @@ class TestEvaluation:
             ((1.0, 1.0), (3, 3)),
         ]:
             np.testing.assert_allclose(
-                evaluate(patch, u, v), wave_net.points[corner], atol=1e-13
+                at(patch, u, v).S, wave_net.points[corner], atol=1e-13
             )
 
     def test_grid_shape(self):
-        grid = evaluate_grid(flat_chart(), np.linspace(0, 1, 5), np.linspace(0, 1, 7))
-        assert grid.shape == (5, 7, 3)
+        jet = surface_jet(flat_chart(), np.linspace(0, 1, 5), np.linspace(0, 1, 7))
+        for field in fields(jet):
+            assert getattr(jet, field.name).shape == (5, 7, 3)
 
     def test_boundary_curves_match_univariate_form(self):
         patch = random_gt_patch(5)
@@ -165,18 +171,18 @@ class TestEvaluation:
         tu = basis_tables(patch.basis_u, us)
         side = np.einsum("it,ic->tc", tu.values, patch.net.points[:, 0, :])
         np.testing.assert_allclose(
-            evaluate_grid(patch, us, [0.0])[:, 0], side, atol=1e-12
+            surface_jet(patch, us, [0.0]).S[:, 0], side, atol=1e-12
         )
         tv = basis_tables(patch.basis_v, us)
         side = np.einsum("jt,jc->tc", tv.values, patch.net.points[-1, :, :])
         np.testing.assert_allclose(
-            evaluate_grid(patch, [1.0], us)[0], side, atol=1e-12
+            surface_jet(patch, [1.0], us).S[0], side, atol=1e-12
         )
 
     @pytest.mark.parametrize("u,v", [(-0.1, 0.5), (0.5, 1.01), (float("nan"), 0.5)])
     def test_parameter_domain(self, u, v):
         with pytest.raises(DomainError):
-            evaluate(flat_chart(), u, v)
+            surface_jet(flat_chart(), [u], [v])
 
     def test_translation_equivariance(self):
         patch = random_gt_patch(9)
@@ -187,19 +193,18 @@ class TestEvaluation:
             net=ControlNet(points=patch.net.points + offset),
         )
         np.testing.assert_allclose(
-            evaluate(shifted, 0.3, 0.7), evaluate(patch, 0.3, 0.7) + offset, atol=1e-12
+            at(shifted, 0.3, 0.7).S, at(patch, 0.3, 0.7).S + offset, atol=1e-12
         )
-        su0, sv0 = partials(patch, 0.3, 0.7)
-        su1, sv1 = partials(shifted, 0.3, 0.7)
-        np.testing.assert_allclose(su1, su0, atol=1e-12)
-        np.testing.assert_allclose(sv1, sv0, atol=1e-12)
+        jet0, jet1 = at(patch, 0.3, 0.7), at(shifted, 0.3, 0.7)
+        np.testing.assert_allclose(jet1.Su, jet0.Su, atol=1e-12)
+        np.testing.assert_allclose(jet1.Sv, jet0.Sv, atol=1e-12)
 
 
 class TestPartials:
     def test_flat_chart(self):
-        su, sv = partials(flat_chart(), 0.37, 0.61)
-        np.testing.assert_allclose(su, [1.0, 0.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(sv, [0.0, 1.0, 0.0], atol=1e-14)
+        jet = at(flat_chart(), 0.37, 0.61)
+        np.testing.assert_allclose(jet.Su, [1.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(jet.Sv, [0.0, 1.0, 0.0], atol=1e-14)
 
     @pytest.mark.parametrize("seed,rows,cols", [(11, 4, 4), (12, 4, 5)])
     def test_difference_route_agrees(self, seed, rows, cols):
@@ -209,27 +214,28 @@ class TestPartials:
         ):
             for u in INNER:
                 for v in INNER:
-                    su, sv = partials(patch, u, v)
+                    jet = at(patch, u, v)
                     du, dv = partials_difference(patch, u, v)
-                    np.testing.assert_allclose(du, su, atol=1e-10)
-                    np.testing.assert_allclose(dv, sv, atol=1e-10)
+                    np.testing.assert_allclose(du, jet.Su, atol=1e-10)
+                    np.testing.assert_allclose(dv, jet.Sv, atol=1e-10)
 
     def test_against_finite_differences(self):
         patch = random_gt_patch(21)
         h = 1e-6
         for u in INNER:
             for v in INNER:
-                su, sv = partials(patch, u, v)
-                fd_u = (evaluate(patch, u + h, v) - evaluate(patch, u - h, v)) / (2 * h)
-                fd_v = (evaluate(patch, u, v + h) - evaluate(patch, u, v - h)) / (2 * h)
+                jet = at(patch, u, v)
+                su, sv = jet.Su, jet.Sv
+                fd_u = (at(patch, u + h, v).S - at(patch, u - h, v).S) / (2 * h)
+                fd_v = (at(patch, u, v + h).S - at(patch, u, v - h).S) / (2 * h)
                 assert np.abs(fd_u - su).max() / (1 + np.abs(su).max()) < 1e-6
                 assert np.abs(fd_v - sv).max() / (1 + np.abs(sv).max()) < 1e-6
 
 
 class TestSecondPartials:
     def test_flat_chart_vanishes(self):
-        suu, suv, svv = second_partial_grids(flat_chart(), [0.4], [0.8])
-        for arr in (suu, suv, svv):
+        jet = surface_jet(flat_chart(), [0.4], [0.8])
+        for arr in (jet.Suu, jet.Suv, jet.Svv):
             assert np.abs(arr).max() < 1e-12
 
     def test_bilinear_twist(self):
@@ -238,24 +244,21 @@ class TestSecondPartials:
             [[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]]
         )
         patch = Patch.bernstein(ControlNet(points=points))
-        suu, suv, svv = second_partial_grids(patch, [0.3], [0.9])
-        assert np.abs(suu).max() < 1e-14 and np.abs(svv).max() < 1e-14
-        np.testing.assert_allclose(suv[0, 0], [0.0, 0.0, 1.0], atol=1e-14)
+        jet = surface_jet(patch, [0.3], [0.9])
+        assert np.abs(jet.Suu).max() < 1e-14 and np.abs(jet.Svv).max() < 1e-14
+        np.testing.assert_allclose(jet.Suv[0, 0], [0.0, 0.0, 1.0], atol=1e-14)
 
     def test_against_finite_differences_of_partials(self):
         patch = random_gt_patch(33)
         h = 1e-6
         for u in INNER[::2]:
             for v in INNER[::2]:
-                suu, suv, svv = (grid[0, 0] for grid in second_partial_grids(patch, [u], [v]))
-                up, _ = partials(patch, u + h, v)
-                down, _ = partials(patch, u - h, v)
-                fd_uu = (up - down) / (2 * h)
-                su_up, sv_up = partials(patch, u, v + h)
-                su_dn, sv_dn = partials(patch, u, v - h)
-                fd_uv = (su_up - su_dn) / (2 * h)
-                fd_vv = (sv_up - sv_dn) / (2 * h)
-                for fd, exact in ((fd_uu, suu), (fd_uv, suv), (fd_vv, svv)):
+                jet = at(patch, u, v)
+                fd_uu = (at(patch, u + h, v).Su - at(patch, u - h, v).Su) / (2 * h)
+                up, down = at(patch, u, v + h), at(patch, u, v - h)
+                fd_uv = (up.Su - down.Su) / (2 * h)
+                fd_vv = (up.Sv - down.Sv) / (2 * h)
+                for fd, exact in ((fd_uu, jet.Suu), (fd_uv, jet.Suv), (fd_vv, jet.Svv)):
                     assert np.abs(fd - exact).max() / (1 + np.abs(exact).max()) < 1e-5
 
 
