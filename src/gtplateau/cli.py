@@ -3,8 +3,9 @@
 Commands: ``basis eval``, ``solve``, ``optimize``, ``harmonic``, ``coons``,
 and ``compare``. Every command writes its artifacts into --out and a
 summary.json recording the settings that produced the numbers, so each
-reported value can be recomputed from the emitted files. Exit codes: 0
-success, 2 invalid input or usage, 3 solver failure, 4 file error.
+reported value can be recomputed from the emitted files (a swarm's energy is
+its convergence CSV's last row). Exit codes: 0 success, 2 invalid input or
+usage, 3 solver failure (nothing written), 4 file error.
 """
 
 from __future__ import annotations
@@ -204,15 +205,14 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
 
 
 def _swarm_runs(net, rule, args):
-    """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, re-solved extremal)
-    triples, and the index of the first run of least energy."""
-    objective = reduced_functional_family(net, rule)  # prepared once, shared by the runs
+    """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, extremal) triples,
+    each extremal from the family that ranked it, and the first best run."""
+    family = reduced_functional_family(net, rule)  # prepared once, shared by the runs
     runs = []
     for r in range(args.runs):
-        result = optimize(objective, _pso_config(args, args.seed + r))
+        result = optimize(family, _pso_config(args, args.seed + r))
         shape = SurfaceShape.from_iterable(result.position)
-        sol = solve_interior(net, *shape.basis_specs(net.degree_u, net.degree_v), rule)
-        runs.append((result, shape, sol))
+        runs.append((result, shape, family.extremal(result.position)))
     best = min(range(len(runs)), key=lambda r: runs[r][2].energy)
     return runs, best
 
@@ -297,10 +297,10 @@ def cmd_optimize(args) -> int:
     if args.runs < 1:
         raise ConfigurationError("--runs must be >= 1")
     rule = gauss_legendre_rule(args.quad)
+    runs, r_best = _swarm_runs(net, rule, args)
+
     out = args.out
     os.makedirs(out, exist_ok=True)
-
-    runs, r_best = _swarm_runs(net, rule, args)
     run_rows = []
     for r, (result, shape, sol) in enumerate(runs):
         write_convergence_csv(os.path.join(out, f"convergence_{r:02d}.csv"), result.history)
@@ -438,9 +438,6 @@ def cmd_coons(args) -> int:
 def cmd_compare(args) -> int:
     net = load_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-
     rows = []
 
     def add_row(method, shape, energy, area_value, note=""):
@@ -471,6 +468,9 @@ def cmd_compare(args) -> int:
 
     add_row("quasi-harmonic", None, None, None, NOT_IMPLEMENTED_NOTE)
     add_row("bending-energy", None, None, None, NOT_IMPLEMENTED_NOTE)
+
+    out = args.out
+    os.makedirs(out, exist_ok=True)
 
     csv_lines = ["method,alpha1,alpha2,beta1,beta2,energy,area,note"]
     for row in rows:

@@ -21,7 +21,7 @@ the interior solve keeps the free rows of F. ``_tb_system`` builds the same
 normal equations from 2-D gradient fields; it is the independent reference.
 The GT rows of the tables carry the shape, affinely, so F is bi-quadratic in
 it: the swarm's fitness ``tb_reduced_functional_family`` forms its 36 blocks
-once and evaluates them as the tensor patch's does.
+once and evaluates them, and ``optimize_tb`` takes the winner from it.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -35,15 +35,17 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_affine_tables
 from .dirichlet import (
     _PAIRS,
-    _family_fitness,
+    ExtremalSolution,
+    _ExtremalFamily,
     _free_system,
     _gram,
     _monomial_grams,
+    _solve_frame,
     gradient_normal_system,
 )
 from .errors import ConfigurationError, SolverError
-from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense
-from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet, boundary_mask
+from .numerics import DenseSystem, QuadratureRule, solve_dense
+from .patch import ControlNet, SurfaceJet, SurfaceShape, _check_params, _jet, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -81,6 +83,8 @@ def require_blend_net(net: ControlNet, complete: bool | None = None) -> None:
     if complete is False and not net.free[1:3, 1:3].all():
         raise ConfigurationError("interior points must be unknown for the solve")
 
+
+_BASES = "bernstein(degree=3) + gt(degree=3) blend"
 
 #: First rows of the blocks of the 10-function tables: Bernstein, GT, (1-t, t).
 _B, _G, _LIN = 0, 4, 8
@@ -138,10 +142,7 @@ def _tb_form(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
     require_blend_net(net, complete=True)
-    us, vs = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (us, vs))
-    for t in (us, vs):
-        if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
-            raise ConfigurationError("surface parameters must lie in [0, 1]")
+    us, vs = _check_params(us, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
     return _jet(_pair_tables(shape.u_pair, us), _pair_tables(shape.v_pair, vs), c)
 
@@ -149,14 +150,9 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
     """1/2 sum_c P_c^T F P_c with F = L^T (K_F (x) M_H + M_F (x) K_H) L."""
     require_blend_net(net, complete=True)
-    return _tb_energy(net, _tb_form(shape, rule))
-
-
-def _tb_energy(net: ControlNet, form: np.ndarray) -> float:
-    """On the net centred at its mean (F 1 = 0), so a far offset costs no digits."""
     p = net.points.reshape(16, 3)
-    p = p - p.mean(axis=0)
-    return float(0.5 * (p * (form @ p)).sum())
+    p = p - p.mean(axis=0)  # F 1 = 0: centring costs no energy and saves a far offset's digits
+    return float(0.5 * (p * (_tb_form(shape, rule) @ p)).sum())
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
@@ -187,30 +183,28 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
     """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    return _solve_tb(net, shape, _free_system(_tb_form(shape, rule), net))
-
-
-def _solve_tb(net: ControlNet, shape: SurfaceShape, system: DenseSystem) -> ControlNet:
+    centred, centre = _solve_frame(net, rule, _BASES)
     try:
-        solution = solve_dense(system)
+        solution = solve_dense(_free_system(_tb_form(shape, rule), centred))
     except SolverError as exc:
-        raise SolverError(f"{exc} [blended-patch interior at alpha={tuple(shape.as_array())}]") from exc
+        raise SolverError(f"{exc} [bases: {_BASES} at {shape}]") from exc
     solved = net.copy()
-    solved.points[net.free] = solution
+    solved.points[net.free] = solution + centre
     return solved
 
 
 def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):
     """The swarm's hybrid fitness: prepares the 36 blocks of L^T Q L once and
-    returns the map from a (k, 4) stack of shape vectors to k extremal energies,
-    equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to rounding."""
+    returns the family mapping a (k, 4) stack of shape vectors to k extremal
+    energies, equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to
+    rounding, with the winner's ``extremal``."""
     require_blend_net(net, complete=False)
     parts = _blend_tables(gt_affine_tables(3, rule.nodes), rule.nodes)
     for table in (parts.values, parts.first, parts.second):
         table[1:, :_G] = table[1:, _LIN:] = 0.0  # the Bernstein and linear rows are constant
     k, m = _monomial_grams(parts, rule)  # both directions: cubic, on the same nodes
     p, q = _PAIRS
-    return _family_fitness(_net_form_stack(k[p], m[p], k[q], m[q]), net)
+    return _ExtremalFamily(_net_form_stack(k[p], m[p], k[q], m[q]), net, rule, _BASES)
 
 
 def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
@@ -228,31 +222,20 @@ def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
 
 
 @dataclass
-class TbOptimum:
+class TbOptimum(ExtremalSolution):
+    """The shape family's extremal at the swarm's best shape vector."""
+
     shape: SurfaceShape
-    net: ControlNet
-    energy: float
     history: np.ndarray
-    system_condition_hint: float
     pso: PsoResult
 
 
 def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbOptimum:
     """Swarm-minimize the hybrid surface energy over the shape vector."""
-    require_blend_net(net, complete=False)
     if config.dims != 4:
         raise ConfigurationError("shape optimization needs 4-dimensional bounds")
 
-    result = optimize(tb_reduced_functional_family(net, rule), config)
-    best_shape = SurfaceShape.from_iterable(result.position)
-    form = _tb_form(best_shape, rule)  # one form serves the solve, energy and hint
-    system = _free_system(form, net)
-    solved = _solve_tb(net, best_shape, system)
-    return TbOptimum(
-        shape=best_shape,
-        net=solved,
-        energy=_tb_energy(solved, form),
-        history=result.history,
-        system_condition_hint=pivot_ratio(system.matrix),
-        pso=result,
-    )
+    family = tb_reduced_functional_family(net, rule)
+    result = optimize(family, config)
+    shape = SurfaceShape.from_iterable(result.position)
+    return TbOptimum(**vars(family.extremal(result.position)), shape=shape, history=result.history, pso=result)

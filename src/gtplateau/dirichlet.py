@@ -27,7 +27,8 @@ and the gradient engine behind the generic route is its reference as well.
 The swarm's fitness ``reduced_functional_family`` uses that the GT tables
 are affine in each shape pair: K and M are quadratic in it, so the free/fixed
 split of the Kronecker sum is bi-quadratic in alpha, 36 blocks built once per
-net and rule. A call weights them, then factors and solves the whole stack.
+net and rule. A call weights them, then factors and solves the whole stack,
+and its ``extremal`` is the swarm's winner. Every solve centres the net.
 """
 
 from __future__ import annotations
@@ -116,6 +117,20 @@ def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     return _free_system(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net)
 
 
+def _solve_frame(net: ControlNet, rule: QuadratureRule, bases: str) -> tuple[ControlNet, np.ndarray]:
+    """(net centred at the mean of its fixed points, that mean) for a solve:
+    the energies annihilate constants, so centring saves a far offset's digits.
+    A rule below max(m, n) + 1 nodes, the fewest that integrate the Bernstein
+    Gram matrices exactly, leaves M singular and is refused."""
+    _require_plateau(net)
+    need = max(net.degree_u, net.degree_v) + 1
+    if rule.order < need:
+        msg = f"quadrature order {rule.order} is below {need}, the fewest nodes that resolve the bases"
+        raise SolverError(f"{msg} [bases: {bases}]")
+    centre = net.points[net.fixed].mean(axis=0)
+    return ControlNet(points=net.points - centre, fixed=net.fixed), centre
+
+
 def _free_split(form: np.ndarray, net: ControlNet) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, rhs) of the normal equations of a quadratic form (or a stack
     of forms) over the row-major flattened net: free rows and columns kept,
@@ -149,34 +164,48 @@ def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.nd
     return coefficients(parts.first), coefficients(parts.values)
 
 
-def _family_fitness(forms: np.ndarray, net: ControlNet):
-    """Extremal energies at a (k, 4) stack of shape vectors, where forms[6p + q]
-    over the flattened net multiplies monomial p of the u pair times q of the v.
+class _ExtremalFamily:
+    """Dirichlet extremals over a shape family, where forms[6p + q] over the
+    flattened net multiplies monomial p of the u pair times q of the v.
 
-    The split is made once on the net centred at the mean of its fixed points:
-    translation leaves the energy alone, and centring saves the digits a far
-    offset would cost. Each row is weighted by its own matrix product, so it
-    does not depend on its stack; E = 1/2 (c - sum x . rhs) at the solution.
+    Called on a (k, 4) stack of shape vectors it gives k energies, E = 1/2
+    (c - sum x . rhs) from the split made once on the centred net. Each row is
+    weighted by its own matrix product, so it does not depend on its stack, and
+    ``extremal`` solves one vector by the same code: its energy is the row's.
     """
-    centred = ControlNet(points=net.points - net.points[net.fixed].mean(axis=0), fixed=net.fixed)
-    matrix, rhs = _free_split(forms, centred)
-    known = np.where(centred.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
-    const = (known * (forms @ known)).sum(axis=(-2, -1))
-    blocks = np.concatenate([matrix.reshape(36, -1), rhs.reshape(36, -1), const[:, None]], axis=1)
-    n = matrix.shape[-1]
 
-    def fitness(alphas) -> np.ndarray:
+    def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):
+        centred, self.centre = _solve_frame(net, rule, bases)
+        matrix, rhs = _free_split(forms, centred)
+        known = np.where(net.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
+        const = (known * (forms @ known)).sum(axis=(-2, -1))
+        self.blocks = np.concatenate([matrix.reshape(36, -1), rhs.reshape(36, -1), const[:, None]], 1)
+        self.net, self.bases, self.n = net, bases, matrix.shape[-1]
+
+    def _solve(self, alphas):
         alphas = check_theta_stack(alphas)
         if alphas.ndim != 2 or alphas.shape[1] != 4:
             raise ConfigurationError("shape vectors must be a (k, 4) array")
         lifted = np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)  # per pair: 1, t1, t2
         mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
-        mixed = ((mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 1, 36) @ blocks)[:, 0]
+        mixed = ((mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 1, 36) @ self.blocks)[:, 0]
+        n = self.n
         b = mixed[:, n * n : -1].reshape(-1, n, 3)
-        x = solve_spd_stack(mixed[:, : n * n].reshape(-1, n, n), b)
-        return 0.5 * (mixed[:, -1] - (x * b).reshape(len(x), -1).sum(axis=1))
+        x, pivots = solve_spd_stack(mixed[:, : n * n].reshape(-1, n, n), b)
+        return x, pivots, 0.5 * (mixed[:, -1] - (x * b).reshape(len(x), -1).sum(axis=1))
 
-    return fitness
+    def __call__(self, alphas) -> np.ndarray:
+        return self._solve(alphas)[-1]
+
+    def extremal(self, alpha) -> ExtremalSolution:
+        try:
+            x, pivots, energy = self._solve(np.reshape(alpha, (1, 4)))
+        except SolverError as exc:
+            raise SolverError(f"{exc} [bases: {self.bases} at {alpha}]") from exc
+        filled = self.net.copy()
+        filled.points[self.net.free] = x[0] + self.centre
+        hint = float(pivots[0].max() / pivots[0].min())
+        return ExtremalSolution(net=filled, energy=float(energy[0]), system_condition_hint=hint, route="family")
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -226,7 +255,7 @@ def assemble_system_generic(
 
 @dataclass
 class ExtremalSolution:
-    """A solved net plus the numbers a caller usually reports."""
+    """A solved net and the numbers a caller reports; route is "gram", "generic" or "family"."""
 
     net: ControlNet
     energy: float
@@ -248,29 +277,25 @@ def solve_interior(
     """
     if basis_u.degree != net.degree_u or basis_v.degree != net.degree_v:
         raise ConfigurationError("basis degrees must match the net")
-    if route == "gram":
-        system = assemble_system(net, assemble_coefficients(basis_u, basis_v, rule))
-    elif route == "generic":
-        system = assemble_system_generic(net, basis_u, basis_v, rule)
-    else:
+    if route not in ("gram", "generic"):
         raise ConfigurationError(f"unknown assembly route {route!r}")
+    bases = f"{_describe(basis_u)} x {_describe(basis_v)}"
+    centred, centre = _solve_frame(net, rule, bases)
+    if route == "gram":
+        system = assemble_system(centred, assemble_coefficients(basis_u, basis_v, rule))
+    else:
+        system = assemble_system_generic(centred, basis_u, basis_v, rule)
 
     try:
         solution = solve_dense(system)
     except SolverError as exc:
-        raise SolverError(
-            f"{exc} [bases: {_describe(basis_u)} x {_describe(basis_v)}]"
-        ) from exc
+        raise SolverError(f"{exc} [bases: {bases}]") from exc
 
     filled = net.copy()
-    filled.points[net.free] = solution
+    filled.points[net.free] = solution + centre
     energy = dirichlet_energy(Patch(basis_u=basis_u, basis_v=basis_v, net=filled), rule)
-    return ExtremalSolution(
-        net=filled,
-        energy=energy,
-        system_condition_hint=pivot_ratio(system.matrix),
-        route=route,
-    )
+    hint = pivot_ratio(system.matrix)
+    return ExtremalSolution(net=filled, energy=energy, system_condition_hint=hint, route=route)
 
 
 def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
@@ -279,15 +304,12 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
     return solve_interior(net, bu, bv, rule).energy
 
 
-def reduced_functional_family(net: ControlNet, rule: QuadratureRule):
-    """J over the GT shape family of a net: the swarm's fitness, mapping a
-    (k, 4) stack of shape vectors to k energies.
-
-    Prepares the 36 blocks once; the returned function agrees with
-    ``reduced_functional`` row by row to rounding.
-    """
-    _require_plateau(net)
+def reduced_functional_family(net: ControlNet, rule: QuadratureRule) -> _ExtremalFamily:
+    """J over the GT shape family of a net, its 36 blocks prepared once: the
+    swarm's fitness maps a (k, 4) stack of shape vectors to k energies, each
+    ``reduced_functional`` to rounding, and ``extremal`` gives the winner."""
     k_u, m_u = _monomial_grams(gt_affine_tables(net.degree_u, rule.nodes), rule)
     k_v, m_v = _monomial_grams(gt_affine_tables(net.degree_v, rule.nodes), rule)
     p, q = _PAIRS
-    return _family_fitness(_kron_sum(k_u[p], m_u[p], k_v[q], m_v[q]), net)
+    bases = f"gt(degree={net.degree_u}) x gt(degree={net.degree_v})"
+    return _ExtremalFamily(_kron_sum(k_u[p], m_u[p], k_v[q], m_v[q]), net, rule, bases)

@@ -127,37 +127,31 @@ def _check_residual(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
         )
 
 
-def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a (k, n, n) stack of SPD systems with (k, n, r) right-hand sides.
 
     Every matrix is checked for symmetry, verified SPD by one stacked Cholesky
-    (``np.linalg.LinAlgError`` when any factor fails), solved by one stacked
-    LU solve, and held to a residual bound (``SolverError``). Each matrix
-    goes through LAPACK on its own, so a system's solution does not depend
-    on the rest of the stack.
+    (``SolverError`` when any factor fails), solved by one stacked LU solve,
+    and held to a residual bound (``SolverError``). Each matrix goes through
+    LAPACK on its own, so a system's solution does not depend on the rest of
+    the stack. Returns the solutions and the (k, n) Cholesky pivots.
     """
     _check_symmetric(matrices)
-    np.linalg.cholesky(matrices)
-    x = np.linalg.solve(matrices, rhs)
-    _check_residual(matrices, x, rhs)
-    return x
-
-
-def solve_dense(system: DenseSystem) -> np.ndarray:
-    """Solve one system by ``solve_spd_stack``.
-
-    A matrix whose Cholesky factorization fails raises SolverError: it is
-    singular or indefinite to working precision. The returned solution
-    matches the rhs dimensionality.
-    """
-    b = system.rhs.reshape(system.size, -1)
     try:
-        x = solve_spd_stack(system.matrix[None], b[None])[0]
+        pivots = np.diagonal(np.linalg.cholesky(matrices), axis1=-2, axis2=-1)
     except np.linalg.LinAlgError as exc:
         raise SolverError(
             "matrix is not positive definite (singular or indefinite to working precision)"
         ) from exc
-    return x.reshape(system.rhs.shape)
+    x = np.linalg.solve(matrices, rhs)
+    _check_residual(matrices, x, rhs)
+    return x, pivots
+
+
+def solve_dense(system: DenseSystem) -> np.ndarray:
+    """Solve one system by ``solve_spd_stack``; the solution is shaped like the rhs."""
+    b = system.rhs.reshape(system.size, -1)
+    return solve_spd_stack(system.matrix[None], b[None])[0][0].reshape(system.rhs.shape)
 
 
 def pivot_ratio(matrix: np.ndarray) -> float:

@@ -14,7 +14,8 @@ import gtplateau
 #: coefficient route and the mesh area stay in ``tests/`` as references. The
 #: per-call stacked fitnesses gave way to the prepared shape families. The
 #: patch evaluators gave way to one jet, ``surface_jet``, and the 100 x 100
-#: hybrid Gram to the 16 x 16 form of ``_net_form_stack``.
+#: hybrid Gram to the 16 x 16 form of ``_net_form_stack``. The swarm's winner
+#: is read from the prepared family, so the re-solve helpers went with it.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -23,9 +24,9 @@ REMOVED = {
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
-        "_tb_gram_system",
+        "_tb_gram_system", "_solve_tb", "_tb_energy",
     ),
-    "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns"),
+    "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
         "bernstein_gram",

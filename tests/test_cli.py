@@ -161,10 +161,19 @@ class TestOptimize:
         assert best["energy"] == min(row["energy"] for row in runs)
         assert best["runs"][best["best_run"]]["energy"] == best["energy"]
         for row in runs:
+            # the winner is the swarm's own extremal, not a second solve
+            assert row["energy"] == read_history(out / f"convergence_{row['run']:02d}.csv")[-1]
             assert all(0.5 <= x <= 3.5 for x in row["alpha"])
             assert row["area"] <= row["energy"] + 1e-9
         assert summary["settings"]["runs"] == 2
         assert (out / "net.json").exists() and (out / "surface.obj").exists()
+
+    def test_winner_is_not_solved_again(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the swarm's winner was solved a second time")
+
+        monkeypatch.setattr("gtplateau.cli.solve_interior", refuse)
+        assert main(["optimize", WAVE, "--out", str(tmp_path / "run")] + self.ARGS) == 0
 
     def test_zero_runs_rejected(self, tmp_path):
         rc = main(["optimize", WAVE, "--runs", "0", "--out", str(tmp_path)] + self.ARGS)
@@ -305,6 +314,7 @@ class TestCoons:
         assert all(0.5 <= x <= 3.5 for x in results["alpha"])
         history = read_history(out / "convergence.csv")
         assert np.all(np.diff(history) <= 0.0)
+        assert results["energy"] == history[-1]
         assert "coons: alpha=" in capsys.readouterr().out
 
 
@@ -388,6 +398,18 @@ class TestExitCodes:
 
     def test_singular_system(self, tmp_path):
         assert main(["solve", WAVE, "--quad", "1", "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "optimize", "compare", "coons"])
+    @pytest.mark.parametrize("quad", ["1", "2", "3"])
+    def test_quadrature_below_degree_refused(self, tmp_path, capsys, command, quad):
+        # a bicubic net needs 4 nodes; fewer leave the value Gram matrices singular
+        out = tmp_path / "o"
+        argv = [command, WAVE, "--quad", quad, "--out", str(out)]
+        if command != "solve":
+            argv += ["--swarm", "3", "--iters", "1", "--threads", "1"]
+        assert main(argv) == 3
+        assert not out.exists()
+        assert "is below 4, the fewest nodes that resolve the bases [bases:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

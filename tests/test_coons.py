@@ -15,7 +15,7 @@ from gtplateau.coons import (
     tb_surface_jet,
 )
 from gtplateau.dirichlet import _free_system
-from gtplateau.errors import ConfigurationError
+from gtplateau.errors import ConfigurationError, DomainError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
 from gtplateau.pso import PsoConfig
@@ -203,7 +203,7 @@ class TestHybridSurface:
     )
     def test_jet_parameter_domain(self, params):
         net = ControlNet(points=random_points(14))
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
+        with pytest.raises(DomainError, match=r"\[0, 1\]"):
             tb_surface_jet(net, random_shape(14), *params)
 
 
@@ -345,7 +345,7 @@ class TestShapeOptimization:
         assert np.all(np.diff(optimum.history) <= 0.0)
         assert optimum.history.shape == (5,)
         assert optimum.net.is_complete
-        assert abs(optimum.energy - optimum.pso.value) < 1e-12
+        assert optimum.energy == optimum.pso.value
         assert optimum.system_condition_hint >= 1.0
         np.testing.assert_array_equal(optimum.shape.as_array(), optimum.pso.position)
 

@@ -250,6 +250,19 @@ class TestSolveInterior:
             atol=1e-14,
         )
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("gt", [True, False], ids=["gt", "bernstein"])
+    def test_far_offset_costs_no_digits(self, seed, gt, rule32, boundary_net_factory):
+        # the system is assembled on the centred net, so translating the boundary
+        # by 1e4 moves the degree-8 interior by the offset and nothing more
+        net = boundary_net_factory(seed, shape=(9, 9))
+        shape = SurfaceShape(*(0.8 + 0.6 * ((seed + np.arange(4)) % 4)))
+        bases = shape.basis_specs(8, 8) if gt else (BasisSpec.bernstein(8),) * 2
+        near = solve_interior(net, *bases, rule32).net.points
+        moved = ControlNet(points=net.points + 1e4, fixed=net.fixed)
+        far = solve_interior(moved, *bases, rule32).net.points - 1e4
+        assert np.abs(far - near).max() <= 1e-9 * net.scale()
+
     def test_condition_hint_positive(self, wave_net, rule32):
         solved = solve_interior(wave_net, CUBIC, CUBIC, rule32)
         assert solved.system_condition_hint >= 1.0

@@ -4,7 +4,8 @@
 net's bi-quadratic shape family once; the function they return evaluates a
 whole (k, 4) stack of shape vectors at once. It must agree with the scalar
 routes row by row, give each row the same bits whatever stack it sits in, and
-let ``pso.optimize`` pin a failure on the one particle that caused it.
+let ``pso.optimize`` pin a failure on the one particle that caused it. Its
+``extremal`` is the solution behind one row: the swarm's winner is read from it.
 """
 
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_affine_tables
 from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_family
-from gtplateau.dirichlet import reduced_functional, reduced_functional_family
+from gtplateau.dirichlet import reduced_functional, reduced_functional_family, solve_interior
 from gtplateau.errors import ConfigurationError, DomainError, SolverError
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
@@ -91,6 +92,54 @@ def test_stack_matches_scalar_route(route):
         np.testing.assert_allclose(got, want, rtol=ROUTE_RTOL, atol=0.0)
 
     check()
+
+
+def tensor_solution(net, alpha):
+    bases = SurfaceShape.from_iterable(alpha).basis_specs(net.degree_u, net.degree_v)
+    return solve_interior(net, *bases, RULE).net
+
+
+def hybrid_solution(net, alpha):
+    return solve_tb_interior(net, SurfaceShape.from_iterable(alpha), RULE)
+
+
+FAMILIES = {
+    "tensor": (tensor_nets(), reduced_functional_family, tensor_solution),
+    "hybrid": (hybrid_nets, tb_reduced_functional_family, hybrid_solution),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FAMILIES))
+def test_extremal_is_the_rows_solution(route):
+    nets, family_of, solution = FAMILIES[route]
+
+    @PROPERTY
+    @given(net=nets, alphas=alpha_stacks)
+    def check(net, alphas):
+        family = family_of(net, RULE)
+        for alpha, value in zip(alphas, family(alphas)):
+            best = family.extremal(alpha)
+            assert best.energy == value
+            assert best.system_condition_hint >= 1.0
+            np.testing.assert_array_equal(best.net.points[net.fixed], net.points[net.fixed])
+            # the two routes assemble the system differently: degree-6 nets
+            # at small shapes differ by up to about 3e-11 of the scale
+            want = solution(net, alpha).points
+            assert np.abs(best.net.points - want).max() <= 1e-9 * net.scale()
+
+    check()
+
+
+@pytest.mark.parametrize("route", sorted(FAMILIES))
+def test_extremal_failure_is_a_solver_error(route, wave_net, monkeypatch):
+    family = FAMILIES[route][1](wave_net, RULE)
+
+    def indefinite(matrices):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", indefinite)
+    with pytest.raises(SolverError, match="bases:"):
+        family.extremal(np.full(4, 2.0))
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
