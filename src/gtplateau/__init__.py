@@ -30,7 +30,7 @@ from .errors import (
     ReconstructionError,
     SolverError,
 )
-from .harmonic import defect_objective, harmonic_reconstruct
+from .harmonic import harmonic_reconstruct
 from .io import load_net, save_net
 from .numerics import QuadratureRule, RngStream, gauss_legendre_rule
 from .patch import (
@@ -39,7 +39,6 @@ from .patch import (
     SurfaceShape,
     area,
     dirichlet_energy,
-    laplacian_defect,
     mean_curvature_grid,
     surface_jet,
     tessellate,
@@ -70,11 +69,9 @@ __all__ = [
     "assemble_system",
     "assemble_system_generic",
     "basis_tables",
-    "defect_objective",
     "dirichlet_energy",
     "gauss_legendre_rule",
     "harmonic_reconstruct",
-    "laplacian_defect",
     "load_net",
     "mean_curvature_grid",
     "optimize",

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, ShapePair, basis_tables
 from .coons import optimize_tb, tb_surface_jet
-from .dirichlet import reduced_functional_family, solve_interior
+from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -31,7 +31,7 @@ from .errors import (
 from .harmonic import (
     bernstein_laplacian_defect,
     defect_certificate_bound,
-    defect_objective,
+    defect_family,
     harmonic_reconstruct,
 )
 from .io import (
@@ -51,7 +51,7 @@ from .patch import (
     area,
     dirichlet_energy,
     fundamental_forms,
-    mean_curvature_grid,
+    surface_jet,
     tessellate,
     triangulate_grid,
 )
@@ -173,19 +173,12 @@ def _pso_config(args, seed: int) -> PsoConfig:
     )
 
 
-def _pso_settings(args, runs: int | None = None) -> dict:
-    settings = {
-        "seed": args.seed,
-        "swarm": args.swarm,
-        "inertia": args.inertia,
-        "c1": args.c1,
-        "c2": args.c2,
-        "iters": args.iters,
-        "bounds": list(args.bounds),
-        "threads": args.threads,
-    }
-    if runs is not None:
-        settings["runs"] = runs
+_PSO_SETTINGS = ("seed", "swarm", "inertia", "c1", "c2", "iters", "bounds", "threads")
+
+
+def _pso_settings(args, runs: bool = False) -> dict:
+    settings = {name: getattr(args, name) for name in _PSO_SETTINGS + (("runs",) if runs else ())}
+    settings["bounds"] = list(args.bounds)
     return settings
 
 
@@ -196,12 +189,15 @@ def _select_bases(basis_name: str, shape: SurfaceShape, net) -> tuple[BasisSpec,
 
 
 def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
-    """Solve the interior when anything is unknown, else report the net as-is."""
+    """(patch, energy, hint, route): the interior solved when anything is
+    unknown, else the net as-is, on a rule the solve would accept."""
     if net.free.any():
         sol = solve_interior(net, basis_u, basis_v, rule)
-        return sol.net, sol.energy, sol.system_condition_hint, sol.route
+        surface = Patch(basis_u=basis_u, basis_v=basis_v, net=sol.net)
+        return surface, sol.energy, sol.system_condition_hint, sol.route
+    check_rule(net, rule, describe_bases(basis_u, basis_v))
     surface = Patch(basis_u=basis_u, basis_v=basis_v, net=net)
-    return net, dirichlet_energy(surface, rule), None, "none (net already complete)"
+    return surface, dirichlet_energy(surface, rule), None, "none (net already complete)"
 
 
 def _swarm_runs(net, rule, args):
@@ -217,13 +213,12 @@ def _swarm_runs(net, rule, args):
     return runs, best
 
 
-def _write_patch_artifacts(surface: Patch, args, out: str) -> None:
-    """net.json, surface.obj, curvature.csv."""
-    save_net(surface.net, os.path.join(out, "net.json"))
-    vertices, faces = tessellate(surface, args.tess)
-    write_obj(os.path.join(out, "surface.obj"), vertices, faces)
-    us, vs, forms = mean_curvature_grid(surface, args.tess + 1)
-    write_curvature_csv(os.path.join(out, "curvature.csv"), us, vs, forms)
+def _write_surface(net, jet, params, out: str) -> None:
+    """net.json, and surface.obj and curvature.csv from one jet on params x params."""
+    save_net(net, os.path.join(out, "net.json"))
+    write_obj(os.path.join(out, "surface.obj"), *triangulate_grid(jet.S))
+    forms = fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
+    write_curvature_csv(os.path.join(out, "curvature.csv"), params, params, forms)
 
 
 def cmd_solve(args) -> int:
@@ -235,13 +230,12 @@ def cmd_solve(args) -> int:
             raise ConfigurationError(f"{flag} must be a positive finite number, got {value!r}")
     net = load_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    basis_u, basis_v = _select_bases(args.basis, args.alpha, net)
-    solved, energy, hint, route = _extremal(net, basis_u, basis_v, rule)
+    surface, energy, hint, route = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
-    surface = Patch(basis_u=basis_u, basis_v=basis_v, net=solved)
-    _write_patch_artifacts(surface, args, out)
+    params = np.linspace(0.0, 1.0, args.tess + 1)
+    _write_surface(surface.net, surface_jet(surface, params, params), params, out)
     area_value = area(surface, rule)
 
     discrepancy = None
@@ -304,28 +298,22 @@ def cmd_optimize(args) -> int:
     run_rows = []
     for r, (result, shape, sol) in enumerate(runs):
         write_convergence_csv(os.path.join(out, f"convergence_{r:02d}.csv"), result.history)
-        run_rows.append(
-            {
-                "run": r,
-                "seed": args.seed + r,
-                "alpha": _shape_list(shape),
-                "energy": sol.energy,
-                "area": area(Patch.gt(sol.net, shape), rule),
-                "evaluations": result.evaluations,
-            }
-        )
+        run_rows.append(dict(
+            run=r, seed=args.seed + r, alpha=_shape_list(shape), energy=sol.energy,
+            area=area(Patch.gt(sol.net, shape), rule), evaluations=result.evaluations,
+        ))
 
     _, shape, sol = runs[r_best]
     best_area = run_rows[r_best]["area"]
-    surface = Patch.gt(sol.net, shape)
-    _write_patch_artifacts(surface, args, out)
+    params = np.linspace(0.0, 1.0, args.tess + 1)
+    _write_surface(sol.net, surface_jet(Patch.gt(sol.net, shape), params, params), params, out)
     summary = RunSummary(
         command="optimize",
         settings={
             "net": os.fspath(args.net),
             "quadrature_order": args.quad,
             "tessellation_cells": args.tess,
-            **_pso_settings(args, runs=args.runs),
+            **_pso_settings(args, runs=True),
         },
         results={
             "best_run": r_best,
@@ -351,6 +339,8 @@ def cmd_harmonic(args) -> int:
     reconstructed = harmonic_reconstruct(net)
     defect = bernstein_laplacian_defect(reconstructed, rule)
     bound = defect_certificate_bound(reconstructed)
+    if args.tune_alpha:
+        result = optimize(defect_family(reconstructed, rule), config)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -368,13 +358,6 @@ def cmd_harmonic(args) -> int:
         "tune_alpha": bool(args.tune_alpha),
     }
     if args.tune_alpha:
-        def objective(alphas):
-            return [
-                defect_objective(reconstructed, SurfaceShape.from_iterable(x), rule)
-                for x in alphas
-            ]
-
-        result = optimize(objective, config)
         write_convergence_csv(os.path.join(out, "convergence.csv"), result.history)
         shape = SurfaceShape.from_iterable(result.position)
         results["alpha"] = _shape_list(shape)
@@ -399,14 +382,9 @@ def cmd_coons(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     write_convergence_csv(os.path.join(out, "convergence.csv"), optimum.history)
-    save_net(optimum.net, os.path.join(out, "net.json"))
-
     params = np.linspace(0.0, 1.0, args.tess + 1)
     jet = tb_surface_jet(optimum.net, optimum.shape, params, params)
-    vertices, faces = triangulate_grid(jet.S)
-    write_obj(os.path.join(out, "surface.obj"), vertices, faces)
-    forms = fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
-    write_curvature_csv(os.path.join(out, "curvature.csv"), params, params, forms)
+    _write_surface(optimum.net, jet, params, out)
 
     # the two mixed-basis components, as inspectable meshes
     cubic = BasisSpec.bernstein(3)
@@ -441,15 +419,8 @@ def cmd_compare(args) -> int:
     rows = []
 
     def add_row(method, shape, energy, area_value, note=""):
-        rows.append(
-            {
-                "method": method,
-                "alpha": _shape_list(shape),
-                "energy": energy,
-                "area": area_value,
-                "note": note,
-            }
-        )
+        rows.append(dict(method=method, alpha=_shape_list(shape), energy=energy, area=area_value,
+                         note=note))
 
     optimized = args.runs > 0 and bool(net.free.any())
     if optimized:
@@ -457,14 +428,10 @@ def cmd_compare(args) -> int:
         _, shape, sol = runs[r_best]
         add_row("gt-optimized", shape, sol.energy, area(Patch.gt(sol.net, shape), rule))
 
-    shape0 = args.alpha
-    solved, energy, _, _ = _extremal(net, *shape0.basis_specs(net.degree_u, net.degree_v), rule)
-    add_row("gt-fixed-alpha", shape0, energy, area(Patch.gt(solved, shape0), rule))
-
-    bu = BasisSpec.bernstein(net.degree_u)
-    bv = BasisSpec.bernstein(net.degree_v)
-    solved, energy, _, _ = _extremal(net, bu, bv, rule)
-    add_row("bernstein-dirichlet", None, energy, area(Patch(basis_u=bu, basis_v=bv, net=solved), rule))
+    fixed_rows = (("gt-fixed-alpha", args.alpha, "gt"), ("bernstein-dirichlet", None, "bernstein"))
+    for method, shape, basis in fixed_rows:
+        surface, energy, _, _ = _extremal(net, *_select_bases(basis, args.alpha, net), rule)
+        add_row(method, shape, energy, area(surface, rule))
 
     add_row("quasi-harmonic", None, None, None, NOT_IMPLEMENTED_NOTE)
     add_row("bending-energy", None, None, None, NOT_IMPLEMENTED_NOTE)
@@ -472,25 +439,18 @@ def cmd_compare(args) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
 
-    csv_lines = ["method,alpha1,alpha2,beta1,beta2,energy,area,note"]
-    for row in rows:
-        alpha = row["alpha"] if row["alpha"] is not None else ["", "", "", ""]
-        cells = [row["method"]]
-        cells += ["%.17g" % a if a != "" else "" for a in alpha]
-        cells += ["%.17g" % row[k] if row[k] is not None else "" for k in ("energy", "area")]
-        cells.append(row["note"])
-        csv_lines.append(",".join(cells))
-    atomic_write_text(os.path.join(out, "comparison.csv"), "\n".join(csv_lines) + "\n")
+    def cells(values, fmt):  # blank where a row has no value
+        return ["" if x is None else fmt % x for x in values]
 
-    md_lines = [
-        "| method | alpha | energy | area | note |",
-        "| --- | --- | --- | --- | --- |",
-    ]
+    csv_lines = ["method,alpha1,alpha2,beta1,beta2,energy,area,note"]
+    md_lines = ["| method | alpha | energy | area | note |", "| --- | --- | --- | --- | --- |"]
     for row in rows:
+        numbers = cells((row["alpha"] or [None] * 4) + [row["energy"], row["area"]], "%.17g")
+        csv_lines.append(",".join([row["method"], *numbers, row["note"]]))
         alpha = "" if row["alpha"] is None else _shape_text(SurfaceShape(*row["alpha"]))
-        energy = "" if row["energy"] is None else "%.6f" % row["energy"]
-        area_text = "" if row["area"] is None else "%.6f" % row["area"]
-        md_lines.append(f"| {row['method']} | {alpha} | {energy} | {area_text} | {row['note']} |")
+        md_cells = [row["method"], alpha, *cells([row["energy"], row["area"]], "%.6f"), row["note"]]
+        md_lines.append("| " + " | ".join(md_cells) + " |")
+    atomic_write_text(os.path.join(out, "comparison.csv"), "\n".join(csv_lines) + "\n")
     markdown = "\n".join(md_lines) + "\n"
     atomic_write_text(os.path.join(out, "comparison.md"), markdown)
 
@@ -500,7 +460,7 @@ def cmd_compare(args) -> int:
             "net": os.fspath(args.net),
             "alpha": _shape_list(args.alpha),
             "quadrature_order": args.quad,
-            **_pso_settings(args, runs=args.runs),
+            **_pso_settings(args, runs=True),
         },
         results={"rows": rows, "optimized_row_included": optimized},
     )

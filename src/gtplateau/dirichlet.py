@@ -28,7 +28,8 @@ The swarm's fitness ``reduced_functional_family`` uses that the GT tables
 are affine in each shape pair: K and M are quadratic in it, so the free/fixed
 split of the Kronecker sum is bi-quadratic in alpha, 36 blocks built once per
 net and rule. A call weights them, then factors and solves the whole stack,
-and its ``extremal`` is the swarm's winner. Every solve centres the net.
+and its ``extremal`` is the swarm's winner. Every solve centres the net and
+refuses a rule too coarse for the bases (``check_rule``, shared with harmonic).
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class GramMatrices:
     M_v: np.ndarray
 
 
-def _describe(spec: BasisSpec) -> str:
-    if spec.family == "gt":
-        return f"gt(degree={spec.degree}, theta=({spec.shape.theta1}, {spec.shape.theta2}))"
-    return f"bernstein(degree={spec.degree})"
+def describe_bases(*specs: BasisSpec) -> str:
+    return " x ".join(
+        f"gt(degree={s.degree}, theta=({s.shape.theta1}, {s.shape.theta2}))" if s.family == "gt"
+        else f"bernstein(degree={s.degree})" for s in specs
+    )
 
 
 def _gram(tab: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -117,16 +119,21 @@ def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     return _free_system(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net)
 
 
-def _solve_frame(net: ControlNet, rule: QuadratureRule, bases: str) -> tuple[ControlNet, np.ndarray]:
-    """(net centred at the mean of its fixed points, that mean) for a solve:
-    the energies annihilate constants, so centring saves a far offset's digits.
-    A rule below max(m, n) + 1 nodes, the fewest that integrate the Bernstein
-    Gram matrices exactly, leaves M singular and is refused."""
-    _require_plateau(net)
+def check_rule(net: ControlNet, rule: QuadratureRule, bases: str) -> None:
+    """Refuse a rule below max(m, n) + 1 nodes, the fewest that integrate the
+    Bernstein Gram matrices and squared Laplacian exactly (fewer leave M singular)."""
     need = max(net.degree_u, net.degree_v) + 1
     if rule.order < need:
         msg = f"quadrature order {rule.order} is below {need}, the fewest nodes that resolve the bases"
         raise SolverError(f"{msg} [bases: {bases}]")
+
+
+def _solve_frame(net: ControlNet, rule: QuadratureRule, bases: str) -> tuple[ControlNet, np.ndarray]:
+    """(net centred at the mean of its fixed points, that mean) for a solve on
+    a rule ``check_rule`` accepts: the energies annihilate constants, so
+    centring saves a far offset's digits."""
+    _require_plateau(net)
+    check_rule(net, rule, bases)
     centre = net.points[net.fixed].mean(axis=0)
     return ControlNet(points=net.points - centre, fixed=net.fixed), centre
 
@@ -150,6 +157,14 @@ def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
 _MONOMIALS = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 #: (u, v) monomial indices of the 36 blocks of a bi-quadratic family.
 _PAIRS = np.divmod(np.arange(36), 6)
+
+
+def _lift_shapes(alphas) -> np.ndarray:
+    """A checked (k, 4) stack of shape vectors as (k, 2, 3): per pair (1, t1, t2)."""
+    alphas = check_theta_stack(alphas)
+    if alphas.ndim != 2 or alphas.shape[1] != 4:
+        raise ConfigurationError("shape vectors must be a (k, 4) array")
+    return np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)
 
 
 def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
@@ -183,10 +198,7 @@ class _ExtremalFamily:
         self.net, self.bases, self.n = net, bases, matrix.shape[-1]
 
     def _solve(self, alphas):
-        alphas = check_theta_stack(alphas)
-        if alphas.ndim != 2 or alphas.shape[1] != 4:
-            raise ConfigurationError("shape vectors must be a (k, 4) array")
-        lifted = np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)  # per pair: 1, t1, t2
+        lifted = _lift_shapes(alphas)
         mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
         mixed = ((mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 1, 36) @ self.blocks)[:, 0]
         n = self.n
@@ -279,7 +291,7 @@ def solve_interior(
         raise ConfigurationError("basis degrees must match the net")
     if route not in ("gram", "generic"):
         raise ConfigurationError(f"unknown assembly route {route!r}")
-    bases = f"{_describe(basis_u)} x {_describe(basis_v)}"
+    bases = describe_bases(basis_u, basis_v)
     centred, centre = _solve_frame(net, rule, bases)
     if route == "gram":
         system = assemble_system(centred, assemble_coefficients(basis_u, basis_v, rule))

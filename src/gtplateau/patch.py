@@ -3,9 +3,11 @@
 A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
 families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
 ``surface_jet``, evaluates the surface with its first and second partials on
-a tensor grid; the Dirichlet energy, surface area, Laplacian defect,
-mean-curvature grids and uniform tessellation all read from it, and so does
-the hybrid patch of ``coons`` through ``_jet``.
+a tensor grid; the Dirichlet energy, surface area, mean-curvature grids and
+uniform tessellation all read from it, and so does the hybrid patch of
+``coons`` through ``_jet``. The CLI writes a surface's mesh and curvature
+grid from one jet (``triangulate_grid`` and ``fundamental_forms``); the
+Laplacian defect lives in ``harmonic``.
 """
 
 from __future__ import annotations
@@ -228,14 +230,6 @@ def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square."""
     jet = surface_jet(patch, rule.nodes, rule.nodes)
     integrand = np.linalg.norm(np.cross(jet.Su, jet.Sv), axis=-1)
-    return float(rule.weights @ integrand @ rule.weights)
-
-
-def laplacian_defect(patch: Patch, rule: QuadratureRule) -> float:
-    """Integral of |S_uu + S_vv|^2 over the unit square."""
-    jet = surface_jet(patch, rule.nodes, rule.nodes)
-    lap = jet.Suu + jet.Svv
-    integrand = (lap * lap).sum(axis=-1)
     return float(rule.weights @ integrand @ rule.weights)
 
 

@@ -1,6 +1,9 @@
-"""The public surface: what ``gtplateau`` exports, and names it no longer has."""
+"""The public surface: what ``gtplateau`` exports, names it no longer has, and
+names the benchmark in ``perfbench/`` still needs."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -16,6 +19,8 @@ import gtplateau
 #: patch evaluators gave way to one jet, ``surface_jet``, and the 100 x 100
 #: hybrid Gram to the 16 x 16 form of ``_net_form_stack``. The swarm's winner
 #: is read from the prepared family, so the re-solve helpers went with it.
+#: The harmonic tuner and certificate read one sampled Laplacian, so the
+#: per-particle defect and its jet quadrature are references in ``tests/``.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -29,12 +34,12 @@ REMOVED = {
     "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
-        "bernstein_gram",
+        "bernstein_gram", "defect_objective",
     ),
     "numerics": ("integrate_2d",),
     "patch": (
         "second_partials", "mesh_area", "evaluate_grid", "partial_grids",
-        "second_partial_grids", "evaluate", "partials",
+        "second_partial_grids", "evaluate", "partials", "laplacian_defect",
     ),
 }
 
@@ -60,3 +65,28 @@ def test_removed_name_is_unreachable(name):
     for module in [gtplateau, *submodules()]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def benchmark_pins():
+    """(module, name) of every gtplateau function the benchmark traces by name
+    (``layers.FUNCTIONS``) and every gtplateau name it imports, read from source."""
+    pins = []
+    for file in ("layers.py", "oracles.py"):
+        tree = ast.parse((PERFBENCH / file).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gtplateau"):
+                pins += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "FUNCTIONS":
+                traced = ast.literal_eval(node.value)
+                pins += [(f"gtplateau.{m}", name) for m, names in traced.items() for name in names]
+    return pins
+
+
+def test_benchmark_pins_resolve():
+    pins = benchmark_pins()
+    assert ("gtplateau.harmonic", "bernstein_laplacian_defect") in pins
+    missing = [pin for pin in pins if not hasattr(importlib.import_module(pin[0]), pin[1])]
+    assert missing == []

@@ -11,10 +11,10 @@ import pytest
 
 import gtplateau
 from gtplateau.cli import NOT_IMPLEMENTED_NOTE, main
-from gtplateau.harmonic import defect_objective
 from gtplateau.io import load_net, save_net
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
+from laplacian_reference import defect_objective
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 WAVE = str(FIXTURES / "wave_boundary.json")
@@ -285,6 +285,21 @@ class TestHarmonic:
         )
         assert tuned <= coarse
 
+    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        # 7 particles: 2 workers get chunks of 4 and 3, one worker gets the whole stack
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        outs = {}
+        for threads in ("1", "2"):
+            outs[threads] = tmp_path / f"threads-{threads}"
+            argv = ["harmonic", WAVE, "--tune-alpha", "--swarm", "7", "--iters", "4",
+                    "--seed", "9", "--threads", threads, "--out", str(outs[threads])]
+            assert main(argv) == 0
+        for name in ("convergence.csv", "net.json"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+        one, two = read_summary(outs["1"]), read_summary(outs["2"])
+        assert (one["settings"].pop("threads"), two["settings"].pop("threads")) == (1, 2)
+        assert one == two
+
     def test_rank_deficient_data_fails_cleanly(self, tmp_path):
         points = np.full((4, 4, 3), np.nan)
         for i in (0, -1):
@@ -399,12 +414,18 @@ class TestExitCodes:
     def test_singular_system(self, tmp_path):
         assert main(["solve", WAVE, "--quad", "1", "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("command", ["solve", "optimize", "compare", "coons"])
+    @pytest.mark.parametrize(
+        "command", ["solve", "optimize", "compare", "coons", "harmonic", "solve-complete"]
+    )
     @pytest.mark.parametrize("quad", ["1", "2", "3"])
     def test_quadrature_below_degree_refused(self, tmp_path, capsys, command, quad):
         # a bicubic net needs 4 nodes; fewer leave the value Gram matrices singular
-        out = tmp_path / "o"
-        argv = [command, WAVE, "--quad", quad, "--out", str(out)]
+        # and integrate neither a complete net's energy nor the harmonic certificate
+        out, net = tmp_path / "o", WAVE
+        if command == "solve-complete":
+            command, net = "solve", str(tmp_path / "flat.json")
+            save_net(flat_complete_net(), net)
+        argv = [command, net, "--quad", quad, "--out", str(out)]
         if command != "solve":
             argv += ["--swarm", "3", "--iters", "1", "--threads", "1"]
         assert main(argv) == 3

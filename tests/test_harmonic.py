@@ -8,14 +8,13 @@ from gtplateau.harmonic import (
     CERTIFICATE_FACTOR,
     bernstein_laplacian_defect,
     defect_certificate_bound,
-    defect_objective,
+    defect_family,
     harmonic_reconstruct,
 )
 from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.patch import (
     ControlNet,
     Patch,
-    SurfaceShape,
     boundary_mask,
     surface_jet,
 )
@@ -26,7 +25,6 @@ from laplacian_operator import (
     laplacian_coefficient_operator,
     operator_reconstruct,
 )
-from rowwise import rowwise
 
 
 def affine_net(rows: int = 5, cols: int = 5) -> ControlNet:
@@ -243,13 +241,12 @@ class TestDefectMeasures:
         with pytest.raises(ConfigurationError, match="fully known"):
             bernstein_laplacian_defect(wave_net, rule16)
         with pytest.raises(ConfigurationError, match="fully known"):
-            defect_objective(wave_net, SurfaceShape(2.0, 2.0, 2.0, 2.0), rule16)
+            defect_family(wave_net, rule16)
 
     def test_objective_nonnegative(self, wave_net, rule16):
         net = harmonic_reconstruct(wave_net)
-        for alpha in (0.5, 2.0, 3.5):
-            shape = SurfaceShape(alpha, alpha, alpha, alpha)
-            assert defect_objective(net, shape, rule16) >= 0.0
+        alphas = np.repeat([[0.5], [2.0], [3.5]], 4, axis=1)
+        assert np.all(defect_family(net, rule16)(alphas) >= 0.0)
 
     def test_certificate_bound_formula(self, wave_net):
         scale = wave_net.scale()
@@ -260,12 +257,8 @@ class TestDefectMeasures:
 
     def test_shape_tuning_reduces_defect(self, columns_net, rule16):
         net = harmonic_reconstruct(columns_net)
-
-        def objective(x):
-            return defect_objective(net, SurfaceShape.from_iterable(x), rule16)
-
         config = PsoConfig(swarm_size=12, max_iters=8, seed=0, threads=1)
-        result = optimize(rowwise(objective), config)
+        result = optimize(defect_family(net, rule16), config)
         assert np.all(np.diff(result.history) <= 0.0)
         assert result.value <= result.history[0]
         assert result.value < 10.0

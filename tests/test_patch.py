@@ -18,13 +18,13 @@ from gtplateau.patch import (
     area,
     boundary_mask,
     dirichlet_energy,
-    laplacian_defect,
     mean_curvature_grid,
     surface_jet,
     tessellate,
 )
 
 from difference_form import partials_difference
+from laplacian_reference import laplacian_defect
 from mesh_reference import mesh_area
 
 INNER = np.linspace(0.1, 0.9, 5)

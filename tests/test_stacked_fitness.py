@@ -1,11 +1,13 @@
 """Prepared shape-family swarm fitnesses against their scalar routes.
 
 ``reduced_functional_family`` and ``tb_reduced_functional_family`` prepare a
-net's bi-quadratic shape family once; the function they return evaluates a
-whole (k, 4) stack of shape vectors at once. It must agree with the scalar
+net's bi-quadratic shape family once, and ``harmonic.defect_family`` the 9 x 9
+Gram form of a complete net's GT Laplacian; the function they return evaluates
+a whole (k, 4) stack of shape vectors at once. It must agree with the scalar
 routes row by row, give each row the same bits whatever stack it sits in, and
-let ``pso.optimize`` pin a failure on the one particle that caused it. Its
-``extremal`` is the solution behind one row: the swarm's winner is read from it.
+let ``pso.optimize`` pin a failure on the one particle that caused it. A
+Dirichlet family's ``extremal`` is the solution behind one row: the swarm's
+winner is read from it.
 """
 
 import math
@@ -19,9 +21,11 @@ from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_af
 from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_family
 from gtplateau.dirichlet import reduced_functional, reduced_functional_family, solve_interior
 from gtplateau.errors import ConfigurationError, DomainError, SolverError
+from gtplateau.harmonic import defect_family
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
 from gtplateau.pso import PsoConfig, optimize
+from laplacian_reference import defect_objective
 
 RULE = gauss_legendre_rule(24)
 
@@ -53,6 +57,13 @@ def tensor_nets(draw):
 hybrid_nets = st.integers(0, 2**32 - 1).map(lambda seed: boundary_net(seed, 4, 4))
 
 
+@st.composite
+def complete_nets(draw):
+    m, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ControlNet(points=rng.uniform(-3.0, 5.0, size=(m + 1, n + 1, 3)))
+
+
 def tensor_scalar(net, alphas):
     return np.array([reduced_functional(net, SurfaceShape.from_iterable(a), RULE) for a in alphas])
 
@@ -65,6 +76,10 @@ def hybrid_scalar(net, alphas):
     return np.array(values)
 
 
+def defect_scalar(net, alphas):
+    return np.array([defect_objective(net, SurfaceShape.from_iterable(a), RULE) for a in alphas])
+
+
 def tensor_stack(net, alphas):
     return reduced_functional_family(net, RULE)(alphas)
 
@@ -73,9 +88,14 @@ def hybrid_stack(net, alphas):
     return tb_reduced_functional_family(net, RULE)(alphas)
 
 
+def defect_stack(net, alphas):
+    return defect_family(net, RULE)(alphas)
+
+
 ROUTES = {
     "tensor": (tensor_nets(), tensor_stack, tensor_scalar),
     "hybrid": (hybrid_nets, hybrid_stack, hybrid_scalar),
+    "defect": (complete_nets(), defect_stack, defect_scalar),
 }
 
 
@@ -254,10 +274,16 @@ def test_gt_affine_tables_rebuild_basis_tables(degree, pairs):
             assert np.abs(rebuilt - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@PROPERTY
-@given(net=tensor_nets(), alphas=alpha_stacks)
-def test_translated_net_keeps_scalar_agreement(net, alphas):
+@pytest.mark.parametrize("route", ["tensor", "defect"])
+def test_translated_net_keeps_scalar_agreement(route):
     """An offset far from the net's size costs the prepared fitness no digits."""
-    moved = ControlNet(points=net.points + 100.0, fixed=net.fixed)
-    want = tensor_scalar(moved, alphas)
-    np.testing.assert_allclose(tensor_stack(moved, alphas), want, rtol=ROUTE_RTOL, atol=0.0)
+    nets, stacked, scalar = ROUTES[route]
+
+    @PROPERTY
+    @given(net=nets, alphas=alpha_stacks)
+    def check(net, alphas):
+        moved = ControlNet(points=net.points + 100.0, fixed=net.fixed)
+        want = scalar(moved, alphas)
+        np.testing.assert_allclose(stacked(moved, alphas), want, rtol=ROUTE_RTOL, atol=0.0)
+
+    check()
