@@ -17,11 +17,12 @@ over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
 Jets contract the 10-row tables with C by the tensor patch's ``_jet``. With
 Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
 P_c^T F P_c for the 16 x 16 form F = L^T Q L from ``_net_form_stack``, and
-the interior solve keeps the free rows of F. ``_tb_system`` builds the same
-normal equations from 2-D gradient fields; it is the independent reference.
-The GT rows of the tables carry the shape, affinely, so F is bi-quadratic in
-it: the swarm's fitness ``tb_reduced_functional_family`` forms its 36 blocks
-once and evaluates them, and ``optimize_tb`` takes the winner from it.
+``solve_tb_interior`` is the tensor patch's extremal engine on F.
+``_tb_system`` builds the same normal equations from 2-D gradient fields; it
+is the independent reference. The GT rows of the tables carry the shape,
+affinely, so F is bi-quadratic in it: the swarm's fitness
+``tb_reduced_functional_family`` is the engine on its 36 blocks, and
+``optimize_tb`` takes the winner from it.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -37,14 +38,12 @@ from .dirichlet import (
     _PAIRS,
     ExtremalSolution,
     _ExtremalFamily,
-    _free_system,
     _gram,
     _monomial_grams,
-    _solve_frame,
     gradient_normal_system,
 )
-from .errors import ConfigurationError, SolverError
-from .numerics import DenseSystem, QuadratureRule, solve_dense
+from .errors import ConfigurationError
+from .numerics import DenseSystem, QuadratureRule
 from .patch import ControlNet, SurfaceJet, SurfaceShape, _check_params, _jet, boundary_mask
 from .pso import PsoConfig, PsoResult, optimize
 
@@ -183,14 +182,8 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
     """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    centred, centre = _solve_frame(net, rule, _BASES)
-    try:
-        solution = solve_dense(_free_system(_tb_form(shape, rule), centred))
-    except SolverError as exc:
-        raise SolverError(f"{exc} [bases: {_BASES} at {shape}]") from exc
-    solved = net.copy()
-    solved.points[net.free] = solution + centre
-    return solved
+    engine = _ExtremalFamily(_tb_form(shape, rule)[None], net, rule, f"{_BASES} at {shape}", route="hybrid")
+    return engine.extremal().net
 
 
 def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):

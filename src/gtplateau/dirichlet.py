@@ -11,24 +11,18 @@ the energy of the row-major flattened net P is
 
 for each coordinate. It is quadratic in the interior points, so stationarity
 is one symmetric positive-definite linear system shared by the x/y/z
-coordinates (one matrix, three right-hand sides). Two independent assembly
-routes are provided:
+coordinates (one matrix, three right-hand sides).
 
-* ``assemble_system`` forms the Kronecker sum above from the four 1-D Gram
-  matrices (the production route, "gram"), and
-* ``assemble_system_generic`` builds the same normal equations directly from
-  the 2-D gradient fields of the unknowns' scalar coefficient functions
-  ("generic"), the independent reference.
-
-Both integrate with the same quadrature rule, so they agree to rounding. The
-blended patch of ``coons`` reuses the Gram product and the free/fixed split,
-and the gradient engine behind the generic route is its reference as well.
-
-The swarm's fitness ``reduced_functional_family`` uses that the GT tables
-are affine in each shape pair: K and M are quadratic in it, so the free/fixed
-split of the Kronecker sum is bi-quadratic in alpha, 36 blocks built once per
-net and rule. A call weights them, then factors and solves the whole stack,
-and its ``extremal`` is the swarm's winner. Every solve centres the net and
+Every production solve is ``_ExtremalFamily``: the free/fixed split of a
+stack of such forms on the net centred at the mean of its fixed points, then
+one checked Cholesky of the weighted stack gives the interior, the energy
+1/2 (c - x . rhs) and the max/min pivot hint. The "gram" route of
+``solve_interior`` (the Kronecker sum above) and the hybrid of ``coons`` hand
+it one form. The swarm's fitness ``reduced_functional_family`` hands it 36:
+the GT tables are affine in each shape pair, so K and M are quadratic in it.
+The "generic" route (``assemble_system_generic``, from the 2-D gradient
+fields of the unknowns' coefficient functions) keeps its own solve,
+quadrature energy and pivot ratio, as the independent reference. Every solve
 refuses a rule too coarse for the bases (``check_rule``, shared with harmonic).
 """
 
@@ -167,6 +161,13 @@ def _lift_shapes(alphas) -> np.ndarray:
     return np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)
 
 
+def _shape_weights(alphas) -> np.ndarray:
+    """(k, 36) weights of a family's blocks: u monomial p times v monomial q."""
+    lifted = _lift_shapes(alphas)
+    mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
+    return (mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 36)
+
+
 def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
     """(K, M) of tables T0 + t1 T1 + t2 T2, given the parts stacked on axis
     0, as (6, n, n) coefficient stacks: K(t) = sum_p monomial_p(t) K[p]."""
@@ -180,44 +181,47 @@ def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.nd
 
 
 class _ExtremalFamily:
-    """Dirichlet extremals over a shape family, where forms[6p + q] over the
-    flattened net multiplies monomial p of the u pair times q of the v.
+    """Dirichlet extremals of a weighted stack of quadratic forms over the
+    flattened net: one form for a fixed basis, or a shape family's 36, where
+    forms[6p + q] multiplies monomial p of the u pair times q of the v.
 
-    Called on a (k, 4) stack of shape vectors it gives k energies, E = 1/2
-    (c - sum x . rhs) from the split made once on the centred net. Each row is
-    weighted by its own matrix product, so it does not depend on its stack, and
-    ``extremal`` solves one vector by the same code: its energy is the row's.
+    Each row is weighted by its own matrix product and factored once, which
+    gives its interior, energy 1/2 (c - x . rhs) and max/min pivot hint
+    independently of its stack. A family called on a (k, 4) stack of shape
+    vectors gives k energies; ``extremal`` fills the net from one row.
     """
 
-    def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):
+    def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str, route="family"):
         centred, self.centre = _solve_frame(net, rule, bases)
         matrix, rhs = _free_split(forms, centred)
         known = np.where(net.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
         const = (known * (forms @ known)).sum(axis=(-2, -1))
-        self.blocks = np.concatenate([matrix.reshape(36, -1), rhs.reshape(36, -1), const[:, None]], 1)
-        self.net, self.bases, self.n = net, bases, matrix.shape[-1]
+        k = len(forms)
+        self.blocks = np.concatenate([matrix.reshape(k, -1), rhs.reshape(k, -1), const[:, None]], 1)
+        self.net, self.bases, self.route, self.n = net, bases, route, matrix.shape[-1]
 
-    def _solve(self, alphas):
-        lifted = _lift_shapes(alphas)
-        mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
-        mixed = ((mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 1, 36) @ self.blocks)[:, 0]
+    def _solve(self, weights: np.ndarray):
+        mixed = (weights[:, None] @ self.blocks)[:, 0]
         n = self.n
         b = mixed[:, n * n : -1].reshape(-1, n, 3)
         x, pivots = solve_spd_stack(mixed[:, : n * n].reshape(-1, n, n), b)
         return x, pivots, 0.5 * (mixed[:, -1] - (x * b).reshape(len(x), -1).sum(axis=1))
 
     def __call__(self, alphas) -> np.ndarray:
-        return self._solve(alphas)[-1]
+        return self._solve(_shape_weights(alphas))[-1]
 
-    def extremal(self, alpha) -> ExtremalSolution:
+    def extremal(self, alpha=None) -> ExtremalSolution:
+        """The filled net of one shape vector, or of the one form when alpha is None."""
+        weights = np.ones((1, 1)) if alpha is None else _shape_weights(np.reshape(alpha, (1, 4)))
+        at = "" if alpha is None else f" at {alpha}"
         try:
-            x, pivots, energy = self._solve(np.reshape(alpha, (1, 4)))
+            x, pivots, energy = self._solve(weights)
         except SolverError as exc:
-            raise SolverError(f"{exc} [bases: {self.bases} at {alpha}]") from exc
+            raise SolverError(f"{exc} [bases: {self.bases}{at}]") from exc
         filled = self.net.copy()
         filled.points[self.net.free] = x[0] + self.centre
         hint = float(pivots[0].max() / pivots[0].min())
-        return ExtremalSolution(net=filled, energy=float(energy[0]), system_condition_hint=hint, route="family")
+        return ExtremalSolution(net=filled, energy=float(energy[0]), system_condition_hint=hint, route=self.route)
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -267,7 +271,8 @@ def assemble_system_generic(
 
 @dataclass
 class ExtremalSolution:
-    """A solved net and the numbers a caller reports; route is "gram", "generic" or "family"."""
+    """A solved net and the numbers a caller reports; route is "gram", "generic",
+    "family" (a swarm's winner) or "hybrid" (``coons.solve_tb_interior``)."""
 
     net: ControlNet
     energy: float
@@ -285,19 +290,21 @@ def solve_interior(
     """Fill the unknown interior points with the Dirichlet extremal.
 
     Fixed points are carried over bit for bit. ``route`` picks the assembly:
-    "gram" (production) or "generic" (first-principles).
+    "gram" (production: the Kronecker-sum form through ``_ExtremalFamily``) or
+    "generic" (first-principles, with the quadrature energy of the filled patch).
     """
     if basis_u.degree != net.degree_u or basis_v.degree != net.degree_v:
         raise ConfigurationError("basis degrees must match the net")
     if route not in ("gram", "generic"):
         raise ConfigurationError(f"unknown assembly route {route!r}")
     bases = describe_bases(basis_u, basis_v)
-    centred, centre = _solve_frame(net, rule, bases)
     if route == "gram":
-        system = assemble_system(centred, assemble_coefficients(basis_u, basis_v, rule))
-    else:
-        system = assemble_system_generic(centred, basis_u, basis_v, rule)
+        c = assemble_coefficients(basis_u, basis_v, rule)
+        form = _kron_sum(c.K_u, c.M_u, c.K_v, c.M_v)
+        return _ExtremalFamily(form[None], net, rule, bases, route="gram").extremal()
 
+    centred, centre = _solve_frame(net, rule, bases)
+    system = assemble_system_generic(centred, basis_u, basis_v, rule)
     try:
         solution = solve_dense(system)
     except SolverError as exc:

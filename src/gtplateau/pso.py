@@ -16,10 +16,11 @@ is re-evaluated one row at a time, so only the failing particles score +inf.
 
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its
-velocity, and every iteration draws r1 then r2, always in particle order on
-the driver thread. Chunks are reassembled in particle order, so parallel runs
-replay sequential ones whenever a particle's value does not depend on the
-chunk it is evaluated in (true of the package's stacked fitnesses).
+velocity, and every iteration draws r1 then r2, one (2, dims) call per
+particle and step, always in particle order on the driver thread. Chunks are
+reassembled in particle order, so parallel runs replay sequential ones
+whenever a particle's value does not depend on the chunk it is evaluated in
+(true of the package's stacked fitnesses).
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ class PsoConfig:
             raise ConfigurationError("swarm size must be >= 1")
         if not 0.0 <= self.inertia <= 1.0:
             raise ConfigurationError("inertia must lie in [0, 1]")
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ConfigurationError("accelerations must be positive")
+        if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
+            raise ConfigurationError(
+                f"accelerations c1, c2 must be finite and positive, got {self.c1}, {self.c2}"
+            )
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be >= 0")
         if self.seed < 0:
@@ -158,13 +161,13 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
     guarded = _guard(objective)
 
     streams = [RngStream(config.seed, i) for i in range(n)]
-    positions = np.empty((n, dims))
-    velocities = np.empty((n, dims))
-    for i, stream in enumerate(streams):
-        positions[i] = lo + width * stream.uniform(size=dims)
-        velocities[i] = (
-            VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=dims) - 1.0)
-        )
+
+    def draw():  # (n, 2, dims): one call per particle stream, in particle order
+        return np.array([stream.uniform(size=(2, dims)) for stream in streams])
+
+    draws = draw()
+    positions = lo + width * draws[:, 0]
+    velocities = VELOCITY_INIT_FRACTION * width * (2.0 * draws[:, 1] - 1.0)
 
     threads = min(resolve_threads(config.threads), n)
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
@@ -184,16 +187,12 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
         global_value = float(personal_values[best_index])
         history = [global_value]
 
-        r1 = np.empty((n, dims))
-        r2 = np.empty((n, dims))
         for iteration in range(1, config.max_iters + 1):
-            for i, stream in enumerate(streams):
-                r1[i] = stream.uniform(size=dims)
-                r2[i] = stream.uniform(size=dims)
+            draws = draw()
             velocities = (
                 config.inertia * velocities
-                + config.c1 * r1 * (global_best - positions)
-                + config.c2 * r2 * (personal_best - positions)
+                + config.c1 * draws[:, 0] * (global_best - positions)
+                + config.c2 * draws[:, 1] * (personal_best - positions)
             )
             positions = project_to_bounds(positions + velocities, config.bounds)
 

@@ -461,7 +461,9 @@ class TestExitCodes:
         assert not out.exists()
         assert argv[2] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--inertia", "1.5"), ("--c1", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--inertia", "1.5"), ("--c1", "0"), ("--c2", "inf"), ("--seed", "-1")]
+    )
     def test_harmonic_swarm_settings_checked_before_writing(self, tmp_path, flag, value):
         out = tmp_path / "run"
         assert main(["harmonic", COLUMNS, "--tune-alpha", flag, value, "--out", str(out)]) == 2

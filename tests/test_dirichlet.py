@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
 from gtplateau.dirichlet import (
     GramMatrices,
     assemble_coefficients,
@@ -15,7 +17,7 @@ from gtplateau.dirichlet import (
     solve_interior,
 )
 from gtplateau.errors import ConfigurationError, SolverError
-from gtplateau.numerics import finite_diff_gradient, gauss_legendre_rule
+from gtplateau.numerics import finite_diff_gradient, gauss_legendre_rule, pivot_ratio
 from gtplateau.patch import (
     ControlNet,
     Patch,
@@ -262,6 +264,35 @@ class TestSolveInterior:
         moved = ControlNet(points=net.points + 1e4, fixed=net.fixed)
         far = solve_interior(moved, *bases, rule32).net.points - 1e4
         assert np.abs(far - near).max() <= 1e-9 * net.scale()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degrees=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        gt=st.tuples(st.booleans(), st.booleans()),
+        thetas=st.lists(st.floats(THETA_MIN, THETA_MAX), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_route_matches_its_references(
+        self, degrees, gt, thetas, seed, rule32, boundary_net_factory
+    ):
+        # energy and hint come off the route's one factorization; the quadrature
+        # energy of the filled patch and a second Cholesky must agree with them
+        net = boundary_net_factory(seed, shape=(degrees[0] + 1, degrees[1] + 1))
+        bases = [
+            BasisSpec.gt(d, *pair) if is_gt else BasisSpec.bernstein(d)
+            for d, is_gt, pair in zip(degrees, gt, (thetas[:2], thetas[2:]))
+        ]
+        coeffs = assemble_coefficients(*bases, rule32)
+        solved = solve_interior(net, *bases, rule32)
+        quadrature = dirichlet_energy(Patch(basis_u=bases[0], basis_v=bases[1], net=solved.net), rule32)
+        # a float quadratic form's rounding scales with |P|^T |F| |P|, not P^T F P;
+        # on a rough degree-12 boundary the first is up to 5e4 times the second
+        form = np.abs(np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v))
+        centred = np.abs(solved.net.points - net.points[net.fixed].mean(axis=0)).reshape(-1, 3)
+        rounding = 0.5 * (centred * (form @ centred)).sum() * np.finfo(float).eps
+        assert abs(solved.energy - quadrature) <= 4.0 * rounding
+        matrix = assemble_system(net, coeffs).matrix
+        assert solved.system_condition_hint == pytest.approx(pivot_ratio(matrix), rel=1e-12, abs=0.0)
 
     def test_condition_hint_positive(self, wave_net, rule32):
         solved = solve_interior(wave_net, CUBIC, CUBIC, rule32)

@@ -59,6 +59,8 @@ class TestConfigValidation:
             {"max_iters": -1},
             {"seed": -1},
             {"threads": 0},
+            {"c1": math.nan},
+            {"c2": math.inf},
         ],
     )
     def test_rejects(self, kwargs):
