@@ -39,6 +39,7 @@ from .io import (
     atomic_write_text,
     load_net,
     save_net,
+    utc_timestamp,
     write_convergence_csv,
     write_curvature_csv,
     write_obj,
@@ -55,7 +56,7 @@ from .patch import (
     tessellate,
     triangulate_grid,
 )
-from .pso import PsoConfig, optimize
+from .pso import PsoConfig, optimize, resolve_threads
 
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
@@ -169,7 +170,7 @@ def _pso_config(args, seed: int) -> PsoConfig:
         max_iters=args.iters,
         bounds=np.array([args.bounds] * 4, dtype=float),
         seed=seed,
-        threads=args.threads,
+        threads=resolve_threads(args.threads),  # a bad GT_PLATEAU_THREADS fails before any write
     )
 
 
@@ -201,20 +202,34 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
 
 
 def _swarm_runs(net, rule, args):
-    """--runs seeded swarms (seed SEED+r) as (PsoResult, shape, extremal) triples,
-    each extremal from the family that ranked it, and the first best run."""
-    family = reduced_functional_family(net, rule)  # prepared once, shared by the runs
-    runs = []
-    for r in range(args.runs):
-        result = optimize(family, _pso_config(args, args.seed + r))
-        shape = SurfaceShape.from_iterable(result.position)
-        runs.append((result, shape, family.extremal(result.position)))
-    best = min(range(len(runs)), key=lambda r: runs[r][2].energy)
-    return runs, best
+    """--runs seeded swarms (seed SEED+r) on one prepared family, as its
+    ``ShapeOptimum`` winners, and the first best run."""
+    family = reduced_functional_family(net, rule)
+    runs = [family.minimize(_pso_config(args, args.seed + r)) for r in range(args.runs)]
+    return runs, min(range(len(runs)), key=lambda r: runs[r].energy)
 
 
-def _write_surface(net, jet, params, out: str) -> None:
-    """net.json, and surface.obj and curvature.csv from one jet on params x params."""
+def _summary_writer(args):
+    """Resolve the timestamp before making --out, so a bad SOURCE_DATE_EPOCH writes
+    nothing; finish(settings, results, line) writes summary.json and prints."""
+    stamp = utc_timestamp()
+    os.makedirs(args.out, exist_ok=True)
+
+    def finish(settings: dict, results: dict, line: str) -> int:
+        settings = {"net": os.fspath(args.net), **settings}
+        summary = RunSummary(command=args.command, settings=settings, results=results, timestamp=stamp)
+        write_summary(summary, os.path.join(args.out, "summary.json"))
+        print(line)
+        return 0
+
+    return finish
+
+
+def _write_surface(out: str, net, jet_at, tess: int) -> None:
+    """net.json, and surface.obj and curvature.csv from jet_at(params, params)
+    on the (tess + 1)^2 parameter grid."""
+    params = np.linspace(0.0, 1.0, tess + 1)
+    jet = jet_at(params, params)
     save_net(net, os.path.join(out, "net.json"))
     write_obj(os.path.join(out, "surface.obj"), *triangulate_grid(jet.S))
     forms = fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
@@ -232,11 +247,10 @@ def cmd_solve(args) -> int:
     rule = gauss_legendre_rule(args.quad)
     surface, energy, hint, route = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    params = np.linspace(0.0, 1.0, args.tess + 1)
-    _write_surface(surface.net, surface_jet(surface, params, params), params, out)
+    finish = _summary_writer(args)
+    _write_surface(args.out, surface.net, functools.partial(surface_jet, surface), args.tess)
     area_value = area(surface, rule)
+    line = f"solve: route={route} energy={energy:.6f} area={area_value:.6f}"
 
     discrepancy = None
     if args.reference_area is not None:
@@ -250,38 +264,28 @@ def cmd_solve(args) -> int:
                 "relative_error": relative,
             }
             atomic_write_text(
-                os.path.join(out, "discrepancy_report.json"),
+                os.path.join(args.out, "discrepancy_report.json"),
                 json.dumps(discrepancy, indent=2) + "\n",
             )
+            line += f"\nsolve: area misses the reference by {relative:.3%}; wrote discrepancy_report.json"
 
-    summary = RunSummary(
-        command="solve",
-        settings={
-            "net": os.fspath(args.net),
-            "basis": args.basis,
-            "alpha": _shape_list(args.alpha) if args.basis == "gt" else None,
-            "quadrature_order": args.quad,
-            "tessellation_cells": args.tess,
-            "reference_area": args.reference_area,
-            "reference_rel_tol": args.reference_rel_tol,
-        },
-        results={
-            "solved_points": int(net.free.sum()),
-            "route": route,
-            "energy": energy,
-            "area": area_value,
-            "system_condition_hint": hint,
-            "discrepancy": discrepancy is not None,
-        },
-    )
-    write_summary(summary, os.path.join(out, "summary.json"))
-    print(f"solve: route={route} energy={energy:.6f} area={area_value:.6f}")
-    if discrepancy is not None:
-        print(
-            "solve: area misses the reference by "
-            f"{discrepancy['relative_error']:.3%}; wrote discrepancy_report.json"
-        )
-    return 0
+    settings = {
+        "basis": args.basis,
+        "alpha": _shape_list(args.alpha) if args.basis == "gt" else None,
+        "quadrature_order": args.quad,
+        "tessellation_cells": args.tess,
+        "reference_area": args.reference_area,
+        "reference_rel_tol": args.reference_rel_tol,
+    }
+    results = {
+        "solved_points": int(net.free.sum()),
+        "route": route,
+        "energy": energy,
+        "area": area_value,
+        "system_condition_hint": hint,
+        "discrepancy": discrepancy is not None,
+    }
+    return finish(settings, results, line)
 
 
 def cmd_optimize(args) -> int:
@@ -293,43 +297,31 @@ def cmd_optimize(args) -> int:
     rule = gauss_legendre_rule(args.quad)
     runs, r_best = _swarm_runs(net, rule, args)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    finish = _summary_writer(args)
     run_rows = []
-    for r, (result, shape, sol) in enumerate(runs):
-        write_convergence_csv(os.path.join(out, f"convergence_{r:02d}.csv"), result.history)
+    for r, run in enumerate(runs):
+        write_convergence_csv(os.path.join(args.out, f"convergence_{r:02d}.csv"), run.history)
         run_rows.append(dict(
-            run=r, seed=args.seed + r, alpha=_shape_list(shape), energy=sol.energy,
-            area=area(Patch.gt(sol.net, shape), rule), evaluations=result.evaluations,
+            run=r, seed=args.seed + r, alpha=_shape_list(run.shape), energy=run.energy,
+            area=area(Patch.gt(run.net, run.shape), rule), evaluations=run.pso.evaluations,
         ))
 
-    _, shape, sol = runs[r_best]
-    best_area = run_rows[r_best]["area"]
-    params = np.linspace(0.0, 1.0, args.tess + 1)
-    _write_surface(sol.net, surface_jet(Patch.gt(sol.net, shape), params, params), params, out)
-    summary = RunSummary(
-        command="optimize",
-        settings={
-            "net": os.fspath(args.net),
-            "quadrature_order": args.quad,
-            "tessellation_cells": args.tess,
-            **_pso_settings(args, runs=True),
-        },
-        results={
+    best, best_area = runs[r_best], run_rows[r_best]["area"]
+    jet_at = functools.partial(surface_jet, Patch.gt(best.net, best.shape))
+    _write_surface(args.out, best.net, jet_at, args.tess)
+    return finish(
+        {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args, runs=True)},
+        {
             "best_run": r_best,
-            "alpha": _shape_list(shape),
-            "energy": sol.energy,
+            "alpha": _shape_list(best.shape),
+            "energy": best.energy,
             "area": best_area,
-            "system_condition_hint": sol.system_condition_hint,
+            "system_condition_hint": best.system_condition_hint,
             "runs": run_rows,
         },
+        f"optimize: best run {r_best} alpha={_shape_text(best.shape)} "
+        f"energy={best.energy:.6f} area={best_area:.6f}",
     )
-    write_summary(summary, os.path.join(out, "summary.json"))
-    print(
-        f"optimize: best run {r_best} alpha={_shape_text(shape)} "
-        f"energy={sol.energy:.6f} area={best_area:.6f}"
-    )
-    return 0
 
 
 def cmd_harmonic(args) -> int:
@@ -339,39 +331,25 @@ def cmd_harmonic(args) -> int:
     reconstructed = harmonic_reconstruct(net)
     defect = bernstein_laplacian_defect(reconstructed, rule)
     bound = defect_certificate_bound(reconstructed)
-    if args.tune_alpha:
-        result = optimize(defect_family(reconstructed, rule), config)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    save_net(reconstructed, os.path.join(out, "net.json"))
-
+    finish = _summary_writer(args)
+    save_net(reconstructed, os.path.join(args.out, "net.json"))
+    settings = {"quadrature_order": args.quad, "tune_alpha": bool(args.tune_alpha)}
     results = {
         "reconstructed_points": int(net.free.sum()),
         "laplacian_defect": defect,
         "certificate_bound": bound,
         "certified": bool(defect < bound),
     }
-    settings = {
-        "net": os.fspath(args.net),
-        "quadrature_order": args.quad,
-        "tune_alpha": bool(args.tune_alpha),
-    }
-    if args.tune_alpha:
-        write_convergence_csv(os.path.join(out, "convergence.csv"), result.history)
-        shape = SurfaceShape.from_iterable(result.position)
-        results["alpha"] = _shape_list(shape)
-        results["tuned_defect"] = result.value
-        results["evaluations"] = result.evaluations
-        settings.update(_pso_settings(args))
-
-    summary = RunSummary(command="harmonic", settings=settings, results=results)
-    write_summary(summary, os.path.join(out, "summary.json"))
     line = f"harmonic: defect={defect:.3e} certified={results['certified']}"
     if args.tune_alpha:
-        line += f" tuned_defect={results['tuned_defect']:.3e}"
-    print(line)
-    return 0
+        result = optimize(defect_family(reconstructed, rule), config)
+        write_convergence_csv(os.path.join(args.out, "convergence.csv"), result.history)
+        settings.update(_pso_settings(args))
+        shape = SurfaceShape.from_iterable(result.position)
+        results.update(alpha=_shape_list(shape), tuned_defect=result.value, evaluations=result.evaluations)
+        line += f" tuned_defect={result.value:.3e}"
+    return finish(settings, results, line)
 
 
 def cmd_coons(args) -> int:
@@ -379,38 +357,27 @@ def cmd_coons(args) -> int:
     rule = gauss_legendre_rule(args.quad)
     optimum = optimize_tb(net, _pso_config(args, args.seed), rule)
 
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    write_convergence_csv(os.path.join(out, "convergence.csv"), optimum.history)
-    params = np.linspace(0.0, 1.0, args.tess + 1)
-    jet = tb_surface_jet(optimum.net, optimum.shape, params, params)
-    _write_surface(optimum.net, jet, params, out)
+    finish = _summary_writer(args)
+    write_convergence_csv(os.path.join(args.out, "convergence.csv"), optimum.history)
+    _write_surface(args.out, optimum.net, functools.partial(tb_surface_jet, optimum.net, optimum.shape), args.tess)
 
     # the two mixed-basis components, as inspectable meshes
     cubic = BasisSpec.bernstein(3)
     gu, gv = optimum.shape.basis_specs(3, 3)
     for name, bu, bv in (("r1.obj", cubic, gv), ("r2.obj", gu, cubic)):
         surface = Patch(basis_u=bu, basis_v=bv, net=optimum.net)
-        write_obj(os.path.join(out, name), *tessellate(surface, args.tess))
+        write_obj(os.path.join(args.out, name), *tessellate(surface, args.tess))
 
-    summary = RunSummary(
-        command="coons",
-        settings={
-            "net": os.fspath(args.net),
-            "quadrature_order": args.quad,
-            "tessellation_cells": args.tess,
-            **_pso_settings(args),
-        },
-        results={
+    return finish(
+        {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args)},
+        {
             "alpha": _shape_list(optimum.shape),
             "energy": optimum.energy,
             "evaluations": optimum.pso.evaluations,
             "system_condition_hint": optimum.system_condition_hint,
         },
+        f"coons: alpha={_shape_text(optimum.shape)} energy={optimum.energy:.6f}",
     )
-    write_summary(summary, os.path.join(out, "summary.json"))
-    print(f"coons: alpha={_shape_text(optimum.shape)} energy={optimum.energy:.6f}")
-    return 0
 
 
 def cmd_compare(args) -> int:
@@ -425,8 +392,8 @@ def cmd_compare(args) -> int:
     optimized = args.runs > 0 and bool(net.free.any())
     if optimized:
         runs, r_best = _swarm_runs(net, rule, args)
-        _, shape, sol = runs[r_best]
-        add_row("gt-optimized", shape, sol.energy, area(Patch.gt(sol.net, shape), rule))
+        best = runs[r_best]
+        add_row("gt-optimized", best.shape, best.energy, area(Patch.gt(best.net, best.shape), rule))
 
     fixed_rows = (("gt-fixed-alpha", args.alpha, "gt"), ("bernstein-dirichlet", None, "bernstein"))
     for method, shape, basis in fixed_rows:
@@ -435,9 +402,6 @@ def cmd_compare(args) -> int:
 
     add_row("quasi-harmonic", None, None, None, NOT_IMPLEMENTED_NOTE)
     add_row("bending-energy", None, None, None, NOT_IMPLEMENTED_NOTE)
-
-    out = args.out
-    os.makedirs(out, exist_ok=True)
 
     def cells(values, fmt):  # blank where a row has no value
         return ["" if x is None else fmt % x for x in values]
@@ -450,23 +414,16 @@ def cmd_compare(args) -> int:
         alpha = "" if row["alpha"] is None else _shape_text(SurfaceShape(*row["alpha"]))
         md_cells = [row["method"], alpha, *cells([row["energy"], row["area"]], "%.6f"), row["note"]]
         md_lines.append("| " + " | ".join(md_cells) + " |")
-    atomic_write_text(os.path.join(out, "comparison.csv"), "\n".join(csv_lines) + "\n")
-    markdown = "\n".join(md_lines) + "\n"
-    atomic_write_text(os.path.join(out, "comparison.md"), markdown)
+    table = "\n".join(md_lines)
 
-    summary = RunSummary(
-        command="compare",
-        settings={
-            "net": os.fspath(args.net),
-            "alpha": _shape_list(args.alpha),
-            "quadrature_order": args.quad,
-            **_pso_settings(args, runs=True),
-        },
-        results={"rows": rows, "optimized_row_included": optimized},
+    finish = _summary_writer(args)
+    atomic_write_text(os.path.join(args.out, "comparison.csv"), "\n".join(csv_lines) + "\n")
+    atomic_write_text(os.path.join(args.out, "comparison.md"), table + "\n")
+    return finish(
+        {"alpha": _shape_list(args.alpha), "quadrature_order": args.quad, **_pso_settings(args, runs=True)},
+        {"rows": rows, "optimized_row_included": optimized},
+        table,
     )
-    write_summary(summary, os.path.join(out, "summary.json"))
-    print(markdown, end="")
-    return 0
 
 
 def cmd_basis_eval(args) -> int:

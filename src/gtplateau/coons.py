@@ -22,7 +22,7 @@ P_c^T F P_c for the 16 x 16 form F = L^T Q L from ``_net_form_stack``, and
 is the independent reference. The GT rows of the tables carry the shape,
 affinely, so F is bi-quadratic in it: the swarm's fitness
 ``tb_reduced_functional_family`` is the engine on its 36 blocks, and
-``optimize_tb`` takes the winner from it.
+``optimize_tb`` is that family's ``minimize``.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -36,7 +36,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_affine_tables
 from .dirichlet import (
     _PAIRS,
-    ExtremalSolution,
+    ShapeOptimum,
     _ExtremalFamily,
     _gram,
     _monomial_grams,
@@ -45,7 +45,7 @@ from .dirichlet import (
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule
 from .patch import ControlNet, SurfaceJet, SurfaceShape, _check_params, _jet, boundary_mask
-from .pso import PsoConfig, PsoResult, optimize
+from .pso import PsoConfig
 
 
 @dataclass(frozen=True)
@@ -182,15 +182,14 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
     """Interior points minimizing the Dirichlet energy of the hybrid surface."""
     require_blend_net(net, complete=False)
-    engine = _ExtremalFamily(_tb_form(shape, rule)[None], net, rule, f"{_BASES} at {shape}", route="hybrid")
-    return engine.extremal().net
+    return _ExtremalFamily(_tb_form(shape, rule)[None], net, rule, f"{_BASES} at {shape}").extremal().net
 
 
 def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):
     """The swarm's hybrid fitness: prepares the 36 blocks of L^T Q L once and
     returns the family mapping a (k, 4) stack of shape vectors to k extremal
     energies, equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to
-    rounding, with the winner's ``extremal``."""
+    rounding; ``minimize`` runs the swarm on it."""
     require_blend_net(net, complete=False)
     parts = _blend_tables(gt_affine_tables(3, rule.nodes), rule.nodes)
     for table in (parts.values, parts.first, parts.second):
@@ -214,21 +213,6 @@ def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
     return _L.T @ form.reshape(-1, 100, 16)
 
 
-@dataclass
-class TbOptimum(ExtremalSolution):
-    """The shape family's extremal at the swarm's best shape vector."""
-
-    shape: SurfaceShape
-    history: np.ndarray
-    pso: PsoResult
-
-
-def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> TbOptimum:
+def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> ShapeOptimum:
     """Swarm-minimize the hybrid surface energy over the shape vector."""
-    if config.dims != 4:
-        raise ConfigurationError("shape optimization needs 4-dimensional bounds")
-
-    family = tb_reduced_functional_family(net, rule)
-    result = optimize(family, config)
-    shape = SurfaceShape.from_iterable(result.position)
-    return TbOptimum(**vars(family.extremal(result.position)), shape=shape, history=result.history, pso=result)
+    return tb_reduced_functional_family(net, rule).minimize(config)

@@ -19,7 +19,8 @@ one checked Cholesky of the weighted stack gives the interior, the energy
 1/2 (c - x . rhs) and the max/min pivot hint. The "gram" route of
 ``solve_interior`` (the Kronecker sum above) and the hybrid of ``coons`` hand
 it one form. The swarm's fitness ``reduced_functional_family`` hands it 36:
-the GT tables are affine in each shape pair, so K and M are quadratic in it.
+the GT tables are affine in each shape pair, so K and M are quadratic in it,
+and its ``minimize`` is the shape search, returning its own winning extremal.
 The "generic" route (``assemble_system_generic``, from the 2-D gradient
 fields of the unknowns' coefficient functions) keeps its own solve,
 quadrature energy and pivot ratio, as the independent reference. Every solve
@@ -36,6 +37,7 @@ from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, 
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense, solve_spd_stack
 from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
+from .pso import PsoConfig, PsoResult, optimize
 
 
 @dataclass(frozen=True)
@@ -188,17 +190,18 @@ class _ExtremalFamily:
     Each row is weighted by its own matrix product and factored once, which
     gives its interior, energy 1/2 (c - x . rhs) and max/min pivot hint
     independently of its stack. A family called on a (k, 4) stack of shape
-    vectors gives k energies; ``extremal`` fills the net from one row.
+    vectors gives k energies; ``extremal`` fills the net from one row, and
+    ``minimize`` swarm-searches the shape vectors for the lowest.
     """
 
-    def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str, route="family"):
+    def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):
         centred, self.centre = _solve_frame(net, rule, bases)
         matrix, rhs = _free_split(forms, centred)
         known = np.where(net.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
         const = (known * (forms @ known)).sum(axis=(-2, -1))
         k = len(forms)
         self.blocks = np.concatenate([matrix.reshape(k, -1), rhs.reshape(k, -1), const[:, None]], 1)
-        self.net, self.bases, self.route, self.n = net, bases, route, matrix.shape[-1]
+        self.net, self.bases, self.n = net, bases, matrix.shape[-1]
 
     def _solve(self, weights: np.ndarray):
         mixed = (weights[:, None] @ self.blocks)[:, 0]
@@ -221,7 +224,15 @@ class _ExtremalFamily:
         filled = self.net.copy()
         filled.points[self.net.free] = x[0] + self.centre
         hint = float(pivots[0].max() / pivots[0].min())
-        return ExtremalSolution(net=filled, energy=float(energy[0]), system_condition_hint=hint, route=self.route)
+        return ExtremalSolution(net=filled, energy=float(energy[0]), system_condition_hint=hint, route="gram")
+
+    def minimize(self, config: PsoConfig) -> ShapeOptimum:
+        """The swarm's best shape vector on config's box, with its extremal."""
+        if config.dims != 4:
+            raise ConfigurationError("shape optimization needs 4-dimensional bounds")
+        result = optimize(self, config)
+        shape = SurfaceShape.from_iterable(result.position)
+        return ShapeOptimum(**vars(self.extremal(result.position)), shape=shape, history=result.history, pso=result)
 
 
 def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
@@ -271,13 +282,22 @@ def assemble_system_generic(
 
 @dataclass
 class ExtremalSolution:
-    """A solved net and the numbers a caller reports; route is "gram", "generic",
-    "family" (a swarm's winner) or "hybrid" (``coons.solve_tb_interior``)."""
+    """A solved net and the numbers a caller reports; route is "gram" (every
+    ``_ExtremalFamily`` solve) or "generic" (the reference)."""
 
     net: ControlNet
     energy: float
     system_condition_hint: float
     route: str
+
+
+@dataclass
+class ShapeOptimum(ExtremalSolution):
+    """A shape family's extremal at the swarm's best shape vector."""
+
+    shape: SurfaceShape
+    history: np.ndarray
+    pso: PsoResult
 
 
 def solve_interior(
@@ -301,7 +321,7 @@ def solve_interior(
     if route == "gram":
         c = assemble_coefficients(basis_u, basis_v, rule)
         form = _kron_sum(c.K_u, c.M_u, c.K_v, c.M_v)
-        return _ExtremalFamily(form[None], net, rule, bases, route="gram").extremal()
+        return _ExtremalFamily(form[None], net, rule, bases).extremal()
 
     centred, centre = _solve_frame(net, rule, bases)
     system = assemble_system_generic(centred, basis_u, basis_v, rule)
@@ -326,7 +346,7 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
 def reduced_functional_family(net: ControlNet, rule: QuadratureRule) -> _ExtremalFamily:
     """J over the GT shape family of a net, its 36 blocks prepared once: the
     swarm's fitness maps a (k, 4) stack of shape vectors to k energies, each
-    ``reduced_functional`` to rounding, and ``extremal`` gives the winner."""
+    ``reduced_functional`` to rounding, and ``minimize`` runs the swarm."""
     k_u, m_u = _monomial_grams(gt_affine_tables(net.degree_u, rule.nodes), rule)
     k_v, m_v = _monomial_grams(gt_affine_tables(net.degree_v, rule.nodes), rule)
     p, q = _PAIRS

@@ -1,7 +1,8 @@
 """File formats: JSON control nets, OBJ meshes, CSV grids, run summaries.
 
 Net files are JSON objects with a "points" array of rows (row index = u),
-each cell either a 3-number list or null for an unknown point, plus optional
+each cell either a list of 3 finite numbers or null for an unknown point
+(JSON's NaN, Infinity and overflowing literals are refused), plus optional
 "degrees" and a "fixed" mask. All writers go through an atomic
 write-temp-then-rename so a crash never leaves a half-written artifact, and
 all float formatting is deterministic so identical runs produce identical
@@ -13,6 +14,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -65,12 +67,14 @@ def net_from_payload(payload, source: str = "<payload>") -> ControlNet:
                 isinstance(cell, list)
                 and len(cell) == 3
                 and all(
-                    isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell
+                    isinstance(x, (int, float)) and not isinstance(x, bool)
+                    and abs(x) <= sys.float_info.max  # exact for ints; NaN fails
+                    for x in cell
                 )
             )
             if not ok:
                 raise NetFormatError(
-                    f"{source}: point [{i}][{j}] must be null or a list of 3 numbers"
+                    f"{source}: point [{i}][{j}] must be null or a list of 3 finite numbers"
                 )
             points[i, j] = cell
 
@@ -179,14 +183,13 @@ def write_convergence_csv(path, history) -> None:
 def utc_timestamp() -> str:
     """Current UTC time; SOURCE_DATE_EPOCH overrides for reproducible output."""
     stamp = os.environ.get("SOURCE_DATE_EPOCH")
-    if stamp is not None:
-        try:
-            seconds = int(stamp)
-        except ValueError as exc:
-            raise ConfigurationError("SOURCE_DATE_EPOCH must be an integer") from exc
-    else:
-        seconds = int(time.time())
-    moment = datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc)
+    try:
+        seconds = int(time.time()) if stamp is None else int(stamp)
+        moment = datetime.datetime.fromtimestamp(seconds, datetime.timezone.utc)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ConfigurationError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds in the datetime range, got {stamp!r}"
+        ) from exc
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 

@@ -18,7 +18,8 @@ import gtplateau
 #: per-call stacked fitnesses gave way to the prepared shape families. The
 #: patch evaluators gave way to one jet, ``surface_jet``, and the 100 x 100
 #: hybrid Gram to the 16 x 16 form of ``_net_form_stack``. The swarm's winner
-#: is read from the prepared family, so the re-solve helpers went with it.
+#: is read from the prepared family, so the re-solve helpers went with it, and
+#: every swarm is the family's ``minimize``, so the hybrid's optimum record too.
 #: The harmonic tuner and certificate read one sampled Laplacian, so the
 #: per-particle defect and its jet quadrature are references in ``tests/``.
 REMOVED = {
@@ -29,7 +30,7 @@ REMOVED = {
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
-        "_tb_gram_system", "_solve_tb", "_tb_energy",
+        "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum",
     ),
     "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness"),
     "harmonic": (

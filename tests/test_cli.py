@@ -469,6 +469,49 @@ class TestExitCodes:
         assert main(["harmonic", COLUMNS, "--tune-alpha", flag, value, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "stamp, argv",
+        [
+            ("abc", ["solve", WAVE, "--tess", "4"]),
+            ("99999999999999999999", ["solve", WAVE, "--tess", "4"]),
+            ("-99999999999999", ["solve", WAVE, "--tess", "4"]),
+            ("abc", ["optimize", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"]),
+            ("abc", ["harmonic", COLUMNS, "--tune-alpha", "--swarm", "3", "--iters", "1"]),
+            ("abc", ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"]),
+            ("abc", ["compare", WAVE, "--runs", "0"]),
+        ],
+    )
+    def test_bad_epoch_checked_before_writing(self, tmp_path, monkeypatch, capsys, stamp, argv):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", stamp)
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"SOURCE_DATE_EPOCH must be an integer number of seconds in the datetime range, got '{stamp}'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["harmonic", COLUMNS, "--tune-alpha", "--swarm", "3", "--iters", "1"],
+            ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
+        ],
+    )
+    def test_bad_thread_variable_checked_before_writing(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("GT_PLATEAU_THREADS", "abc")
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_non_finite_point_is_a_file_error(self, tmp_path, capsys):
+        payload = json.loads(pathlib.Path(WAVE).read_text())
+        payload["points"][1][2] = [2, 2, float("nan")]
+        net_file = tmp_path / "nan.json"
+        net_file.write_text(json.dumps(payload))  # json writes the float as NaN
+        out = tmp_path / "run"
+        assert main(["solve", str(net_file), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "point [1][2] must be null or a list of 3 finite numbers" in capsys.readouterr().err
+
     def test_alpha_outside_domain(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["solve", WAVE, "--alpha", "0.1,2,2,2", "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from gtplateau.coons import (
     tb_dirichlet_energy,
     tb_surface_jet,
 )
-from gtplateau.dirichlet import _free_system
+from gtplateau.dirichlet import _free_system, reduced_functional_family
 from gtplateau.errors import ConfigurationError, DomainError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
@@ -353,3 +353,5 @@ class TestShapeOptimization:
         config = PsoConfig(bounds=np.array([[0.5, 3.5], [0.5, 3.5]]), swarm_size=4)
         with pytest.raises(ConfigurationError, match="4-dimensional"):
             optimize_tb(wave_net, config, rule16)
+        with pytest.raises(ConfigurationError, match="4-dimensional"):
+            reduced_functional_family(wave_net, rule16).minimize(config)

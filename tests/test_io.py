@@ -104,6 +104,17 @@ class TestLoadErrors:
                 },
                 "finite coordinates",
             ),
+            # JSON's NaN, Infinity and overflowing literals decode to non-finite floats
+            (
+                {"points": json.loads("[[[0,0,0],[1,0,0],[2,0,0]], [[0,1,0],[1,1,NaN],[2,1,0]],"
+                                      " [[0,2,0],[1,2,0],[2,2,0]]]")},
+                r"point \[1\]\[1\] must be null or a list of 3 finite numbers",
+            ),
+            (
+                {"points": json.loads("[[[0,0,0],[1,0,1e400],[2,0,0]], [[0,1,0],null,[2,1,0]],"
+                                      " [[0,2,0],[1,2,0],[2,2,-Infinity]]]")},
+                r"point \[0\]\[1\] must be null or a list of 3 finite numbers",
+            ),
         ],
     )
     def test_payload_validation(self, payload, fragment):
@@ -188,9 +199,11 @@ class TestTimestamp:
         assert utc_timestamp() == "1970-01-02T00:00:00Z"
 
     def test_invalid_epoch(self, monkeypatch):
-        monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
-        with pytest.raises(ConfigurationError, match="SOURCE_DATE_EPOCH"):
-            utc_timestamp()
+        # not an integer; past the platform's time_t; before year 1
+        for stamp in ("yesterday", "99999999999999999999", "-99999999999999"):
+            monkeypatch.setenv("SOURCE_DATE_EPOCH", stamp)
+            with pytest.raises(ConfigurationError, match=f"SOURCE_DATE_EPOCH .* got '{stamp}'"):
+                utc_timestamp()
 
     def test_live_clock_format(self, monkeypatch):
         monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)

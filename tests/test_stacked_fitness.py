@@ -6,8 +6,8 @@ Gram form of a complete net's GT Laplacian; the function they return evaluates
 a whole (k, 4) stack of shape vectors at once. It must agree with the scalar
 routes row by row, give each row the same bits whatever stack it sits in, and
 let ``pso.optimize`` pin a failure on the one particle that caused it. A
-Dirichlet family's ``extremal`` is the solution behind one row: the swarm's
-winner is read from it.
+Dirichlet family's ``extremal`` is the solution behind one row, and its
+``minimize`` is the swarm whose winner is read from it.
 """
 
 import math
@@ -148,6 +148,21 @@ def test_extremal_is_the_rows_solution(route):
             assert np.abs(best.net.points - want).max() <= 1e-9 * net.scale()
 
     check()
+
+
+@pytest.mark.parametrize("route", sorted(FAMILIES))
+def test_minimize_is_the_swarm_and_its_extremal(route, wave_net):
+    family = FAMILIES[route][1](wave_net, RULE)
+    config = PsoConfig(swarm_size=5, max_iters=3, seed=4, threads=1)
+    optimum = family.minimize(config)
+    swarm = optimize(family, config)
+    winner = family.extremal(swarm.position)
+    np.testing.assert_array_equal(optimum.history, swarm.history)
+    np.testing.assert_array_equal(optimum.shape.as_array(), swarm.position)
+    np.testing.assert_array_equal(optimum.net.points, winner.net.points)
+    assert optimum.energy == winner.energy == swarm.value == optimum.pso.value
+    assert optimum.system_condition_hint == winner.system_condition_hint
+    assert optimum.route == winner.route == "gram"
 
 
 @pytest.mark.parametrize("route", sorted(FAMILIES))
