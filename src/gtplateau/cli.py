@@ -37,6 +37,7 @@ from .harmonic import (
 from .io import (
     RunSummary,
     atomic_write_text,
+    format_table,
     load_net,
     save_net,
     utc_timestamp,
@@ -440,13 +441,7 @@ def cmd_basis_eval(args) -> int:
     header = ["t"]
     for prefix in ("value", "d1", "d2"):
         header += [f"{prefix}_{i}" for i in range(count)]
-    lines = [",".join(header)]
-    for col, t in enumerate(ts):
-        cells = ["%.17g" % t]
-        for table in (tables.values, tables.first, tables.second):
-            cells += ["%.17g" % x for x in table[:, col]]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
+    text = ",".join(header) + "\n" + format_table(ts, tables.values.T, tables.first.T, tables.second.T)
 
     if args.out is None:
         sys.stdout.write(text)

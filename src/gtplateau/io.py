@@ -145,39 +145,242 @@ def save_net(net: ControlNet, path) -> None:
     atomic_write_text(path, json.dumps(net_to_payload(net), indent=2) + "\n")
 
 
-#: Rows converted to Python objects at a time: a whole-array tolist() holds an
-#: object per entry at once, about 7 MB more peak memory for a 129x129 OBJ.
-_ROW_BLOCK = 1024
+# Numbers are written as Python's "%.17g" % x and "%d" % n would write them,
+# but built as numpy byte matrices: each value becomes one row of ASCII bytes
+# padded with NUL, and the NULs are deleted once the rows of a block are joined.
+#
+# "%.17g" prints the 17 digits of N = rint(y), y = |x| * 10**(16 - X), where X
+# is the decimal exponent with 10**16 <= y < 10**17. With 10**(16 - X) as a
+# double-double hi + lo (each part correctly rounded), y = p + s: p = fl(|x|*hi)
+# is an integer (it exceeds 2**53), its rounding error is exact by Dekker's
+# product ("A floating-point technique for extending the available precision",
+# 1971), and s adds |x|*lo to that error. |s| < 20 and s is off by under
+# 1e-14, so N = p + rint(s) is exact wherever s is farther than 2**-20 from a
+# tie. The rest (ties, 0, -0, nan, inf, |X| > _MAX_EXPONENT and a misjudged X)
+# is formatted by Python.
+
+#: Largest |decimal exponent| of the array path.
+_MAX_EXPONENT = 99
+#: Largest |s - rint(s)| taken as exact; with 0 every value goes to Python.
+_TIE_MARGIN = 0.5 - 2.0**-20
+#: Rows formatted at a time; a block's byte matrices take about 1 MB.
+_BLOCK_ROWS = 2048
+#: A formatted double is 48 bytes: sign and "0.000" lead (6), 17 digits each
+#: followed by a slot for the decimal point (34), 2 spare, "e+XX" and 4 spare.
+_FLOAT_WIDTH = 48
+#: A formatted integer is 24 bytes: five groups of 4 digits and 4 spare.
+_INT_WIDTH = 24
+
+_EXPONENTS = np.arange(-_MAX_EXPONENT, _MAX_EXPONENT + 1)  # table row of each X
 
 
-def _format_rows(template: str, rows: np.ndarray) -> str:
-    """``template % row`` for every row of a 2-D array, concatenated."""
-    return "".join(
-        "".join([template % tuple(row) for row in rows[start:start + _ROW_BLOCK].tolist()])
-        for start in range(0, len(rows), _ROW_BLOCK)
-    )
+def _split(x):
+    """Dekker's split of doubles into 26- and 27-bit halves that sum to x."""
+    head = x * 134217729.0  # 2**27 + 1
+    high = head - (head - x)
+    return high, x - high
+
+
+def _double_double(power: int):
+    """10**power as hi + lo, each the correctly rounded double of what is left."""
+    if power >= 0:
+        high = float(10**power)
+        return high, float(10**power - int(high))
+    scale = 10**-power
+    high = 1 / scale  # int / int is correctly rounded
+    numerator, denominator = high.as_integer_ratio()
+    return high, (denominator - numerator * scale) / (denominator * scale)
+
+
+_HIGH, _LOW = np.array([_double_double(16 - int(e)) for e in _EXPONENTS]).T
+#: hi, hi's two halves and lo of 10**(16 - X), by row.
+_SCALE = np.stack([_HIGH, *_split(_HIGH), _LOW])
+
+
+def _words(rows, dtype) -> np.ndarray:
+    """Byte rows (lists of ints or ASCII strings) as one word of ``dtype`` each."""
+    rows = [row.encode("ascii") if isinstance(row, str) else bytes(row) for row in rows]
+    return np.frombuffer(b"".join(rows), dtype)
+
+
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # of 0..9999, by place
+_NONZERO = _DIGITS > 0
+_ASCII = _DIGITS.T + np.uint8(ord("0"))
+#: Word f*10000 + g: the 4 digits of g, each followed by a spare byte, up to
+#: its last nonzero digit but at least f digits.
+_FLOAT_QUADS = (
+    np.stack([_ASCII, np.zeros_like(_ASCII)], axis=-1).reshape(-1, 8).view(np.uint64)[:, 0]
+    & _words([[255, 0] * c + [0, 0] * (4 - c) for c in range(5)], np.uint64)[
+        np.maximum(np.arange(5)[:, None], np.select(_NONZERO[::-1], [4, 3, 2, 1], 0))
+    ]
+).reshape(-1)
+#: Word s*10000 + g: the 4 digits of g (s = 0), without leading zeros (s = 1),
+#: or without leading zeros but at least one digit (s = 2).
+_LEADING = np.select(_NONZERO, [0, 1, 2, 3], 4)
+_INT_QUADS = (
+    np.ascontiguousarray(_ASCII).view(np.uint32)[:, 0]
+    & _words([[0] * c + [255] * (4 - c) for c in range(5)], np.uint32)[
+        np.stack([np.zeros_like(_LEADING), _LEADING, np.minimum(_LEADING, 3)])
+    ]
+).reshape(-1)
+
+# "%g" keeps fixed notation for -4 <= X < 17: a "0.000" lead below 0, else all
+# X + 1 integer digits, with the point after digit X if more digits follow.
+_FIXED = (_EXPONENTS >= -4) & (_EXPONENTS < 17)
+_LEAD = np.where(_FIXED & (_EXPONENTS < 0), -_EXPONENTS, 0)
+_KEPT = np.where(_FIXED, _EXPONENTS + 1, 0)
+_POINT = np.maximum(_KEPT - 1, 0)
+#: By quad k = 0..3 and row: 10000 times the digits of quad k kept even if zero.
+_STRIP = 10000 * np.clip(_KEPT - (4 * np.arange(4)[:, None] + 1), 0, 4)
+#: By row: digits follow the point if digits % this != 0; never after a lead.
+_DOT_MODULUS = np.where(_LEAD > 0, 1, 10 ** (16 - _POINT))
+_DOT_BYTE = 7 + 2 * _POINT
+#: Word 2*(10*row + d) + negative: the sign, the lead and the first digit d.
+_HEADS = (
+    _words(["\0" + ("0." + "0" * (lead - 1) if lead else "").ljust(7, "\0") for lead in _LEAD], np.uint64)[:, None, None]
+    | _words(["\0" * 6 + str(d) + "\0" for d in range(10)], np.uint64)[:, None]
+    | _words(["\0" * 8, "-" + "\0" * 7], np.uint64)
+).reshape(-1)
+#: Word by row: "e+XX" and 4 spare bytes, or nothing in fixed notation.
+_TAILS = _words(["\0" * 8 if fixed else "e%+03d\0\0\0\0" % e for e, fixed in zip(_EXPONENTS, _FIXED)], np.uint64)
+
+
+def _quads(values: np.ndarray):
+    """The four 4-digit groups of integers below 10**16, most significant first."""
+    high = values // 10**8
+    high, low = high.astype(np.uint32), (values - high * 10**8).astype(np.uint32)
+    high_top, low_top = high // 10000, low // 10000
+    return high_top, high - high_top * 10000, low_top, low - low_top * 10000
+
+
+def _python_format(template: str, values: np.ndarray, out: np.ndarray, slow: np.ndarray) -> None:
+    """Write ``template % x`` of the values where ``slow`` holds into their cells."""
+    where = slow.nonzero()
+    if where[0].size:
+        texts = [(template % x).ljust(out.shape[-1], "\0") for x in values[where].tolist()]
+        out[where] = _words(texts, np.uint8).reshape(len(texts), -1)
+
+
+def _int_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%d" % n`` of each integer into its NUL-padded cell of ``out``."""
+    fast = (values >= 0) & (values < 10**18)
+    exact = np.where(fast, values, 0).astype(np.int64)
+    top = exact // 10**16
+    words = out.view(np.uint32)
+    leading = np.ones(values.shape, dtype=bool)
+    for k, quad in enumerate((top, *_quads(exact - top * 10**16))):
+        words[..., k] = _INT_QUADS.take(quad + leading * (20000 if k == 4 else 10000))
+        leading &= quad == 0
+    words[..., 5] = 0
+    _python_format("%d", values, out, ~fast)
+
+
+def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%.17g" % x`` of each double into its NUL-padded cell of ``out``."""
+    magnitude = np.abs(values)
+    power = np.floor(np.log10(np.maximum(magnitude, 5e-324)))  # log10(0) warns
+    fast = np.abs(power) <= _MAX_EXPONENT  # False for 0, nan, inf and subnormals
+    row = np.where(fast, power + _MAX_EXPONENT, _MAX_EXPONENT).astype(np.intp)
+    x = np.where(fast, magnitude, 1.0)
+    high, high_head, high_tail, low = _SCALE.take(row, axis=1)
+    x_head, x_tail = _split(x)
+    p = x * high
+    s = ((x_head * high_head - p) + x_head * high_tail + x_tail * high_head) + x_tail * high_tail + x * low
+    nearest = np.rint(s)
+    fast &= (np.abs(s - nearest) < _TIE_MARGIN) & ((p - 1e16) + s >= 0) & (p < 1e17)
+    digits = np.where(fast, p.astype(np.int64) + nearest.astype(np.int64), 10**16)
+    first = digits // 10**16
+    rest = digits - first * 10**16
+
+    words = out.view(np.uint64)
+    words[..., 0] = _HEADS.take((row * 10 + first) * 2 + np.signbit(values))
+    # a quad loses the zeros after its last nonzero digit when every later quad
+    # is zero, except the integer digits of fixed notation
+    tail_zero = np.ones(values.shape, dtype=bool)
+    for k, quad in reversed(list(enumerate(_quads(rest)))):
+        strip = np.where(tail_zero, _STRIP[k].take(row), 40000)
+        words[..., k + 1] = _FLOAT_QUADS.take(strip + quad)
+        tail_zero &= quad == 0
+    words[..., 5] = _TAILS.take(row)
+    dots = (rest % _DOT_MODULUS.take(row) != 0).nonzero()
+    out[(*dots, _DOT_BYTE.take(row[dots]))] = ord(".")
+    _python_format("%.17g", values, out, ~fast)
+
+
+def _cells(values) -> np.ndarray:
+    """The "%.17g" cells of a 1-D array of doubles, one row each."""
+    out = np.empty((len(values), _FLOAT_WIDTH), np.uint8)
+    _float_cells(np.asarray(values, dtype=float), out)
+    return out
+
+
+def format_table(*tables, sep: str = ",", head: str = "") -> str:
+    """One line per row of the ``tables``: ``head``, then the row's values
+    joined by ``sep``, then a newline, byte for byte as Python's "%d" (for
+    integers) and "%.17g" (for everything else) write them.
+
+    A table is a 1-D column or a 2-D array of columns, or a pair (cells, index)
+    whose rows are ``cells[index]``, for "%.17g" text made once by ``_cells``
+    and repeated. All tables have one length.
+    """
+    slots, width_so_far = [], -(-len(head) // 8) * 8  # each cell starts on a word boundary
+    for table in tables:
+        if isinstance(table, tuple):
+            count, columns, width = len(table[1]), 1, table[0].shape[1]
+        else:
+            table = np.asarray(table)
+            table = table[:, None] if table.ndim == 1 else table
+            count, columns = table.shape
+            width = _INT_WIDTH if table.dtype.kind in "iu" else _FLOAT_WIDTH
+        slots.append((table, width_so_far, columns, width))
+        width_so_far += columns * width
+    line = np.zeros((min(count, _BLOCK_ROWS), width_so_far), np.uint8)
+    line[:, :len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
+    # the last byte of every cell is spare: it takes the separator or newline
+    ends = np.concatenate([np.arange(at + width - 1, at + columns * width, width) for _, at, columns, width in slots])
+
+    chunks = []
+    for start in range(0, count, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        size = min(_BLOCK_ROWS, count - start)
+        for table, at, columns, width in slots:
+            out = line[:size, at:at + columns * width].reshape(size, columns, width)
+            if isinstance(table, tuple):
+                out[:, 0] = table[0][table[1][rows]]
+            elif width == _INT_WIDTH:
+                _int_cells(table[rows], out)
+            else:
+                _float_cells(np.asarray(table[rows], dtype=float), out)
+        line[:size, ends] = ord(sep)
+        line[:size, ends[-1]] = ord("\n")
+        chunks.append(line[:size].tobytes().translate(None, b"\0"))
+    return b"".join(chunks).decode("ascii")
 
 
 def write_obj(path, vertices: np.ndarray, faces: np.ndarray) -> None:
     """Wavefront OBJ: vertices in tessellation order, 1-based faces, no normals."""
-    text = _format_rows("v %.17g %.17g %.17g\n", np.asarray(vertices, dtype=float))
-    atomic_write_text(path, text + _format_rows("f %d %d %d\n", np.asarray(faces) + 1))
+    text = format_table(np.asarray(vertices, dtype=float), sep=" ", head="v ")
+    atomic_write_text(path, text + format_table(np.asarray(faces) + 1, sep=" ", head="f "))
 
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
     """Grid of first-form coefficients and mean curvature, row-major in u."""
-    u = np.asarray(us, dtype=float)[:, None]
-    v = np.asarray(vs, dtype=float)[None, :]
-    grid = np.stack(np.broadcast_arrays(u, v, forms.H, forms.E, forms.F, forms.G), axis=-1)
-    rows = _format_rows("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n", grid.reshape(-1, 6))
-    atomic_write_text(path, "u,v,H,E,F,G\n" + rows)
+    u_cells, v_cells = _cells(us), _cells(vs)
+    grid = np.broadcast_arrays(
+        np.arange(len(u_cells))[:, None], np.arange(len(v_cells))[None, :],
+        forms.H, forms.E, forms.F, forms.G,
+    )
+    # u and v are formatted once per parameter value and repeated by index
+    text = format_table(
+        (u_cells, grid[0].ravel()), (v_cells, grid[1].ravel()), np.stack(grid[2:], axis=-1).reshape(-1, 4),
+    )
+    atomic_write_text(path, "u,v,H,E,F,G\n" + text)
 
 
 def write_convergence_csv(path, history) -> None:
     """Best objective value per swarm iteration (iteration 0 = initial swarm)."""
-    lines = ["iteration,best_value"]
-    lines += ["%d,%.17g" % row for row in enumerate(np.asarray(history, dtype=float).tolist())]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    history = np.asarray(history, dtype=float)
+    atomic_write_text(path, "iteration,best_value\n" + format_table(np.arange(len(history)), history))
 
 
 def utc_timestamp() -> str:
@@ -190,7 +393,8 @@ def utc_timestamp() -> str:
         raise ConfigurationError(
             f"SOURCE_DATE_EPOCH must be an integer number of seconds in the datetime range, got {stamp!r}"
         ) from exc
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    # strftime("%Y") does not pad years below 1000 on every platform
+    return "%04d" % moment.year + moment.strftime("-%m-%dT%H:%M:%SZ")
 
 
 @dataclass

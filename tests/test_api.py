@@ -22,6 +22,8 @@ import gtplateau
 #: every swarm is the family's ``minimize``, so the hybrid's optimum record too.
 #: The harmonic tuner and certificate read one sampled Laplacian, so the
 #: per-particle defect and its jet quadrature are references in ``tests/``.
+#: The per-row "%" formatter of the writers gave way to ``io.format_table`` and
+#: is the reference of the writer tests.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -33,6 +35,7 @@ REMOVED = {
         "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum",
     ),
     "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness"),
+    "io": ("_format_rows", "_ROW_BLOCK"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
         "bernstein_gram", "defect_objective",

@@ -5,11 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import gtplateau.io as io_module
+from format_reference import curvature_text, obj_text
 from gtplateau.errors import ConfigurationError, NetFormatError
 from gtplateau.io import (
     RunSummary,
     atomic_write_text,
+    format_table,
     load_net,
     net_from_payload,
     net_to_payload,
@@ -191,12 +197,144 @@ class TestWriters:
         assert float(printed) == value and len(printed) >= 17
 
 
+
+def percent_lines(template, rows):
+    """Python's own text of ``template % row`` for every row, one per line."""
+    return "".join(template % tuple(row) + "\n" for row in rows)
+
+
+def doubles_of_bits(bits):
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def dyadic_ties():
+    """Doubles q / 2**(17 - X) with q odd: their decimal expansion has exactly
+    18 significant digits, the last a 5, so "%.17g" must round half to even."""
+
+    def ties(exponent):
+        places = 17 - exponent
+        low, high = 10.0**exponent * 2**places, min(10.0 ** (exponent + 1) * 2**places, 2.0**53)
+        return st.integers(int(low) // 2, int(high) // 2 - 1).map(lambda n: (2 * n + 1) / 2**places)
+
+    return st.integers(-8, 15).flatmap(ties)
+
+
+#: Both sides of the switch to exponent notation (X = -5 | -4 and 16 | 17), and
+#: every power of ten the array path covers and a few past it, each +-1 ulp.
+EDGE_DOUBLES = np.array(
+    [m * 10.0**e for e in (-5, -4, 16, 17) for m in (1.0, 1.2345678901234567, 9.999999999999998)]
+    + [10.0**p for p in range(-110, 111)]
+    + [1e16 - 2, 1e16 + 2, 1e17 - 16, 1e17 + 16, 99999999999999984.0, 0.5, 2.5, 1000000000000000.2]
+    + [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+)
+with np.errstate(over="ignore"):  # the largest double steps up to inf
+    EDGE_DOUBLES = np.concatenate(
+        [EDGE_DOUBLES, -EDGE_DOUBLES, np.nextafter(EDGE_DOUBLES, 0), np.nextafter(EDGE_DOUBLES, np.inf)]
+    )
+EDGE_INTS = np.array([0, 1, 9, 10, 9999, 10000, 2**40, 10**16, 10**18 - 1, 10**18, 2**63 - 1, -1, -(2**40), -(2**63)])
+
+
+class TestFormatTable:
+    """format_table writes every number byte for byte as Python's "%" does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_subnormal=True)))
+    def test_any_double(self, values):
+        assert format_table(values) == percent_lines("%.17g", values[:, None].tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.uint64, st.integers(1, 64)))
+    def test_any_bit_pattern(self, bits):
+        values = doubles_of_bits(bits)
+        assert format_table(values) == percent_lines("%.17g", values[:, None].tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(dyadic_ties(), min_size=1, max_size=32))
+    def test_exact_ties_round_half_even(self, ties):
+        assert format_table(np.array(ties)) == percent_lines("%.17g", [[x] for x in ties])
+
+    def test_edge_doubles(self):
+        assert format_table(EDGE_DOUBLES) == percent_lines("%.17g", EDGE_DOUBLES[:, None].tolist())
+        assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"  # a tie in the list
+        assert format_table(np.array([1000000000000000.25, 1000000000000000.75])) == (
+            "1000000000000000.2\n1000000000000000.8\n"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(np.int64, st.integers(1, 64)))
+    def test_any_int64(self, values):
+        assert format_table(values) == percent_lines("%d", values[:, None].tolist())
+
+    def test_edge_ints(self):
+        assert format_table(EDGE_INTS) == percent_lines("%d", EDGE_INTS[:, None].tolist())
+        unsigned = np.array([0, 10**18, 2**64 - 1], dtype=np.uint64)
+        assert format_table(unsigned) == "0\n1000000000000000000\n18446744073709551615\n"
+
+    def test_tables_and_blocks(self):
+        # mixed int and float tables, a head, and more rows than one block
+        rows = 2 * io_module._BLOCK_ROWS + 5
+        rng = np.random.default_rng(3)
+        ints = rng.integers(-5, 10**6, rows)
+        doubles = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-12, 20, (rows, 2))
+        expected = percent_lines("x %d;%.17g;%.17g", np.column_stack([ints, doubles]).tolist())
+        # column_stack made the ints floats; %d of an integral float prints the same
+        assert format_table(ints, doubles, sep=";", head="x ") == expected
+        assert format_table(np.zeros((0, 3))) == ""
+
+    def test_python_fallback_is_byte_identical(self, monkeypatch):
+        # with no margin to a tie, every value is formatted by Python
+        values = np.concatenate([EDGE_DOUBLES, np.random.default_rng(5).standard_normal(500)])
+        expected = format_table(values)
+        formatted = []
+        python_format = io_module._python_format
+
+        def counted(template, numbers, out, slow):
+            formatted.append(int(np.count_nonzero(slow)))
+            python_format(template, numbers, out, slow)
+
+        monkeypatch.setattr(io_module, "_TIE_MARGIN", 0.0)
+        monkeypatch.setattr(io_module, "_python_format", counted)
+        assert format_table(values) == expected
+        assert sum(formatted) == len(values)
+
+
+class TestWritersMatchReference:
+    """The writers give the text of the per-row ``%`` formatter they replaced."""
+
+    def test_obj_on_a_129_grid(self, tmp_path):
+        rng = np.random.default_rng(129)
+        vertices = rng.standard_normal((129 * 129, 3)) * 10.0 ** rng.integers(-9, 9, (129 * 129, 3))
+        vertices[:2] = [[np.nan, -0.0, 1e-300], [1.5e300, -2.5, 3.0]]
+        faces = rng.integers(0, 129 * 129, (2 * 128 * 128, 3))
+        faces[0] = [0, 1, 2**40]
+        target = tmp_path / "surface.obj"
+        write_obj(target, vertices, faces)
+        assert target.read_text() == obj_text(vertices, faces)
+
+    def test_curvature_on_a_129_grid(self, tmp_path):
+        rng = np.random.default_rng(128)
+        shape = (129, 129)
+        e, g = rng.random(shape) * 4.0, rng.random(shape) * 1e-3
+        f = rng.uniform(-1.0, 1.0, shape) * np.sqrt(e * g)
+        h = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        e[0, :2], f[0, :2], g[0, :2], h[0, :2] = [1e-300, 2.0], [-0.0, 0.5], [3.0, 1.5e300], [np.nan, -0.0]
+        zeros = np.zeros(shape)
+        forms = FundamentalForms(E=e, F=f, G=g, L=zeros, M=zeros, N=zeros, H=h)
+        us, vs = np.sort(rng.random(129)), np.linspace(0.0, 1.0, 129)
+        target = tmp_path / "curvature.csv"
+        write_curvature_csv(target, us, vs, forms)
+        assert target.read_text() == curvature_text(us, vs, forms)
+
+
 class TestTimestamp:
     def test_epoch_override(self, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
         assert utc_timestamp() == "1970-01-01T00:00:00Z"
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
         assert utc_timestamp() == "1970-01-02T00:00:00Z"
+        # the first second of year 1: ISO 8601 pads the year to four digits
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "-62135596800")
+        assert utc_timestamp() == "0001-01-01T00:00:00Z"
 
     def test_invalid_epoch(self, monkeypatch):
         # not an integer; past the platform's time_t; before year 1
