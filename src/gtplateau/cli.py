@@ -103,7 +103,7 @@ def _alpha_type(text: str):
     values = _float_tuple("--alpha", 4)(text)
     try:
         return SurfaceShape(*values)
-    except ConfigurationError as exc:
+    except (ConfigurationError, DomainError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 

@@ -38,6 +38,7 @@ from .dirichlet import (
     _PAIRS,
     ShapeOptimum,
     _ExtremalFamily,
+    _family_forms,
     _gram,
     _monomial_grams,
     gradient_normal_system,
@@ -191,12 +192,16 @@ def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):
     energies, equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to
     rounding; ``minimize`` runs the swarm on it."""
     require_blend_net(net, complete=False)
+    return _ExtremalFamily(_family_forms(_hybrid_forms, (), rule), net, rule, _BASES)
+
+
+def _hybrid_forms(rule: QuadratureRule) -> np.ndarray:
     parts = _blend_tables(gt_affine_tables(3, rule.nodes), rule.nodes)
     for table in (parts.values, parts.first, parts.second):
         table[1:, :_G] = table[1:, _LIN:] = 0.0  # the Bernstein and linear rows are constant
     k, m = _monomial_grams(parts, rule)  # both directions: cubic, on the same nodes
     p, q = _PAIRS
-    return _ExtremalFamily(_net_form_stack(k[p], m[p], k[q], m[q]), net, rule, _BASES)
+    return _net_form_stack(k[p], m[p], k[q], m[q])
 
 
 def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:

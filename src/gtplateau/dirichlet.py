@@ -21,6 +21,8 @@ one checked Cholesky of the weighted stack gives the interior, the energy
 it one form. The swarm's fitness ``reduced_functional_family`` hands it 36:
 the GT tables are affine in each shape pair, so K and M are quadratic in it,
 and its ``minimize`` is the shape search, returning its own winning extremal.
+Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
+keeps them, read-only, for the process (so does the hybrid's family).
 The "generic" route (``assemble_system_generic``, from the 2-D gradient
 fields of the unknowns' coefficient functions) keeps its own solve,
 quadrature energy and pivot ratio, as the independent reference. Every solve
@@ -29,6 +31,7 @@ refuses a rule too coarse for the bases (``check_rule``, shared with harmonic).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,12 +346,32 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
     return solve_interior(net, bu, bv, rule).energy
 
 
+@functools.lru_cache(maxsize=8)
+def _cached_forms(build, degrees: tuple, nodes: bytes, weights: bytes) -> np.ndarray:
+    forms = build(*degrees, QuadratureRule(np.frombuffer(nodes).copy(), np.frombuffer(weights).copy()))
+    forms.flags.writeable = False
+    return forms
+
+
+def _family_forms(build, degrees: tuple, rule: QuadratureRule) -> np.ndarray:
+    """``build(*degrees, rule)``, a shape family's 36 forms, made once per
+    builder, degrees and rule and shared read-only; the rule is unhashable, so
+    its nodes' and weights' bytes are the key. A degree-d tensor entry holds
+    36 (d + 1)^4 doubles: 0.37 MB at degree 5, 8.2 MB at degree 12."""
+    return _cached_forms(build, degrees, rule.nodes.tobytes(), rule.weights.tobytes())
+
+
+def _tensor_forms(degree_u: int, degree_v: int, rule: QuadratureRule) -> np.ndarray:
+    k_u, m_u = _monomial_grams(gt_affine_tables(degree_u, rule.nodes), rule)
+    k_v, m_v = _monomial_grams(gt_affine_tables(degree_v, rule.nodes), rule)
+    p, q = _PAIRS
+    return _kron_sum(k_u[p], m_u[p], k_v[q], m_v[q])
+
+
 def reduced_functional_family(net: ControlNet, rule: QuadratureRule) -> _ExtremalFamily:
     """J over the GT shape family of a net, its 36 blocks prepared once: the
     swarm's fitness maps a (k, 4) stack of shape vectors to k energies, each
     ``reduced_functional`` to rounding, and ``minimize`` runs the swarm."""
-    k_u, m_u = _monomial_grams(gt_affine_tables(net.degree_u, rule.nodes), rule)
-    k_v, m_v = _monomial_grams(gt_affine_tables(net.degree_v, rule.nodes), rule)
-    p, q = _PAIRS
+    forms = _family_forms(_tensor_forms, (net.degree_u, net.degree_v), rule)
     bases = f"gt(degree={net.degree_u}) x gt(degree={net.degree_v})"
-    return _ExtremalFamily(_kron_sum(k_u[p], m_u[p], k_v[q], m_v[q]), net, rule, bases)
+    return _ExtremalFamily(forms, net, rule, bases)

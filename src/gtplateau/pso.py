@@ -9,10 +9,14 @@ with componentwise draws r1, r2. Updates are synchronous: every particle in
 iteration t sees the global best settled at the end of iteration t - 1.
 
 The objective is evaluated on stacks: it maps a (k, dims) array of positions
-to k values, so a whole swarm costs one call. With more than one thread
-(``threads`` or ``GT_PLATEAU_THREADS``) each iteration's swarm is split into
-one contiguous chunk per worker. A chunk whose call raises a solver failure
-is re-evaluated one row at a time, so only the failing particles score +inf.
+to k values, so a whole swarm costs one call. The initial swarm is evaluated
+on the driver thread, and that call is timed. ``threads`` (or
+``GT_PLATEAU_THREADS``) is an upper bound: only when the call took at least
+``POOL_MIN_SWARM_S`` is a thread pool built, and then each iteration's swarm
+is split into one contiguous chunk per worker; a cheaper swarm runs every
+iteration sequentially, because a pool's hand-off costs more than it saves.
+A chunk whose call raises a solver failure is re-evaluated one row at a time,
+so only the failing particles score +inf.
 
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its
@@ -20,13 +24,15 @@ velocity, and every iteration draws r1 then r2, one (2, dims) call per
 particle and step, always in particle order on the driver thread. Chunks are
 reassembled in particle order, so parallel runs replay sequential ones
 whenever a particle's value does not depend on the chunk it is evaluated in
-(true of the package's stacked fitnesses).
+(true of the package's stacked fitnesses). Under the same condition the
+clock-driven choice of a pool changes no value either.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -41,6 +47,12 @@ _DEFAULT_BOUNDS = ((0.5, 3.5), (0.5, 3.5), (0.5, 3.5), (0.5, 3.5))
 
 #: Initial velocities are uniform in +-(this fraction of each box width).
 VELOCITY_INIT_FRACTION = 0.25
+
+#: Seconds the initial whole-swarm call must take before a thread pool is
+#: built. On a 2-core host, 2 threads lost 8-37% at 1-5.5 ms per call (degree
+#: 5-8 tensor nets, 50 particles), broke even at 8 ms and won 40% at 14 ms
+#: (degree 10). A cold process's first call can take twice its warm time.
+POOL_MIN_SWARM_S = 0.005
 
 
 @dataclass
@@ -170,6 +182,10 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
     velocities = VELOCITY_INIT_FRACTION * width * (2.0 * draws[:, 1] - 1.0)
 
     threads = min(resolve_threads(config.threads), n)
+    start = time.perf_counter()
+    values = guarded(positions)
+    if time.perf_counter() - start < POOL_MIN_SWARM_S:
+        threads = 1
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         def evaluate_all(points):
@@ -178,7 +194,6 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
             # one contiguous chunk per worker; map preserves order
             return np.concatenate(list(pool.map(guarded, np.array_split(points, threads))))
 
-        values = evaluate_all(positions)
         evaluations = n
         personal_best = positions.copy()
         personal_values = values.copy()

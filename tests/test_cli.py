@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gtplateau
+import gtplateau.pso as pso
 from gtplateau.cli import NOT_IMPLEMENTED_NOTE, main
 from gtplateau.io import load_net, save_net
 from gtplateau.numerics import gauss_legendre_rule
@@ -239,12 +240,36 @@ class TestParallelReplay:
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch, argv, names):
         # 7 particles: 2 workers get chunks of 4 and 3, one worker gets the whole stack
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(pso, "POOL_MIN_SWARM_S", 0.0)  # a pool however cheap the swarm
         outs = {}
         for threads in ("1", "2"):
             monkeypatch.setenv("GT_PLATEAU_THREADS", threads)
             outs[threads] = tmp_path / f"threads-{threads}"
             assert main(argv + ["--seed", "9", "--out", str(outs[threads])]) == 0
         for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+    def test_criterion_10_command_with_the_pool_forced(self, tmp_path, monkeypatch):
+        # acceptance criterion 10's swarm is too cheap to engage the pool; here
+        # every iteration runs in it and must replay a sequential run's bytes
+        built = []
+
+        class CountedPool(pso.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(pso, "POOL_MIN_SWARM_S", 0.0)
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", CountedPool)
+        args = ["optimize", WAVE, "--runs", "2", "--swarm", "12", "--iters", "5", "--seed", "3", "--tess", "4"]
+        outs = {}
+        for threads in ("2", "1"):
+            monkeypatch.setenv("GT_PLATEAU_THREADS", threads)
+            outs[threads] = tmp_path / f"threads-{threads}"
+            assert main(args + ["--out", str(outs[threads])]) == 0
+        assert built == [2, 2]
+        for name in ("convergence_00.csv", "convergence_01.csv", "net.json", "summary.json"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
@@ -288,6 +313,7 @@ class TestHarmonic:
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         # 7 particles: 2 workers get chunks of 4 and 3, one worker gets the whole stack
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        monkeypatch.setattr(pso, "POOL_MIN_SWARM_S", 0.0)  # a pool however cheap the swarm
         outs = {}
         for threads in ("1", "2"):
             outs[threads] = tmp_path / f"threads-{threads}"
@@ -512,10 +538,15 @@ class TestExitCodes:
         assert not out.exists()
         assert "point [1][2] must be null or a list of 3 finite numbers" in capsys.readouterr().err
 
-    def test_alpha_outside_domain(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", WAVE, "--alpha", "0.1,2,2,2", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_alpha_outside_domain(self, tmp_path, capsys):
+        for command, alpha, message in (
+            ("solve", "0.1,2,2,2", "theta1 must lie in [0.5, 3.5], got 0.1"),
+            ("compare", "2,2,2,9", "theta2 must lie in [0.5, 3.5], got 9.0"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, WAVE, "--alpha", alpha, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert f"argument --alpha: {message}" in capsys.readouterr().err
 
 
 class TestDependencies:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import gtplateau.io as io_module
-from format_reference import curvature_text, obj_text
+from format_reference import _format_rows, curvature_text, obj_text
 from gtplateau.errors import ConfigurationError, NetFormatError
 from gtplateau.io import (
     RunSummary,
@@ -234,41 +235,47 @@ with np.errstate(over="ignore"):  # the largest double steps up to inf
 EDGE_INTS = np.array([0, 1, 9, 10, 9999, 10000, 2**40, 10**16, 10**18 - 1, 10**18, 2**63 - 1, -1, -(2**40), -(2**63)])
 
 
+def array_table(*tables, **kwargs):
+    """format_table with every table on the numpy byte-array path, however small."""
+    with mock.patch.object(io_module, "_ARRAY_MIN_CELLS", 0):
+        return format_table(*tables, **kwargs)
+
+
 class TestFormatTable:
     """format_table writes every number byte for byte as Python's "%" does."""
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_subnormal=True)))
     def test_any_double(self, values):
-        assert format_table(values) == percent_lines("%.17g", values[:, None].tolist())
+        assert array_table(values) == percent_lines("%.17g", values[:, None].tolist())
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.uint64, st.integers(1, 64)))
     def test_any_bit_pattern(self, bits):
         values = doubles_of_bits(bits)
-        assert format_table(values) == percent_lines("%.17g", values[:, None].tolist())
+        assert array_table(values) == percent_lines("%.17g", values[:, None].tolist())
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(dyadic_ties(), min_size=1, max_size=32))
     def test_exact_ties_round_half_even(self, ties):
-        assert format_table(np.array(ties)) == percent_lines("%.17g", [[x] for x in ties])
+        assert array_table(np.array(ties)) == percent_lines("%.17g", [[x] for x in ties])
 
     def test_edge_doubles(self):
-        assert format_table(EDGE_DOUBLES) == percent_lines("%.17g", EDGE_DOUBLES[:, None].tolist())
+        assert array_table(EDGE_DOUBLES) == percent_lines("%.17g", EDGE_DOUBLES[:, None].tolist())
         assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"  # a tie in the list
-        assert format_table(np.array([1000000000000000.25, 1000000000000000.75])) == (
+        assert array_table(np.array([1000000000000000.25, 1000000000000000.75])) == (
             "1000000000000000.2\n1000000000000000.8\n"
         )
 
     @settings(max_examples=100, deadline=None)
     @given(hnp.arrays(np.int64, st.integers(1, 64)))
     def test_any_int64(self, values):
-        assert format_table(values) == percent_lines("%d", values[:, None].tolist())
+        assert array_table(values) == percent_lines("%d", values[:, None].tolist())
 
     def test_edge_ints(self):
-        assert format_table(EDGE_INTS) == percent_lines("%d", EDGE_INTS[:, None].tolist())
+        assert array_table(EDGE_INTS) == percent_lines("%d", EDGE_INTS[:, None].tolist())
         unsigned = np.array([0, 10**18, 2**64 - 1], dtype=np.uint64)
-        assert format_table(unsigned) == "0\n1000000000000000000\n18446744073709551615\n"
+        assert array_table(unsigned) == "0\n1000000000000000000\n18446744073709551615\n"
 
     def test_tables_and_blocks(self):
         # mixed int and float tables, a head, and more rows than one block
@@ -296,6 +303,42 @@ class TestFormatTable:
         monkeypatch.setattr(io_module, "_python_format", counted)
         assert format_table(values) == expected
         assert sum(formatted) == len(values)
+
+
+class TestSmallTables:
+    """Tables below ``_ARRAY_MIN_CELLS`` cells are formatted by Python, the
+    rest on the array path; both give the per-row reference's bytes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        hnp.arrays(np.float64, st.tuples(st.integers(0, io_module._ARRAY_MIN_CELLS // 2), st.integers(1, 3)),
+                   elements=st.floats(allow_subnormal=True)),
+        st.data(),
+    )
+    def test_either_side_of_the_threshold(self, doubles, data):
+        rows, columns = doubles.shape
+        ints = data.draw(hnp.arrays(np.int64, rows))
+        slow = []
+        python_format = io_module._python_format
+
+        def counted(template, numbers, out, where):
+            slow.append(int(np.count_nonzero(where)))
+            python_format(template, numbers, out, where)
+
+        with mock.patch.object(io_module, "_python_format", counted):
+            text = format_table(ints, doubles, sep=";", head="x ")
+        reference = np.empty((rows, columns + 1), dtype=object)  # Python ints and floats
+        reference[:, 0], reference[:, 1:] = ints, doubles
+        assert text == _format_rows("x %d" + ";%.17g" * columns + "\n", reference)
+        if rows * (columns + 1) < io_module._ARRAY_MIN_CELLS:
+            assert sum(slow) == rows * (columns + 1)
+
+    def test_convergence_csv_of_a_short_swarm(self, tmp_path):
+        history = np.array([3.25, 1.0 / 3.0, 1e-300, -0.0, 38.428812345678901])
+        target = tmp_path / "convergence.csv"
+        write_convergence_csv(target, history)
+        expected = _format_rows("%d,%.17g\n", np.array([list(range(5)), history.tolist()], dtype=object).T)
+        assert target.read_text() == "iteration,best_value\n" + expected
 
 
 class TestWritersMatchReference:

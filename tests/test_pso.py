@@ -1,15 +1,19 @@
 """Particle swarm: determinism, update-rule semantics, guards, threading."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import gtplateau.pso as pso
 from gtplateau.dirichlet import reduced_functional, solve_interior
 from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.numerics import RngStream
 from gtplateau.patch import Patch, SurfaceShape, area
 from gtplateau.pso import (
+    POOL_MIN_SWARM_S,
     THREADS_ENV_VAR,
     VELOCITY_INIT_FRACTION,
     PsoConfig,
@@ -123,13 +127,38 @@ class TestOptimize:
         result_b = optimize(rowwise(sphere), PsoConfig(swarm_size=8, max_iters=5, seed=1, bounds=UNIT_BOX))
         assert not np.array_equal(result_a.history, result_b.history)
 
-    def test_parallel_replays_sequential(self):
+    def test_parallel_replays_sequential(self, monkeypatch):
+        monkeypatch.setattr(pso, "POOL_MIN_SWARM_S", 0.0)  # a pool however cheap the swarm
         kwargs = dict(swarm_size=10, max_iters=15, seed=21, bounds=UNIT_BOX)
         sequential = optimize(rowwise(sphere), PsoConfig(threads=1, **kwargs))
         parallel = optimize(rowwise(sphere), PsoConfig(threads=2, **kwargs))
         np.testing.assert_array_equal(parallel.history, sequential.history)
         np.testing.assert_array_equal(parallel.position, sequential.position)
         np.testing.assert_array_equal(parallel.velocities, sequential.velocities)
+
+    def test_cheap_swarm_builds_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built for a cheap swarm")
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", no_pool)
+        kwargs = dict(swarm_size=10, max_iters=15, seed=21, bounds=UNIT_BOX)
+        sequential = optimize(rowwise(sphere), PsoConfig(threads=1, **kwargs))
+        threaded = optimize(rowwise(sphere), PsoConfig(threads=2, **kwargs))
+        np.testing.assert_array_equal(threaded.history, sequential.history)
+
+    def test_slow_swarm_uses_the_pool(self):
+        workers = set()
+
+        def slow(x):
+            workers.add(threading.current_thread())
+            time.sleep(POOL_MIN_SWARM_S)
+            return rowwise(sphere)(x)
+
+        kwargs = dict(swarm_size=4, max_iters=2, seed=5, bounds=UNIT_BOX)
+        pooled = optimize(slow, PsoConfig(threads=2, **kwargs))
+        assert len(workers - {threading.current_thread()}) == 2
+        sequential = optimize(rowwise(sphere), PsoConfig(threads=1, **kwargs))
+        np.testing.assert_array_equal(pooled.history, sequential.history)
 
     def test_evaluated_positions_stay_feasible(self):
         seen = []

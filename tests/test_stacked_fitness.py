@@ -10,19 +10,32 @@ Dirichlet family's ``extremal`` is the solution behind one row, and its
 ``minimize`` is the swarm whose winner is read from it.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gtplateau.pso as pso
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_affine_tables
-from gtplateau.coons import solve_tb_interior, tb_dirichlet_energy, tb_reduced_functional_family
-from gtplateau.dirichlet import reduced_functional, reduced_functional_family, solve_interior
+from gtplateau.coons import (
+    _hybrid_forms,
+    solve_tb_interior,
+    tb_dirichlet_energy,
+    tb_reduced_functional_family,
+)
+from gtplateau.dirichlet import (
+    _family_forms,
+    _tensor_forms,
+    reduced_functional,
+    reduced_functional_family,
+    solve_interior,
+)
 from gtplateau.errors import ConfigurationError, DomainError, SolverError
 from gtplateau.harmonic import defect_family
-from gtplateau.numerics import gauss_legendre_rule
+from gtplateau.numerics import QuadratureRule, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
 from gtplateau.pso import PsoConfig, optimize
 from laplacian_reference import defect_objective
@@ -197,8 +210,9 @@ def test_row_value_independent_of_stack(route):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("failure", [SolverError, np.linalg.LinAlgError, FloatingPointError])
-def test_failing_particle_scores_inf_alone(route, failure):
+def test_failing_particle_scores_inf_alone(route, failure, monkeypatch):
     nets, stacked, _ = ROUTES[route]
+    monkeypatch.setattr(pso, "POOL_MIN_SWARM_S", 0.0)  # iteration 1 runs in the pool for threads > 1
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -209,9 +223,14 @@ def test_failing_particle_scores_inf_alone(route, failure):
         data=st.data(),
     )
     def check(net, swarm, threads, seed, data):
-        config = PsoConfig(swarm_size=swarm, max_iters=0, seed=seed, threads=threads)
+        config = PsoConfig(swarm_size=swarm, max_iters=1, seed=seed, threads=threads)
+        first = optimize(lambda alphas: stacked(net, alphas), dataclasses.replace(config, max_iters=0))
         clean = optimize(lambda alphas: stacked(net, alphas), config)
-        poisoned_row = clean.positions[data.draw(st.integers(0, swarm - 1))]
+        # fail, in iteration 1, one particle whose step improved it: a +inf
+        # score then leaves its initial value as its best
+        improved = np.flatnonzero(clean.personal_best_values < first.personal_best_values)
+        assume(improved.size > 0)
+        poisoned_row = clean.positions[data.draw(st.sampled_from(improved.tolist()))]
 
         def fragile(alphas):
             if any(np.array_equal(a, poisoned_row) for a in alphas):
@@ -220,12 +239,29 @@ def test_failing_particle_scores_inf_alone(route, failure):
 
         result = optimize(fragile, config)
         poisoned = np.all(clean.positions == poisoned_row, axis=1)
-        alone = np.concatenate([stacked(net, a[None]) for a in clean.positions])
-        assert np.all(np.isinf(result.personal_best_values[poisoned]))
-        np.testing.assert_array_equal(result.personal_best_values[~poisoned], alone[~poisoned])
-        np.testing.assert_array_equal(clean.personal_best_values, alone)
+        start, step = (np.concatenate([stacked(net, a[None]) for a in run.positions]) for run in (first, clean))
+        np.testing.assert_array_equal(first.personal_best_values, start)
+        np.testing.assert_array_equal(clean.personal_best_values, np.minimum(start, step))
+        np.testing.assert_array_equal(result.personal_best_values, np.where(poisoned, start, np.minimum(start, step)))
 
     check()
+
+
+@pytest.mark.parametrize("build, degrees", [(_tensor_forms, (3, 5)), (_hybrid_forms, ())])
+def test_family_forms_are_built_once_read_only(build, degrees):
+    cached = _family_forms(build, degrees, RULE)
+    assert _family_forms(build, degrees, gauss_legendre_rule(RULE.order)) is cached
+    assert cached.tobytes() == build(*degrees, RULE).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0, 0] = 1.0
+
+
+def test_rules_of_one_order_keep_their_own_forms():
+    k = RULE.order
+    midpoint = QuadratureRule(nodes=(np.arange(k) + 0.5) / k, weights=np.full(k, 1.0 / k))
+    gauss, mid = (_family_forms(_tensor_forms, (3, 3), rule) for rule in (RULE, midpoint))
+    assert mid.tobytes() == _tensor_forms(3, 3, midpoint).tobytes()
+    assert not np.array_equal(mid, gauss)
 
 
 @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
