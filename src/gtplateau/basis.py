@@ -99,7 +99,10 @@ def _check_t(t) -> np.ndarray:
 
 def _bernstein_values(degree: int, t: np.ndarray) -> np.ndarray:
     k = np.arange(degree + 1)
-    coeff = np.array([math.comb(degree, int(i)) for i in k], dtype=float)
+    try:
+        coeff = np.array([math.comb(degree, int(i)) for i in k], dtype=float)
+    except OverflowError:
+        raise ConfigurationError(f"Bernstein degree {degree} is too high: its binomials overflow a double") from None
     return coeff[:, None] * t[None, :] ** k[:, None] * (1.0 - t)[None, :] ** (degree - k)[:, None]
 
 
@@ -176,17 +179,17 @@ def _gt_tables(degree: int, th1, th2, t: np.ndarray):
     return values, first, second
 
 
-def check_theta_stack(thetas) -> np.ndarray:
+def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
     """Validate an array of shape parameters against the admissible interval.
 
-    Raises the ``DomainError`` a ShapePair raises for the first offending entry
-    (row-major), naming it theta1 or theta2 by the parity of its column.
+    Raises ``DomainError`` for the first offending entry (row-major), naming
+    it by its column: ``names[column % len(names)]``.
     """
     thetas = np.asarray(thetas, dtype=float)
     bad = ~(np.isfinite(thetas) & (thetas >= THETA_MIN) & (thetas <= THETA_MAX))
     if bad.any():
         index = np.unravel_index(np.flatnonzero(bad)[0], thetas.shape)
-        name = "theta1" if index[-1] % 2 == 0 else "theta2"
+        name = names[index[-1] % len(names)]
         raise DomainError(
             f"{name} must lie in [{THETA_MIN}, {THETA_MAX}], got {float(thetas[index])!r}"
         )

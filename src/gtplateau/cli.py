@@ -35,7 +35,6 @@ from .harmonic import (
     harmonic_reconstruct,
 )
 from .io import (
-    RunSummary,
     atomic_write_text,
     format_table,
     load_net,
@@ -218,8 +217,7 @@ def _summary_writer(args):
 
     def finish(settings: dict, results: dict, line: str) -> int:
         settings = {"net": os.fspath(args.net), **settings}
-        summary = RunSummary(command=args.command, settings=settings, results=results, timestamp=stamp)
-        write_summary(summary, os.path.join(args.out, "summary.json"))
+        write_summary(os.path.join(args.out, "summary.json"), args.command, stamp, settings, results)
         print(line)
         return 0
 

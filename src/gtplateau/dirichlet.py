@@ -22,7 +22,8 @@ it one form. The swarm's fitness ``reduced_functional_family`` hands it 36:
 the GT tables are affine in each shape pair, so K and M are quadratic in it,
 and its ``minimize`` is the shape search, returning its own winning extremal.
 Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
-keeps them, read-only, for the process (so does the hybrid's family).
+keeps them, read-only, for the process (so does the hybrid's family), keyed
+by the rule object: rules are immutable, and there is one per Gauss order.
 The "generic" route (``assemble_system_generic``, from the 2-D gradient
 fields of the unknowns' coefficient functions) keeps its own solve,
 quadrature energy and pivot ratio, as the independent reference. Every solve
@@ -39,7 +40,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense, solve_spd_stack
-from .patch import ControlNet, Patch, SurfaceShape, dirichlet_energy
+from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, dirichlet_energy
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -115,7 +116,7 @@ def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     if coeffs.M_u.shape != (m + 1, m + 1) or coeffs.M_v.shape != (n + 1, n + 1):
         raise ConfigurationError("Gram matrices do not match the net degrees")
 
-    return _free_system(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net)
+    return DenseSystem(*_free_split(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net))
 
 
 def check_rule(net: ControlNet, rule: QuadratureRule, bases: str) -> None:
@@ -147,11 +148,6 @@ def _free_split(form: np.ndarray, net: ControlNet) -> tuple[np.ndarray, np.ndarr
     return rows[..., cols], -(rows[..., ~cols] @ fixed_points)
 
 
-def _free_system(form: np.ndarray, net: ControlNet) -> DenseSystem:
-    matrix, rhs = _free_split(form, net)
-    return DenseSystem(matrix=matrix, rhs=rhs)
-
-
 #: Monomials (1, t1, t2, t1^2, t1 t2, t2^2) of a pair as products t_a t_b, t_0 = 1.
 _MONOMIALS = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 #: (u, v) monomial indices of the 36 blocks of a bi-quadratic family.
@@ -160,10 +156,10 @@ _PAIRS = np.divmod(np.arange(36), 6)
 
 def _lift_shapes(alphas) -> np.ndarray:
     """A checked (k, 4) stack of shape vectors as (k, 2, 3): per pair (1, t1, t2)."""
-    alphas = check_theta_stack(alphas)
+    alphas = check_theta_stack(alphas, SHAPE_NAMES)
     if alphas.ndim != 2 or alphas.shape[1] != 4:
         raise ConfigurationError("shape vectors must be a (k, 4) array")
-    return np.insert(alphas.reshape(-1, 2, 2), 0, 1.0, axis=2)
+    return np.concatenate([np.ones((len(alphas), 2, 1)), alphas.reshape(-1, 2, 2)], axis=2)
 
 
 def _shape_weights(alphas) -> np.ndarray:
@@ -347,18 +343,13 @@ def reduced_functional(net: ControlNet, shape: SurfaceShape, rule: QuadratureRul
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_forms(build, degrees: tuple, nodes: bytes, weights: bytes) -> np.ndarray:
-    forms = build(*degrees, QuadratureRule(np.frombuffer(nodes).copy(), np.frombuffer(weights).copy()))
-    forms.flags.writeable = False
-    return forms
-
-
 def _family_forms(build, degrees: tuple, rule: QuadratureRule) -> np.ndarray:
     """``build(*degrees, rule)``, a shape family's 36 forms, made once per
-    builder, degrees and rule and shared read-only; the rule is unhashable, so
-    its nodes' and weights' bytes are the key. A degree-d tensor entry holds
-    36 (d + 1)^4 doubles: 0.37 MB at degree 5, 8.2 MB at degree 12."""
-    return _cached_forms(build, degrees, rule.nodes.tobytes(), rule.weights.tobytes())
+    builder, degrees and rule object and shared read-only. A degree-d tensor
+    entry holds 36 (d + 1)^4 doubles: 0.37 MB at degree 5, 8.2 MB at degree 12."""
+    forms = build(*degrees, rule)
+    forms.flags.writeable = False
+    return forms
 
 
 def _tensor_forms(degree_u: int, degree_v: int, rule: QuadratureRule) -> np.ndarray:

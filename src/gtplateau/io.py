@@ -17,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -406,29 +405,12 @@ def utc_timestamp() -> str:
     return "%04d" % moment.year + moment.strftime("-%m-%dT%H:%M:%SZ")
 
 
-@dataclass
-class RunSummary:
+def write_summary(path, command: str, timestamp: str, settings: dict, results: dict) -> None:
     """What a command did and what came out, serialized next to its artifacts.
 
     ``settings`` echoes every knob that influenced the numbers (quadrature
     order, tessellation, seeds, shape vectors) so each reported value can be
     recomputed from the emitted net file alone.
     """
-
-    command: str
-    settings: dict
-    results: dict
-    timestamp: str = field(default_factory=utc_timestamp)
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "timestamp": self.timestamp,
-            "settings": self.settings,
-            "results": self.results,
-        }
-        return json.dumps(payload, indent=2) + "\n"
-
-
-def write_summary(summary: RunSummary, path) -> None:
-    atomic_write_text(path, summary.to_json())
+    payload = {"command": command, "timestamp": timestamp, "settings": settings, "results": results}
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")

@@ -2,9 +2,11 @@
 
 Gauss-Legendre quadrature on [0, 1], SPD solves, independent seeded random
 substreams, and central-difference utilities used as test oracles throughout
-the package. Every system is the normal equations of a positive-definite
-energy, so every solve is certified by Cholesky and a residual bound, and
-fails with ``SolverError`` instead of falling back to elimination.
+the package. A quadrature rule is an immutable value hashed by identity, one
+object per Gauss order, so it can key a cache. Every system is the normal
+equations of a positive-definite energy, so every solve is certified by
+Cholesky and a residual bound, and fails with ``SolverError`` instead of
+falling back to elimination.
 """
 
 from __future__ import annotations
@@ -22,20 +24,22 @@ MAX_QUADRATURE_ORDER = 256
 DEFAULT_FD_STEP = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a quadrature rule on [0, 1].
 
     Nodes are strictly increasing inside (0, 1); weights are positive and sum
-    to 1 (the interval length).
+    to 1 (the interval length). A rule is an immutable value: it keeps
+    read-only copies of its arrays, and is compared and hashed by identity.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         if nodes.ndim != 1 or weights.shape != nodes.shape:
@@ -67,11 +71,9 @@ def gauss_legendre_rule(k: int) -> QuadratureRule:
 
 
 @functools.cache
-def _gauss_legendre(k: int) -> QuadratureRule:  # one rule per order, shared read-only
+def _gauss_legendre(k: int) -> QuadratureRule:  # one rule per order, so one form-cache key
     x, w = np.polynomial.legendre.leggauss(k)
-    rule = QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
-    rule.nodes.flags.writeable = rule.weights.flags.writeable = False
-    return rule
+    return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
 @dataclass

@@ -16,9 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables
+from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, check_theta_stack
 from .errors import ConfigurationError, DomainError
 from .numerics import QuadratureRule
+
+
+#: Components of a surface shape vector, in order; domain errors name them.
+SHAPE_NAMES = ("alpha1", "alpha2", "beta1", "beta2")
 
 
 @dataclass(frozen=True)
@@ -35,13 +39,9 @@ class SurfaceShape:
     beta2: float
 
     def __post_init__(self):
-        # ShapePair construction performs the interval validation
-        u = ShapePair(self.alpha1, self.alpha2)
-        v = ShapePair(self.beta1, self.beta2)
-        object.__setattr__(self, "alpha1", u.theta1)
-        object.__setattr__(self, "alpha2", u.theta2)
-        object.__setattr__(self, "beta1", v.theta1)
-        object.__setattr__(self, "beta2", v.theta2)
+        values = check_theta_stack([float(getattr(self, name)) for name in SHAPE_NAMES], SHAPE_NAMES)
+        for name, value in zip(SHAPE_NAMES, values):
+            object.__setattr__(self, name, float(value))
 
     @property
     def u_pair(self) -> ShapePair:

@@ -23,7 +23,9 @@ import gtplateau
 #: The harmonic tuner and certificate read one sampled Laplacian, so the
 #: per-particle defect and its jet quadrature are references in ``tests/``.
 #: The per-row "%" formatter of the writers gave way to ``io.format_table`` and
-#: is the reference of the writer tests.
+#: is the reference of the writer tests. A quadrature rule is hashable, so it
+#: keys the form cache itself; the one summary writer takes its four fields;
+#: the normal equations are built where they are used.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -34,8 +36,11 @@ REMOVED = {
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
         "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum",
     ),
-    "dirichlet": ("reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness"),
-    "io": ("_format_rows", "_ROW_BLOCK"),
+    "dirichlet": (
+        "reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness",
+        "_cached_forms", "_free_system",
+    ),
+    "io": ("_format_rows", "_ROW_BLOCK", "RunSummary"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
         "bernstein_gram", "defect_objective",
@@ -94,3 +99,22 @@ def test_benchmark_pins_resolve():
     assert ("gtplateau.harmonic", "bernstein_laplacian_defect") in pins
     missing = [pin for pin in pins if not hasattr(importlib.import_module(pin[0]), pin[1])]
     assert missing == []
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_block_prints_its_comments(capsys, monkeypatch):
+    """The README's Library example runs, and each print shows the numbers of
+    its trailing comment, to the comment's decimals."""
+    block = README.read_text().split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(README.parent)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+    comments = [line.split("#")[-1].split() for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(comments) == 2
+    for got, want in zip(printed, comments):
+        rounded = [
+            g if "." not in w else f"{float(g):.{len(w.split('.')[1])}f}" for g, w in zip(got, want)
+        ]
+        assert (len(got), rounded) == (len(want), want)

@@ -136,6 +136,12 @@ class TestValidation:
         with pytest.raises(DomainError):
             ShapePair(theta, 2.0)
 
+    def test_bernstein_degree_past_double_range(self):
+        # C(1030, 515) exceeds the largest double; degree 1029 still evaluates
+        assert np.isfinite(basis_tables(BasisSpec.bernstein(1029), [0.5]).second).all()
+        with pytest.raises(ConfigurationError, match="Bernstein degree 1030 is too high"):
+            basis_tables(BasisSpec.bernstein(1030), [0.5])
+
     def test_gt_degree_floor(self):
         with pytest.raises(ConfigurationError):
             BasisSpec.gt(1, 2.0, 2.0)

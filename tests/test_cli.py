@@ -427,6 +427,10 @@ class TestBasisEval:
     def test_sample_floor(self):
         assert main(["basis", "eval", "--samples", "1"]) == 2
 
+    def test_degree_past_double_range(self, capsys):
+        assert main(["basis", "eval", "--basis", "bernstein", "--degree", "1030", "--samples", "3"]) == 2
+        assert "invalid input: Bernstein degree 1030 is too high" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -540,8 +544,9 @@ class TestExitCodes:
 
     def test_alpha_outside_domain(self, tmp_path, capsys):
         for command, alpha, message in (
-            ("solve", "0.1,2,2,2", "theta1 must lie in [0.5, 3.5], got 0.1"),
-            ("compare", "2,2,2,9", "theta2 must lie in [0.5, 3.5], got 9.0"),
+            ("solve", "0.1,2,2,2", "alpha1 must lie in [0.5, 3.5], got 0.1"),
+            ("solve", "2,9,2,2", "alpha2 must lie in [0.5, 3.5], got 9.0"),
+            ("compare", "2,2,2,9", "beta2 must lie in [0.5, 3.5], got 9.0"),
         ):
             with pytest.raises(SystemExit) as exc:
                 main([command, WAVE, "--alpha", alpha, "--out", str(tmp_path)])

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -14,7 +14,6 @@ import gtplateau.io as io_module
 from format_reference import _format_rows, curvature_text, obj_text
 from gtplateau.errors import ConfigurationError, NetFormatError
 from gtplateau.io import (
-    RunSummary,
     atomic_write_text,
     format_table,
     load_net,
@@ -62,6 +61,44 @@ class TestNetRoundTrip:
         loaded = load_net(target)
         np.testing.assert_array_equal(loaded.fixed, fixed)
         assert loaded.points[2, 2].tolist() == [0.0, 0.0, 0.0]
+
+
+#: Doubles a JSON round trip could lose: signed zeros, the smallest subnormal,
+#: the largest finite value and an integer-valued float past 2**53.
+NET_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0**53 + 1)
+
+
+@st.composite
+def nets(draw):
+    """Random nets from 2x2 to 7x7: null (unknown) cells, and known points
+    that are free as well as fixed."""
+    shape = (draw(st.integers(2, 7)), draw(st.integers(2, 7)))
+    cells = st.one_of(st.sampled_from(NET_DOUBLES), st.floats(allow_nan=False, allow_infinity=False))
+    points = draw(hnp.arrays(np.float64, shape + (3,), elements=cells))
+    known = draw(hnp.arrays(np.bool_, shape))
+    fixed = known & draw(hnp.arrays(np.bool_, shape))
+    points[~known] = np.nan
+    return ControlNet(points=points, fixed=fixed)
+
+
+def edge_net():
+    """Every double of NET_DOUBLES, fixed and known-but-free, around one unknown point."""
+    points = np.resize(np.array(NET_DOUBLES), (3, 3, 3))
+    points[1, 1] = np.nan
+    fixed = np.isfinite(points).all(axis=-1)
+    fixed[0, 1] = False
+    return ControlNet(points=points, fixed=fixed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nets())
+@example(edge_net())
+def test_net_json_round_trip_is_bitwise(tmp_path_factory, net):
+    target = tmp_path_factory.getbasetemp() / "round_trip.json"
+    save_net(net, target)
+    loaded = load_net(target)
+    assert loaded.points.tobytes() == net.points.tobytes()  # every bit, sign bits included
+    np.testing.assert_array_equal(loaded.fixed, net.fixed)
 
 
 class TestLoadErrors:
@@ -396,21 +433,18 @@ class TestTimestamp:
 class TestRunSummary:
     def test_round_trip(self, monkeypatch, tmp_path):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-        summary = RunSummary(
-            command="solve",
-            settings={"quad": 32, "basis": "bernstein"},
-            results={"energy": 39.220659340659346, "area": 38.84292521991595},
-        )
-        text = summary.to_json()
+        settings = {"quad": 32, "basis": "bernstein"}
+        results = {"energy": 39.220659340659346, "area": 38.84292521991595}
+        target = tmp_path / "summary.json"
+        write_summary(target, "solve", utc_timestamp(), settings, results)
+        text = target.read_text()
         assert text.endswith("}\n")
         payload = json.loads(text)
         assert payload["command"] == "solve"
         assert payload["timestamp"] == "1970-01-01T00:00:00Z"
         assert payload["results"]["area"] == 38.84292521991595
-
-        target = tmp_path / "summary.json"
-        write_summary(summary, target)
-        assert target.read_text() == text
+        assert list(payload) == ["command", "timestamp", "settings", "results"]
+        assert text == json.dumps(payload, indent=2) + "\n"
 
 
 class TestAtomicWrite:

@@ -52,6 +52,17 @@ class TestGaussLegendre:
             with pytest.raises(ValueError):
                 array[0] = 0.5
 
+    def test_rule_owns_read_only_copies(self):
+        nodes, weights = np.array([0.1, 0.3, 0.5, 0.7, 0.9]), np.full(5, 0.2)
+        rule = QuadratureRule(nodes, weights)
+        nodes[0], weights[0] = -5.0, 7.0
+        assert rule.nodes[0] == 0.1 and rule.weights[0] == 0.2
+        for array in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+        # equal contents, distinct values: compared and hashed by identity
+        assert QuadratureRule(rule.nodes, rule.weights) != rule
+
     @pytest.mark.parametrize("bad", [0, -3, MAX_QUADRATURE_ORDER + 1, 2.5, True])
     def test_rejects_bad_node_counts(self, bad):
         with pytest.raises(ConfigurationError):

@@ -284,9 +284,9 @@ class TestStackValidation:
     @pytest.mark.parametrize(
         "row, message",
         [
-            ([2.0, 0.3, 2.0, 2.0], "theta2 must lie in"),
-            ([2.0, 2.0, 3.6, 2.0], "theta1 must lie in"),
-            ([2.0, 2.0, 2.0, math.nan], "theta2 must lie in"),
+            ([2.0, 0.3, 2.0, 2.0], "alpha2 must lie in"),
+            ([2.0, 2.0, 3.6, 2.0], "beta1 must lie in"),
+            ([2.0, 2.0, 2.0, math.nan], "beta2 must lie in"),
         ],
     )
     def test_domain_checked_per_particle(self, stacked, wave_net, row, message):
