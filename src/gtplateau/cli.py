@@ -60,6 +60,13 @@ from .pso import PsoConfig, optimize, resolve_threads
 
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
+#: Largest coordinate magnitude (``ControlNet.scale``) a command accepts. Energies
+#: and defects are quadratic in the coordinates, but areas and curvature forms pass
+#: through quartic terms (|Su x Sv|^2, EG - F^2), times the fourth power of the
+#: bases' largest sum |G_i'| (7.5 at degree 3, 511 at degree 255). At 1e70 those
+#: stay below 1e292; a wave scaled to 6e99 already wrote an infinite area.
+MAX_NET_SCALE = 1e70
+
 
 def _float_tuple(flag: str, count: int):
     def parse(text: str):
@@ -189,6 +196,16 @@ def _select_bases(basis_name: str, shape: SurfaceShape, net) -> tuple[BasisSpec,
     return BasisSpec.bernstein(net.degree_u), BasisSpec.bernstein(net.degree_v)
 
 
+def _read_net(path):
+    """The net at ``path``, refused before any write when its coordinates are too large."""
+    net = load_net(path)
+    if net.scale() > MAX_NET_SCALE:
+        raise ConfigurationError(
+            f"{path}: coordinate magnitude {net.scale():.17g} exceeds the supported {MAX_NET_SCALE:g}"
+        )
+    return net
+
+
 def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
     """(patch, energy, hint, route): the interior solved when anything is
     unknown, else the net as-is, on a rule the solve would accept."""
@@ -242,7 +259,7 @@ def cmd_solve(args) -> int:
     ):
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigurationError(f"{flag} must be a positive finite number, got {value!r}")
-    net = load_net(args.net)
+    net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
     surface, energy, hint, route = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
 
@@ -288,7 +305,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    net = load_net(args.net)
+    net = _read_net(args.net)
     if not net.free.any():
         raise ConfigurationError("optimize needs a net with unknown interior points")
     if args.runs < 1:
@@ -324,7 +341,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_harmonic(args) -> int:
-    net = load_net(args.net)
+    net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
     config = _pso_config(args, args.seed) if args.tune_alpha else None  # validated before writing
     reconstructed = harmonic_reconstruct(net)
@@ -352,7 +369,7 @@ def cmd_harmonic(args) -> int:
 
 
 def cmd_coons(args) -> int:
-    net = load_net(args.net)
+    net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
     optimum = optimize_tb(net, _pso_config(args, args.seed), rule)
 
@@ -380,7 +397,7 @@ def cmd_coons(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    net = load_net(args.net)
+    net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
     rows = []
 

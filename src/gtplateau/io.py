@@ -3,10 +3,9 @@
 Net files are JSON objects with a "points" array of rows (row index = u),
 each cell either a list of 3 finite numbers or null for an unknown point
 (JSON's NaN, Infinity and overflowing literals are refused), plus optional
-"degrees" and a "fixed" mask. All writers go through an atomic
-write-temp-then-rename so a crash never leaves a half-written artifact, and
-all float formatting is deterministic so identical runs produce identical
-bytes.
+"degrees" and a "fixed" mask. Mesh and grid numbers are "%.17g" text, integers
+included, so identical runs produce identical bytes. Every writer goes through
+an atomic write-temp-then-rename so a crash never leaves a half-written artifact.
 """
 
 from __future__ import annotations
@@ -144,9 +143,9 @@ def save_net(net: ControlNet, path) -> None:
     atomic_write_text(path, json.dumps(net_to_payload(net), indent=2) + "\n")
 
 
-# Numbers are written as Python's "%.17g" % x and "%d" % n would write them,
-# but built as numpy byte matrices: each value becomes one row of ASCII bytes
-# padded with NUL, and the NULs are deleted once the rows of a block are joined.
+# Numbers are written as Python's "%.17g" % x would write them, but built as numpy
+# byte matrices: each value becomes one row of ASCII bytes padded with NUL, and
+# the NULs are deleted once the rows of a block are joined.
 #
 # "%.17g" prints the 17 digits of N = rint(y), y = |x| * 10**(16 - X), where X
 # is the decimal exponent with 10**16 <= y < 10**17. With 10**(16 - X) as a
@@ -165,14 +164,11 @@ _TIE_MARGIN = 0.5 - 2.0**-20
 #: Rows formatted at a time; a block's byte matrices take about 1 MB.
 _BLOCK_ROWS = 2048
 #: Tables with fewer cells are formatted by Python: the array path costs about
-#: 0.1 ms however small the table, which Python's "%" beats below roughly 90
-#: "%.17g" cells (and 150 with half of them "%d").
+#: 0.1 ms however small the table, which Python's "%" beats below roughly 90 cells.
 _ARRAY_MIN_CELLS = 96
 #: A formatted double is 48 bytes: sign and "0.000" lead (6), 17 digits each
 #: followed by a slot for the decimal point (34), 2 spare, "e+XX" and 4 spare.
 _FLOAT_WIDTH = 48
-#: A formatted integer is 24 bytes: five groups of 4 digits and 4 spare.
-_INT_WIDTH = 24
 
 _EXPONENTS = np.arange(-_MAX_EXPONENT, _MAX_EXPONENT + 1)  # table row of each X
 
@@ -207,23 +203,13 @@ def _words(rows, dtype) -> np.ndarray:
 
 
 _DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # of 0..9999, by place
-_NONZERO = _DIGITS > 0
 _ASCII = _DIGITS.T + np.uint8(ord("0"))
 #: Word f*10000 + g: the 4 digits of g, each followed by a spare byte, up to
 #: its last nonzero digit but at least f digits.
 _FLOAT_QUADS = (
     np.stack([_ASCII, np.zeros_like(_ASCII)], axis=-1).reshape(-1, 8).view(np.uint64)[:, 0]
     & _words([[255, 0] * c + [0, 0] * (4 - c) for c in range(5)], np.uint64)[
-        np.maximum(np.arange(5)[:, None], np.select(_NONZERO[::-1], [4, 3, 2, 1], 0))
-    ]
-).reshape(-1)
-#: Word s*10000 + g: the 4 digits of g (s = 0), without leading zeros (s = 1),
-#: or without leading zeros but at least one digit (s = 2).
-_LEADING = np.select(_NONZERO, [0, 1, 2, 3], 4)
-_INT_QUADS = (
-    np.ascontiguousarray(_ASCII).view(np.uint32)[:, 0]
-    & _words([[0] * c + [255] * (4 - c) for c in range(5)], np.uint32)[
-        np.stack([np.zeros_like(_LEADING), _LEADING, np.minimum(_LEADING, 3)])
+        np.maximum(np.arange(5)[:, None], np.select(_DIGITS[::-1] > 0, [4, 3, 2, 1], 0))
     ]
 ).reshape(-1)
 
@@ -256,26 +242,12 @@ def _quads(values: np.ndarray):
     return high_top, high - high_top * 10000, low_top, low - low_top * 10000
 
 
-def _python_format(template: str, values: np.ndarray, out: np.ndarray, slow: np.ndarray) -> None:
-    """Write ``template % x`` of the values where ``slow`` holds into their cells."""
+def _python_format(values: np.ndarray, out: np.ndarray, slow: np.ndarray) -> None:
+    """Write ``"%.17g" % x`` of the values where ``slow`` holds into their cells."""
     where = slow.nonzero()
     if where[0].size:
-        texts = [(template % x).ljust(out.shape[-1], "\0") for x in values[where].tolist()]
+        texts = [("%.17g" % x).ljust(_FLOAT_WIDTH, "\0") for x in values[where].tolist()]
         out[where] = _words(texts, np.uint8).reshape(len(texts), -1)
-
-
-def _int_cells(values: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"%d" % n`` of each integer into its NUL-padded cell of ``out``."""
-    fast = (values >= 0) & (values < 10**18)
-    exact = np.where(fast, values, 0).astype(np.int64)
-    top = exact // 10**16
-    words = out.view(np.uint32)
-    leading = np.ones(values.shape, dtype=bool)
-    for k, quad in enumerate((top, *_quads(exact - top * 10**16))):
-        words[..., k] = _INT_QUADS.take(quad + leading * (20000 if k == 4 else 10000))
-        leading &= quad == 0
-    words[..., 5] = 0
-    _python_format("%d", values, out, ~fast)
 
 
 def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
@@ -307,7 +279,7 @@ def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
     words[..., 5] = _TAILS.take(row)
     dots = (rest % _DOT_MODULUS.take(row) != 0).nonzero()
     out[(*dots, _DOT_BYTE.take(row[dots]))] = ord(".")
-    _python_format("%.17g", values, out, ~fast)
+    _python_format(values, out, ~fast)
 
 
 def _cells(values) -> np.ndarray:
@@ -318,57 +290,56 @@ def _cells(values) -> np.ndarray:
 
 
 def format_table(*tables, sep: str = ",", head: str = "") -> str:
-    """One line per row of the ``tables``: ``head``, then the row's values
-    joined by ``sep``, then a newline, byte for byte as Python's "%d" (for
-    integers) and "%.17g" (for everything else) write them.
+    """One line per row of the ``tables``: ``head``, then the row's numbers
+    joined by ``sep``, then a newline, byte for byte as Python's "%.17g" writes
+    them. Integers are written as the doubles they are, which "%.17g" prints as
+    "%d" does up to 2**53.
 
     A table is a 1-D column or a 2-D array of columns, or a pair (cells, index)
-    whose rows are ``cells[index]``, for "%.17g" text made once by ``_cells``
-    and repeated. All tables have one length.
+    of text made once by ``_cells`` and a 1-D or 2-D index into it, whose rows
+    are ``cells[index]``. All tables have one length.
     """
-    slots, width_so_far = [], -(-len(head) // 8) * 8  # each cell starts on a word boundary
+    slots, columns_so_far = [], 0
     for table in tables:
-        if isinstance(table, tuple):
-            count, columns, width = len(table[1]), 1, table[0].shape[1]
-        else:
-            table = np.asarray(table)
-            table = table[:, None] if table.ndim == 1 else table
-            count, columns = table.shape
-            width = _INT_WIDTH if table.dtype.kind in "iu" else _FLOAT_WIDTH
-        slots.append((table, width_so_far, columns, width))
-        width_so_far += columns * width
-    line = np.zeros((min(count, _BLOCK_ROWS), width_so_far), np.uint8)
+        cells, table = table if isinstance(table, tuple) else (None, np.asarray(table, dtype=float))
+        table = table[:, None] if table.ndim == 1 else table
+        count, columns = table.shape
+        slots.append((cells, table, columns_so_far, columns))
+        columns_so_far += columns
+    at = -(-len(head) // 8) * 8  # each cell starts on a word boundary
+    line = np.zeros((min(count, _BLOCK_ROWS), at + columns_so_far * _FLOAT_WIDTH), np.uint8)
     line[:, :len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
-    # the last byte of every cell is spare: it takes the separator or newline
-    ends = np.concatenate([np.arange(at + width - 1, at + columns * width, width) for _, at, columns, width in slots])
+    row_cells = line[:, at:].reshape(len(line), columns_so_far, _FLOAT_WIDTH)
 
-    small = count * sum(columns for _, _, columns, _ in slots) < _ARRAY_MIN_CELLS
+    small = count * columns_so_far < _ARRAY_MIN_CELLS
     chunks = []
     for start in range(0, count, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         size = min(_BLOCK_ROWS, count - start)
-        for table, at, columns, width in slots:
-            out = line[:size, at:at + columns * width].reshape(size, columns, width)
-            if isinstance(table, tuple):
-                out[:, 0] = table[0][table[1][rows]]
+        for cells, table, first, columns in slots:
+            out = row_cells[:size, first:first + columns]
+            if cells is not None:
+                out[:] = cells[table[rows]]
             elif small:  # Python formats every cell
-                integer = width == _INT_WIDTH
-                values = table[rows] if integer else np.asarray(table[rows], dtype=float)
-                _python_format("%d" if integer else "%.17g", values, out, np.ones(out.shape[:2], bool))
-            elif width == _INT_WIDTH:
-                _int_cells(table[rows], out)
+                _python_format(table[rows], out, np.ones(out.shape[:2], bool))
             else:
-                _float_cells(np.asarray(table[rows], dtype=float), out)
-        line[:size, ends] = ord(sep)
-        line[:size, ends[-1]] = ord("\n")
+                _float_cells(table[rows], out)
+        # the last byte of every cell is spare: it takes the separator or newline
+        row_cells[:size, :, -1] = ord(sep)
+        row_cells[:size, -1, -1] = ord("\n")
         chunks.append(line[:size].tobytes().translate(None, b"\0"))
     return b"".join(chunks).decode("ascii")
 
 
 def write_obj(path, vertices: np.ndarray, faces: np.ndarray) -> None:
     """Wavefront OBJ: vertices in tessellation order, 1-based faces, no normals."""
-    text = format_table(np.asarray(vertices, dtype=float), sep=" ", head="v ")
-    atomic_write_text(path, text + format_table(np.asarray(faces) + 1, sep=" ", head="f "))
+    vertices, faces = np.asarray(vertices, dtype=float), np.asarray(faces)
+    if faces.size and not 0 <= faces.min() <= faces.max() < len(vertices):
+        raise ConfigurationError(f"face indices must lie in [0, {len(vertices)}), got {faces.min()} to {faces.max()}")
+    # faces are written as the vertex numbers 1..V, each formatted once
+    numbers = _cells(np.arange(1, len(vertices) + 1))
+    text = format_table(vertices, sep=" ", head="v ")
+    atomic_write_text(path, text + format_table((numbers, faces), sep=" ", head="f "))
 
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:

@@ -67,6 +67,10 @@ class PsoConfig:
     threads: int | None = None
 
     def __post_init__(self):
+        counts = (self.swarm_size, self.max_iters, self.seed, 1 if self.threads is None else self.threads)
+        for name, value in zip(("swarm_size", "max_iters", "seed", "threads"), counts):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         self.bounds = np.asarray(self.bounds, dtype=float)
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2 or self.bounds.shape[0] < 1:
             raise ConfigurationError("bounds must be a (dims, 2) array")

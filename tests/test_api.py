@@ -40,7 +40,7 @@ REMOVED = {
         "reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness",
         "_cached_forms", "_free_system",
     ),
-    "io": ("_format_rows", "_ROW_BLOCK", "RunSummary"),
+    "io": ("_format_rows", "_ROW_BLOCK", "RunSummary", "_int_cells", "_INT_QUADS", "_LEADING", "_INT_WIDTH"),
     "harmonic": (
         "elevation_coefficients", "_direction_operator", "laplacian_coefficient_operator",
         "bernstein_gram", "defect_objective",

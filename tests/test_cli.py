@@ -11,7 +11,7 @@ import pytest
 
 import gtplateau
 import gtplateau.pso as pso
-from gtplateau.cli import NOT_IMPLEMENTED_NOTE, main
+from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
 from gtplateau.io import load_net, save_net
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
@@ -552,6 +552,50 @@ class TestExitCodes:
                 main([command, WAVE, "--alpha", alpha, "--out", str(tmp_path)])
             assert exc.value.code == 2
             assert f"argument --alpha: {message}" in capsys.readouterr().err
+
+
+def scaled_wave(directory: pathlib.Path, factor: float) -> str:
+    """The wave fixture with every known coordinate times ``factor``, as a file."""
+    payload = json.loads(pathlib.Path(WAVE).read_text())
+    payload["points"] = [[None if p is None else [factor * x for x in p] for p in row] for row in payload["points"]]
+    path = directory / f"wave-{factor:g}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+NET_COMMANDS = [
+    ["solve", "--tess", "4"],
+    ["optimize", "--swarm", "4", "--iters", "2", "--tess", "4"],
+    ["coons", "--swarm", "4", "--iters", "2", "--tess", "4"],
+    ["compare", "--swarm", "4", "--iters", "2"],
+    ["harmonic", "--tune-alpha", "--swarm", "4", "--iters", "2"],
+]
+
+
+class TestCoordinateBound:
+    """Nets past MAX_NET_SCALE (the wave's largest coordinate is 6) are refused
+    before --out exists; below it every reported number is finite."""
+
+    @pytest.mark.parametrize("factor", [1e154, 1e99])
+    @pytest.mark.parametrize("argv", NET_COMMANDS, ids=lambda argv: argv[0])
+    def test_past_the_bound_writes_nothing(self, tmp_path, capsys, argv, factor):
+        out = tmp_path / "run"
+        assert main([argv[0], scaled_wave(tmp_path, factor), *argv[1:], "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"exceeds the supported {MAX_NET_SCALE:g}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", NET_COMMANDS, ids=lambda argv: argv[0])
+    def test_below_the_bound_every_number_is_finite(self, tmp_path, argv):
+        out = tmp_path / "run"
+        assert main([argv[0], scaled_wave(tmp_path, 1e69), *argv[1:], "--out", str(out)]) == 0
+
+        def refuse(constant):  # json.dumps writes inf and nan as these bare names
+            raise AssertionError(f"summary.json holds {constant}")
+
+        results = json.loads((out / "summary.json").read_text(), parse_constant=refuse)["results"]
+        values = [row["energy"] for row in results.get("rows", [results]) if row.get("energy") is not None]
+        values += [results["laplacian_defect"]] if "laplacian_defect" in results else []
+        assert values and all(value > 1e138 for value in values)  # squares of 6e69, all finite
 
 
 class TestDependencies:

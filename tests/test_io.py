@@ -182,10 +182,18 @@ class TestWriters:
 
         edge = tmp_path / "edge.obj"
         vertices = np.array([[np.nan, -0.0, 1e-300], [1.5e300, -2.5, 3.0]])
-        write_obj(edge, vertices, np.array([[0, 1, 2**40]]))
+        write_obj(edge, vertices, np.array([[1, 0, 1]]))
         assert edge.read_text() == (
-            "v nan -0 1e-300\nv 1.5000000000000001e+300 -2.5 3\nf 1 2 1099511627777\n"
+            "v nan -0 1e-300\nv 1.5000000000000001e+300 -2.5 3\nf 2 1 2\n"
         )
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_obj_face_outside_the_vertices(self, tmp_path, index):
+        # a gather would wrap -1 to the last vertex; both ends are refused
+        target = tmp_path / "mesh.obj"
+        with pytest.raises(ConfigurationError, match=r"\[0, 3\)"):
+            write_obj(target, np.zeros((3, 3)), np.array([[0, 1, 2], [0, index, 2]]))
+        assert not target.exists()
 
     def test_curvature_csv(self, tmp_path):
         points = np.stack(
@@ -269,7 +277,6 @@ with np.errstate(over="ignore"):  # the largest double steps up to inf
     EDGE_DOUBLES = np.concatenate(
         [EDGE_DOUBLES, -EDGE_DOUBLES, np.nextafter(EDGE_DOUBLES, 0), np.nextafter(EDGE_DOUBLES, np.inf)]
     )
-EDGE_INTS = np.array([0, 1, 9, 10, 9999, 10000, 2**40, 10**16, 10**18 - 1, 10**18, 2**63 - 1, -1, -(2**40), -(2**63)])
 
 
 def array_table(*tables, **kwargs):
@@ -305,14 +312,14 @@ class TestFormatTable:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(hnp.arrays(np.int64, st.integers(1, 64)))
-    def test_any_int64(self, values):
-        assert array_table(values) == percent_lines("%d", values[:, None].tolist())
-
-    def test_edge_ints(self):
-        assert array_table(EDGE_INTS) == percent_lines("%d", EDGE_INTS[:, None].tolist())
-        unsigned = np.array([0, 10**18, 2**64 - 1], dtype=np.uint64)
-        assert array_table(unsigned) == "0\n1000000000000000000\n18446744073709551615\n"
+    @given(st.lists(st.integers(-(2**53), 2**53), min_size=1, max_size=64))
+    @example([0, 1, -1, 9, 10, 9999, 10000, 2**40, -(2**40), 10**15, 2**53 - 1, 2**53, -(2**53)])
+    def test_integers_print_as_their_doubles(self, ints):
+        # up to 2**53 an integer is its double exactly, and "%.17g" of an
+        # integral double below 10**17 is "%d"'s text
+        expected = percent_lines("%d", [[n] for n in ints])
+        assert array_table(np.array(ints, dtype=np.int64)) == expected
+        assert array_table(np.array(ints, dtype=float)) == expected
 
     def test_tables_and_blocks(self):
         # mixed int and float tables, a head, and more rows than one block
@@ -332,9 +339,9 @@ class TestFormatTable:
         formatted = []
         python_format = io_module._python_format
 
-        def counted(template, numbers, out, slow):
+        def counted(numbers, out, slow):
             formatted.append(int(np.count_nonzero(slow)))
-            python_format(template, numbers, out, slow)
+            python_format(numbers, out, slow)
 
         monkeypatch.setattr(io_module, "_TIE_MARGIN", 0.0)
         monkeypatch.setattr(io_module, "_python_format", counted)
@@ -354,13 +361,13 @@ class TestSmallTables:
     )
     def test_either_side_of_the_threshold(self, doubles, data):
         rows, columns = doubles.shape
-        ints = data.draw(hnp.arrays(np.int64, rows))
+        ints = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(-(2**53), 2**53)))
         slow = []
         python_format = io_module._python_format
 
-        def counted(template, numbers, out, where):
+        def counted(numbers, out, where):
             slow.append(int(np.count_nonzero(where)))
-            python_format(template, numbers, out, where)
+            python_format(numbers, out, where)
 
         with mock.patch.object(io_module, "_python_format", counted):
             text = format_table(ints, doubles, sep=";", head="x ")
@@ -386,7 +393,7 @@ class TestWritersMatchReference:
         vertices = rng.standard_normal((129 * 129, 3)) * 10.0 ** rng.integers(-9, 9, (129 * 129, 3))
         vertices[:2] = [[np.nan, -0.0, 1e-300], [1.5e300, -2.5, 3.0]]
         faces = rng.integers(0, 129 * 129, (2 * 128 * 128, 3))
-        faces[0] = [0, 1, 2**40]
+        faces[0] = [0, 129 * 129 - 1, 1]  # both ends of the vertex range
         target = tmp_path / "surface.obj"
         write_obj(target, vertices, faces)
         assert target.read_text() == obj_text(vertices, faces)

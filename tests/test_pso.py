@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtplateau.pso as pso
 from gtplateau.dirichlet import reduced_functional, solve_interior
@@ -47,6 +49,13 @@ class TestProjectToBounds:
         np.testing.assert_array_equal(project_to_bounds(once, UNIT_BOX), once)
 
 
+#: Counts that PsoConfig must accept (small integers of either kind) or refuse.
+COUNTS = st.one_of(
+    st.integers(-2, 4), st.integers(-2, 4).map(np.int64), st.booleans(),
+    st.floats(allow_nan=True), st.sampled_from([2.0, np.float64(3.0), "3", None]),
+)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -65,11 +74,37 @@ class TestConfigValidation:
             {"threads": 0},
             {"c1": math.nan},
             {"c2": math.inf},
+            {"swarm_size": 2.5},
+            {"swarm_size": True},
+            {"max_iters": math.nan},
+            {"max_iters": 3.0},
+            {"seed": "0"},
+            {"seed": np.float64(1.0)},
+            {"threads": 1.5},
+            {"threads": False},
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigurationError):
             PsoConfig(**kwargs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fixed_dictionaries({}, optional={
+        "swarm_size": COUNTS, "max_iters": COUNTS, "seed": COUNTS | st.just(2**70), "threads": COUNTS,
+        "inertia": st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf]),
+        "c1": st.floats(-1.0, 3.0) | st.sampled_from([math.nan, math.inf]),
+        "bounds": st.sampled_from([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, math.nan]], [[-1.0, 1.0], [2.0, 5.0]]]),
+    }))
+    def test_invalid_fields_raise_configuration_error(self, kwargs):
+        # every config is either refused with ConfigurationError or runs a swarm
+        try:
+            config = PsoConfig(**kwargs)
+        except ConfigurationError:
+            return
+        result = optimize(lambda x: np.sum(x * x, axis=1), config)
+        assert len(result.history) == config.max_iters + 1
+        assert result.evaluations == config.swarm_size * (config.max_iters + 1)
+        assert np.all(project_to_bounds(result.positions, config.bounds) == result.positions)
 
     def test_default_box_is_shape_domain(self):
         config = PsoConfig()
