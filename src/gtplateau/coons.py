@@ -16,8 +16,9 @@ over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
 
 Jets contract the 10-row tables with C by the tensor patch's ``_jet``. With
 Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
-P_c^T F P_c for the 16 x 16 form F = L^T Q L from ``_net_form_stack``, and
-``solve_tb_interior`` is the tensor patch's extremal engine on F.
+P_c^T F P_c for the 16 x 16 form F = L^T Q L, which the tensor patch's form
+builder ``_forms`` gives with L as its net map, and ``solve_tb_interior`` is
+the tensor patch's extremal engine on F.
 ``_tb_system`` builds the same normal equations from 2-D gradient fields; it
 is the independent reference. The GT rows of the tables carry the shape,
 affinely, so F is bi-quadratic in it: the swarm's fitness
@@ -34,15 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_affine_tables
-from .dirichlet import (
-    _PAIRS,
-    ShapeOptimum,
-    _ExtremalFamily,
-    _family_forms,
-    _gram,
-    _monomial_grams,
-    gradient_normal_system,
-)
+from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule
 from .patch import ControlNet, SurfaceJet, SurfaceShape, _check_params, _jet, boundary_mask
@@ -134,9 +127,8 @@ def _pair_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
 
 def _tb_form(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
     """F = L^T Q L (16 x 16) of one shape vector: the hybrid energy over the net."""
-    k_f, m_f = _gram(_pair_tables(shape.u_pair, rule.nodes), rule)
-    k_h, m_h = _gram(_pair_tables(shape.v_pair, rule.nodes), rule)
-    return _net_form_stack(k_f[None], m_f[None], k_h[None], m_h[None])[0]
+    u, v = (_pair_tables(pair, rule.nodes) for pair in (shape.u_pair, shape.v_pair))
+    return _forms(u, v, rule, net_map=_L)[0]
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
@@ -199,23 +191,7 @@ def _hybrid_forms(rule: QuadratureRule) -> np.ndarray:
     parts = _blend_tables(gt_affine_tables(3, rule.nodes), rule.nodes)
     for table in (parts.values, parts.first, parts.second):
         table[1:, :_G] = table[1:, _LIN:] = 0.0  # the Bernstein and linear rows are constant
-    k, m = _monomial_grams(parts, rule)  # both directions: cubic, on the same nodes
-    p, q = _PAIRS
-    return _net_form_stack(k[p], m[p], k[q], m[q])
-
-
-def _net_form_stack(k_f, m_f, k_h, m_h) -> np.ndarray:
-    """L^T (K_F (x) M_H + M_F (x) K_H) L (k x 16 x 16) from stacks of 10x10
-    Gram matrices, one Kronecker factor at a time: the 100 x 100 form is
-    never built."""
-    by_f = _L.reshape(10, 10 * 16)  # rows: F index; columns: (H index, net point)
-
-    def applied(a, b):
-        # sum_cd a[i, c] b[j, d] L[(c, d), q], laid out as (k, i, j, q)
-        return b[:, None] @ (a @ by_f).reshape(-1, 10, 10, 16)
-
-    form = applied(k_f, m_h) + applied(m_f, k_h)
-    return _L.T @ form.reshape(-1, 100, 16)
+    return _forms(parts, parts, rule, net_map=_L)  # both directions: cubic, on the same nodes
 
 
 def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> ShapeOptimum:

@@ -13,14 +13,18 @@ for each coordinate. It is quadratic in the interior points, so stationarity
 is one symmetric positive-definite linear system shared by the x/y/z
 coordinates (one matrix, three right-hand sides).
 
+Every such form comes from one builder, ``_forms``. A fixed basis gives one
+form; GT tables are affine in each shape pair, T0 + t1 T1 + t2 T2, so K and M
+are quadratic in it and a shape family has 36 forms. The hybrid of ``coons``
+also hands the builder its map L from the net to its coefficient grid.
+
 Every production solve is ``_ExtremalFamily``: the free/fixed split of a
 stack of such forms on the net centred at the mean of its fixed points, then
 one checked Cholesky of the weighted stack gives the interior, the energy
 1/2 (c - x . rhs) and the max/min pivot hint. The "gram" route of
-``solve_interior`` (the Kronecker sum above) and the hybrid of ``coons`` hand
-it one form. The swarm's fitness ``reduced_functional_family`` hands it 36:
-the GT tables are affine in each shape pair, so K and M are quadratic in it,
-and its ``minimize`` is the shape search, returning its own winning extremal.
+``solve_interior`` and the hybrid's single-shape solve hand it one form. The
+swarm's fitness ``reduced_functional_family`` hands it the 36, and its
+``minimize`` is the shape search, returning its own winning extremal.
 Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
 keeps them, read-only, for the process (so does the hybrid's family), keyed
 by the rule object: rules are immutable, and there is one per Gauss order.
@@ -64,36 +68,53 @@ def describe_bases(*specs: BasisSpec) -> str:
     )
 
 
-def _gram(tab: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(K, M) of one direction's tables, sampled at the rule's nodes.
+def _grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """(K, M) stacks of tables with their parts on axis 0 (a 2-D table is one
+    part), one pair per product of parts a <= b in ``np.triu_indices`` order:
+    for T0 + t1 T1 + t2 T2, K(t) = sum_p monomial_p(t) K[p] over the monomials
+    (1, t1, t2, t1^2, t1 t2, t2^2)."""
 
-    Tables may carry leading stack axes; each stacked table gets its own
-    matrix product, so its Gram matrices do not depend on the stack.
+    def gram(table):
+        table = table.reshape((-1,) + table.shape[-2:])
+        a, b = np.triu_indices(len(table))
+        cross = (table[a] * rule.weights) @ np.swapaxes(table[b], -1, -2)
+        return np.where((a != b)[:, None, None], cross + np.swapaxes(cross, -1, -2), cross)
+
+    return gram(parts.first), gram(parts.values)
+
+
+def _forms(parts_u: BasisEvaluation, parts_v: BasisEvaluation, rule: QuadratureRule, net_map=None) -> np.ndarray:
+    """The Dirichlet forms K_u (x) M_v + M_u (x) K_v of every (u, v) pair of
+    ``_grams`` products, u-major: one form for fixed tables, or 36 for two
+    shape pairs, where forms[6p + q] multiplies u monomial p times v monomial q.
+
+    A ``net_map`` L, from the net to the row-major coefficient grid, gives
+    L^T (...) L one Kronecker factor at a time: the grid's form is never built.
     """
-    w = rule.weights
-    return (
-        (tab.first * w) @ np.swapaxes(tab.first, -1, -2),
-        (tab.values * w) @ np.swapaxes(tab.values, -1, -2),
-    )
+    k_u, m_u = _grams(parts_u, rule)
+    k_v, m_v = _grams(parts_v, rule)
+    p, q = np.indices((len(k_u), len(k_v))).reshape(2, -1)
+    n_u, n_v = k_u.shape[-1], k_v.shape[-1]
+    if net_map is None:
+        def product(a, b):  # np.kron's products over the stack axis
+            outer = a[:, :, None, :, None] * b[:, None, :, None, :]
+            return outer.reshape(-1, n_u * n_v, n_u * n_v)
+    else:
+        by_u = net_map.reshape(n_u, -1)  # rows: u index; columns: (v index, net point)
 
+        def product(a, b):  # sum_cd a[i, c] b[j, d] L[(c, d), r], laid out as (k, i, j, r)
+            return b[:, None] @ (a @ by_u).reshape(len(a), n_u, n_v, -1)
 
-def _kron_sum(k_u: np.ndarray, m_u: np.ndarray, k_v: np.ndarray, m_v: np.ndarray) -> np.ndarray:
-    """K_u (x) M_v + M_u (x) K_v over any leading stack axes (np.kron's products)."""
-
-    def kron(a, b):
-        rows = a.shape[-1] * b.shape[-1]
-        outer = a[..., :, None, :, None] * b[..., None, :, None, :]
-        return outer.reshape(outer.shape[:-4] + (rows, rows))
-
-    return kron(k_u, m_v) + kron(m_u, k_v)
+    form = product(k_u[p], m_v[q]) + product(m_u[p], k_v[q])
+    return form if net_map is None else net_map.T @ form.reshape(len(p), n_u * n_v, -1)
 
 
 def assemble_coefficients(
     basis_u: BasisSpec, basis_v: BasisSpec, rule: QuadratureRule
 ) -> GramMatrices:
     """Quadrature values of the 1-D Gram matrices of both bases."""
-    k_u, m_u = _gram(basis_tables(basis_u, rule.nodes), rule)
-    k_v, m_v = _gram(basis_tables(basis_v, rule.nodes), rule)
+    (k_u,), (m_u,) = _grams(basis_tables(basis_u, rule.nodes), rule)
+    (k_v,), (m_v,) = _grams(basis_tables(basis_v, rule.nodes), rule)
     return GramMatrices(K_u=k_u, M_u=m_u, K_v=k_v, M_v=m_v)
 
 
@@ -107,7 +128,7 @@ def _require_plateau(net: ControlNet) -> np.ndarray:
 
 
 def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
-    """Normal equations from the Kronecker sum K_u (x) M_v + M_u (x) K_v.
+    """Normal equations of the form K_u (x) M_v + M_u (x) K_v of given Gram matrices.
 
     Unknown ordering is row-major over the grid.
     """
@@ -116,7 +137,8 @@ def assemble_system(net: ControlNet, coeffs: GramMatrices) -> DenseSystem:
     if coeffs.M_u.shape != (m + 1, m + 1) or coeffs.M_v.shape != (n + 1, n + 1):
         raise ConfigurationError("Gram matrices do not match the net degrees")
 
-    return DenseSystem(*_free_split(_kron_sum(coeffs.K_u, coeffs.M_u, coeffs.K_v, coeffs.M_v), net))
+    form = np.kron(coeffs.K_u, coeffs.M_v) + np.kron(coeffs.M_u, coeffs.K_v)
+    return DenseSystem(*_free_split(form, net))
 
 
 def check_rule(net: ControlNet, rule: QuadratureRule, bases: str) -> None:
@@ -148,12 +170,6 @@ def _free_split(form: np.ndarray, net: ControlNet) -> tuple[np.ndarray, np.ndarr
     return rows[..., cols], -(rows[..., ~cols] @ fixed_points)
 
 
-#: Monomials (1, t1, t2, t1^2, t1 t2, t2^2) of a pair as products t_a t_b, t_0 = 1.
-_MONOMIALS = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
-#: (u, v) monomial indices of the 36 blocks of a bi-quadratic family.
-_PAIRS = np.divmod(np.arange(36), 6)
-
-
 def _lift_shapes(alphas) -> np.ndarray:
     """A checked (k, 4) stack of shape vectors as (k, 2, 3): per pair (1, t1, t2)."""
     alphas = check_theta_stack(alphas, SHAPE_NAMES)
@@ -163,22 +179,13 @@ def _lift_shapes(alphas) -> np.ndarray:
 
 
 def _shape_weights(alphas) -> np.ndarray:
-    """(k, 36) weights of a family's blocks: u monomial p times v monomial q."""
+    """(k, 36) weights of a family's forms: u monomial p times v monomial q,
+    where a pair's monomials are the products of (1, t1, t2) in ``_grams``'s
+    order: (1, t1, t2, t1^2, t1 t2, t2^2)."""
     lifted = _lift_shapes(alphas)
-    mono = lifted[..., _MONOMIALS[0]] * lifted[..., _MONOMIALS[1]]
+    t1, t2 = lifted[..., 1:2], lifted[..., 2:]
+    mono = np.concatenate([lifted, t1 * lifted[..., 1:], t2 * t2], axis=-1)
     return (mono[:, 0, :, None] * mono[:, 1, None]).reshape(-1, 36)
-
-
-def _monomial_grams(parts: BasisEvaluation, rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
-    """(K, M) of tables T0 + t1 T1 + t2 T2, given the parts stacked on axis
-    0, as (6, n, n) coefficient stacks: K(t) = sum_p monomial_p(t) K[p]."""
-    a, b = _MONOMIALS
-
-    def coefficients(table):
-        cross = (table[a] * rule.weights) @ np.swapaxes(table[b], -1, -2)
-        return np.where((a != b)[:, None, None], cross + np.swapaxes(cross, -1, -2), cross)
-
-    return coefficients(parts.first), coefficients(parts.values)
 
 
 class _ExtremalFamily:
@@ -318,9 +325,8 @@ def solve_interior(
         raise ConfigurationError(f"unknown assembly route {route!r}")
     bases = describe_bases(basis_u, basis_v)
     if route == "gram":
-        c = assemble_coefficients(basis_u, basis_v, rule)
-        form = _kron_sum(c.K_u, c.M_u, c.K_v, c.M_v)
-        return _ExtremalFamily(form[None], net, rule, bases).extremal()
+        form = _forms(basis_tables(basis_u, rule.nodes), basis_tables(basis_v, rule.nodes), rule)
+        return _ExtremalFamily(form, net, rule, bases).extremal()
 
     centred, centre = _solve_frame(net, rule, bases)
     system = assemble_system_generic(centred, basis_u, basis_v, rule)
@@ -353,10 +359,7 @@ def _family_forms(build, degrees: tuple, rule: QuadratureRule) -> np.ndarray:
 
 
 def _tensor_forms(degree_u: int, degree_v: int, rule: QuadratureRule) -> np.ndarray:
-    k_u, m_u = _monomial_grams(gt_affine_tables(degree_u, rule.nodes), rule)
-    k_v, m_v = _monomial_grams(gt_affine_tables(degree_v, rule.nodes), rule)
-    p, q = _PAIRS
-    return _kron_sum(k_u[p], m_u[p], k_v[q], m_v[q])
+    return _forms(gt_affine_tables(degree_u, rule.nodes), gt_affine_tables(degree_v, rule.nodes), rule)
 
 
 def reduced_functional_family(net: ControlNet, rule: QuadratureRule) -> _ExtremalFamily:

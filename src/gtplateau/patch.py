@@ -227,10 +227,14 @@ def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
 
 
 def area(patch: Patch, rule: QuadratureRule) -> float:
-    """Integral of |S_u x S_v| over the unit square."""
+    """Integral of |S_u x S_v| over the unit square. The norm squares the cross
+    product scaled by a power of two (exactly), so it overflows only where the
+    cross product does."""
     jet = surface_jet(patch, rule.nodes, rule.nodes)
-    integrand = np.linalg.norm(np.cross(jet.Su, jet.Sv), axis=-1)
-    return float(rule.weights @ integrand @ rule.weights)
+    cross = np.cross(jet.Su, jet.Sv)
+    _, exponent = np.frexp(np.abs(cross).max())
+    integrand = np.linalg.norm(np.ldexp(cross, -exponent), axis=-1)
+    return float(np.ldexp(rule.weights @ integrand @ rule.weights, exponent))
 
 
 @dataclass(frozen=True)

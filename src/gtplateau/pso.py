@@ -71,7 +71,14 @@ class PsoConfig:
         for name, value in zip(("swarm_size", "max_iters", "seed", "threads"), counts):
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-        self.bounds = np.asarray(self.bounds, dtype=float)
+        for name in ("inertia", "c1", "c2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+        try:
+            self.bounds = np.asarray(self.bounds, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bounds must be a (dims, 2) array of numbers: {exc}") from exc
         if self.bounds.ndim != 2 or self.bounds.shape[1] != 2 or self.bounds.shape[0] < 1:
             raise ConfigurationError("bounds must be a (dims, 2) array")
         if not np.all(np.isfinite(self.bounds)) or np.any(

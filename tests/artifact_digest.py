@@ -1,0 +1,119 @@
+"""Digest of the command line's artifacts: one sha256 line for each file a run
+wrote, and for its stdout, stderr and exit code.
+
+    PYTHONPATH=src python tests/artifact_digest.py OUT
+
+runs every command of ``COMMANDS`` in process, with SOURCE_DATE_EPOCH=0, once
+at each of 1 and 2 fitness threads (GT_PLATEAU_THREADS, which ``--threads``
+would override, so the settings a summary records are the same for both).
+The runs of thread count t are made in OUT/threads-t, beside a copy of the
+fixtures there, and every path a run is given is relative to it: the lines do
+not depend on where OUT or the checkout is, and the two thread counts give
+the same lines under their own prefix. The gtplateau on the import path is
+the one digested, so two checkouts compare with one ``diff``:
+
+    PYTHONPATH=a/src python tests/artifact_digest.py /tmp/a > a.txt
+    PYTHONPATH=b/src python tests/artifact_digest.py /tmp/b > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import pathlib
+import shutil
+import sys
+import traceback
+import warnings
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+THREADS = (1, 2)
+
+_PER_NET = {
+    "solve-gt": ("solve", "--tess", "128"),
+    "solve-bernstein": ("solve", "--basis", "bernstein", "--tess", "128"),
+    "optimize": ("optimize", "--runs", "2"),
+    "coons": ("coons",),
+    "compare": ("compare", "--runs", "2"),
+    "harmonic": ("harmonic", "--tune-alpha"),
+}
+#: label -> argv of every digested run; "{out}" stands for the run's directory.
+COMMANDS = {
+    **{
+        f"{name}/{net}": (argv[0], f"fixtures/{net}.json", *argv[1:], "--out", "{out}")
+        for net in ("wave_boundary", "dome_boundary")
+        for name, argv in _PER_NET.items()
+    },
+    **{
+        f"harmonic/{net}": ("harmonic", f"fixtures/{net}.json", "--tune-alpha", "--out", "{out}")
+        for net in ("columns_known", "rows_known")
+    },
+    "basis-gt": ("basis", "eval", "--basis", "gt"),
+    "basis-bernstein": ("basis", "eval", "--basis", "bernstein", "--degree", "12", "--out", "{out}/basis.csv"),
+}
+
+
+@contextlib.contextmanager
+def _environment(cwd, **variables):
+    """Work in ``cwd`` with the given environment variables set; restore both."""
+    saved_cwd, saved = os.getcwd(), {name: os.environ.get(name) for name in variables}
+    os.chdir(cwd)
+    os.environ.update(variables)
+    try:
+        yield
+    finally:
+        os.chdir(saved_cwd)
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run(label: str, argv: tuple[str, ...]) -> dict[str, bytes]:
+    """Path -> bytes of one run in the new directory ``label``: its files, and
+    ``label/:stdout``, ``:stderr`` and ``:exit``."""
+    from gtplateau.cli import main
+
+    os.makedirs(label)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # each run shows its warnings, as a fresh process would
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main([arg.format(out=label) for arg in argv])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            except Exception as exc:  # exit 1, as a process; the last line only, as paths differ by checkout
+                stderr.write("".join(traceback.format_exception_only(type(exc), exc)))
+                code = 1
+    files = {p.as_posix(): p.read_bytes() for p in sorted(pathlib.Path(label).rglob("*")) if p.is_file()}
+    streams = {":stdout": stdout.getvalue(), ":stderr": stderr.getvalue(), ":exit": str(code)}
+    return files | {f"{label}/{name}": text.encode() for name, text in streams.items()}
+
+
+def digest(out, labels=tuple(COMMANDS)) -> list[str]:
+    """Run each labelled command at each of ``THREADS`` in the new directory
+    ``out`` and return the lines "<sha256>  threads-<t>/<path>"."""
+    lines = []
+    for t in THREADS:
+        root = pathlib.Path(out, f"threads-{t}")
+        root.mkdir(parents=True)
+        shutil.copytree(FIXTURES, root / "fixtures")
+        with _environment(root, SOURCE_DATE_EPOCH="0", GT_PLATEAU_THREADS=str(t)):
+            for label in labels:
+                for path, data in _run(label, COMMANDS[label]).items():
+                    lines.append(f"{hashlib.sha256(data).hexdigest()}  threads-{t}/{path}")
+    return lines
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    import gtplateau
+
+    print(f"digesting {gtplateau.__file__}", file=sys.stderr)
+    print("\n".join(digest(sys.argv[1])))

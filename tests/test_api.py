@@ -17,7 +17,7 @@ import gtplateau
 #: coefficient route and the mesh area stay in ``tests/`` as references. The
 #: per-call stacked fitnesses gave way to the prepared shape families. The
 #: patch evaluators gave way to one jet, ``surface_jet``, and the 100 x 100
-#: hybrid Gram to the 16 x 16 form of ``_net_form_stack``. The swarm's winner
+#: hybrid Gram to its 16 x 16 net form. The swarm's winner
 #: is read from the prepared family, so the re-solve helpers went with it, and
 #: every swarm is the family's ``minimize``, so the hybrid's optimum record too.
 #: The harmonic tuner and certificate read one sampled Laplacian, so the
@@ -25,7 +25,9 @@ import gtplateau
 #: The per-row "%" formatter of the writers gave way to ``io.format_table`` and
 #: is the reference of the writer tests. A quadrature rule is hashable, so it
 #: keys the form cache itself; the one summary writer takes its four fields;
-#: the normal equations are built where they are used.
+#: the normal equations are built where they are used. Every Dirichlet form,
+#: of a fixed basis, a shape family or the hybrid, comes from one builder,
+#: ``dirichlet._forms``, so the per-route Gram and Kronecker helpers went.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -34,11 +36,12 @@ REMOVED = {
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
-        "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum",
+        "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum", "_net_form_stack",
     ),
     "dirichlet": (
         "reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness",
-        "_cached_forms", "_free_system",
+        "_cached_forms", "_free_system", "_gram", "_kron_sum", "_monomial_grams", "_PAIRS",
+        "_MONOMIALS",
     ),
     "io": ("_format_rows", "_ROW_BLOCK", "RunSummary", "_int_cells", "_INT_QUADS", "_LEADING", "_INT_WIDTH"),
     "harmonic": (

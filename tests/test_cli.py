@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import artifact_digest
 import gtplateau
 import gtplateau.pso as pso
 from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
@@ -618,3 +620,20 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert "route=gram" in proc.stdout
         assert read_summary(out)["results"]["route"] == "gram"
+
+
+class TestArtifactDigest:
+    def test_repeats_and_threads_agree(self, tmp_path):
+        labels = ("solve-gt/wave_boundary", "coons/wave_boundary")
+        first, second = (artifact_digest.digest(tmp_path / run, labels) for run in ("a", "b"))
+        assert first == second
+        one, two = (
+            [line.replace(f"  threads-{t}/", "  ") for line in first if f"  threads-{t}/" in line]
+            for t in artifact_digest.THREADS
+        )
+        assert one == two and len(one) + len(two) == len(first)
+        names = [line.split("  ")[1] for line in one]
+        solve = [f"solve-gt/wave_boundary/{name}" for name in ("curvature.csv", "net.json", "summary.json")]
+        assert names[:3] == solve and len(names) == 17 and "coons/wave_boundary/r1.obj" in names
+        exits = {line.split()[0] for line in first if line.endswith("/:exit")}
+        assert exits == {hashlib.sha256(b"0").hexdigest()}

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
+from gtplateau.coons import _L, _pair_tables
 from gtplateau.dirichlet import (
     GramMatrices,
+    _forms,
     assemble_coefficients,
     assemble_system,
     assemble_system_generic,
@@ -113,6 +115,49 @@ class TestCoefficients:
         coeffs = assemble_coefficients(BasisSpec.bernstein(1), CUBIC, rule32)
         with pytest.raises(ConfigurationError, match="no unknown"):
             assemble_system(boundary_net_factory(5, shape=(2, 4)), coeffs)
+
+
+def kron_form(tab_u, tab_v, rule) -> np.ndarray:
+    """K_u (x) M_v + M_u (x) K_v by np.kron, from Gram matrices made here."""
+    w = rule.weights
+    k_u, m_u = ((t * w) @ t.T for t in (tab_u.first, tab_u.values))
+    k_v, m_v = ((t * w) @ t.T for t in (tab_v.first, tab_v.values))
+    return np.kron(k_u, m_v) + np.kron(m_u, k_v)
+
+
+class TestFormBuilder:
+    @pytest.mark.parametrize(
+        "bases",
+        [
+            (BasisSpec.gt(3, 1.3, 2.7), BasisSpec.gt(3, 0.9, 3.1)),
+            (BasisSpec.gt(5, 2.0, 0.6), BasisSpec.gt(4, 3.4, 1.1)),
+            (BasisSpec.bernstein(4), CUBIC),
+        ],
+    )
+    def test_fixed_form_is_the_kron_sum_of_the_grams(self, bases, rule32):
+        c = assemble_coefficients(*bases, rule32)
+        form = _forms(*(basis_tables(b, rule32.nodes) for b in bases), rule32)
+        expected = np.kron(c.K_u, c.M_v) + np.kron(c.M_u, c.K_v)
+        assert form.shape == (1,) + expected.shape
+        assert form[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hybrid_net_map(self, seed, rule16):
+        shape = SurfaceShape.from_iterable(np.random.default_rng(seed).uniform(0.5, 3.5, 4))
+        tab_u, tab_v = (_pair_tables(pair, rule16.nodes) for pair in (shape.u_pair, shape.v_pair))
+        expected = _L.T @ kron_form(tab_u, tab_v, rule16) @ _L
+        form = _forms(tab_u, tab_v, rule16, net_map=_L)
+        assert form.shape == (1, 16, 16)
+        assert np.abs(form[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_net_map_of_unequal_directions(self, rule16):
+        # a 4 x 5 coefficient grid over 7 net points: the u and v row counts differ
+        net_map = np.random.default_rng(5).normal(size=(20, 7))
+        tab_u, tab_v = basis_tables(CUBIC, rule16.nodes), basis_tables(BasisSpec.gt(4, 1.7, 2.9), rule16.nodes)
+        expected = net_map.T @ kron_form(tab_u, tab_v, rule16) @ net_map
+        form = _forms(tab_u, tab_v, rule16, net_map=net_map)
+        assert form.shape == (1, 7, 7)
+        assert np.abs(form[0] - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestAssembly:

@@ -288,6 +288,15 @@ class TestFunctionals:
         assert abs(e - 37.4396) / 37.4396 < 1e-4
         assert e >= a
 
+    @pytest.mark.parametrize("exponent", [-300, -40, -1, 1, 17, 266])
+    def test_area_scales_exactly_by_powers_of_two(self, wave_net, rule32, exponent):
+        # at 2^266 the squared cross product overflowed (area inf); at 2^-300 it underflowed (area 0)
+        shape = SurfaceShape(1.2, 2.0, 0.9, 3.1)
+        solved = solve_interior(wave_net, *shape.basis_specs(3, 3), rule32).net
+        scaled = ControlNet(points=np.ldexp(solved.points, exponent))
+        expected = np.ldexp(area(Patch.gt(solved, shape), rule32), 2 * exponent)
+        assert area(Patch.gt(scaled, shape), rule32) == expected
+
     def test_random_patches_respect_am_gm(self, rule32, check_am_gm):
         for seed in range(6):
             check_am_gm(random_gt_patch(seed))

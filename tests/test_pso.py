@@ -54,6 +54,8 @@ COUNTS = st.one_of(
     st.integers(-2, 4), st.integers(-2, 4).map(np.int64), st.booleans(),
     st.floats(allow_nan=True), st.sampled_from([2.0, np.float64(3.0), "3", None]),
 )
+#: Values that no real-valued field nor the bounds accept.
+NOT_REALS = st.sampled_from([None, "1.5", "ab", True, False, np.True_, [1.0], [[0.0, 1.0], [2.0]]])
 
 
 class TestConfigValidation:
@@ -82,6 +84,13 @@ class TestConfigValidation:
             {"seed": np.float64(1.0)},
             {"threads": 1.5},
             {"threads": False},
+            {"inertia": None},
+            {"inertia": True},
+            {"c1": "1.5"},
+            {"c2": [1.0]},
+            {"c2": np.True_},
+            {"bounds": "ab"},
+            {"bounds": [[0.0, 1.0], [2.0]]},
         ],
     )
     def test_rejects(self, kwargs):
@@ -91,9 +100,12 @@ class TestConfigValidation:
     @settings(max_examples=200, deadline=None)
     @given(st.fixed_dictionaries({}, optional={
         "swarm_size": COUNTS, "max_iters": COUNTS, "seed": COUNTS | st.just(2**70), "threads": COUNTS,
-        "inertia": st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf]),
-        "c1": st.floats(-1.0, 3.0) | st.sampled_from([math.nan, math.inf]),
-        "bounds": st.sampled_from([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, math.nan]], [[-1.0, 1.0], [2.0, 5.0]]]),
+        "inertia": st.floats(-0.5, 1.5) | NOT_REALS
+        | st.sampled_from([math.nan, math.inf, np.float32(0.5), np.int64(1)]),
+        "c1": st.floats(-1.0, 3.0) | st.sampled_from([math.nan, math.inf, 2]) | NOT_REALS,
+        "c2": st.floats(-1.0, 3.0).map(np.float64) | NOT_REALS,
+        "bounds": NOT_REALS
+        | st.sampled_from([[[0.0, 1.0]], [[1.0, 0.0]], [[0.0, math.nan]], [[-1.0, 1.0], [2.0, 5.0]]]),
     }))
     def test_invalid_fields_raise_configuration_error(self, kwargs):
         # every config is either refused with ConfigurationError or runs a swarm
