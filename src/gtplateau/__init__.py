@@ -7,7 +7,7 @@ particle swarm. Harmonic reconstruction of partially known nets and a blended
 Coons-style construction with Bernstein boundaries round out the toolkit.
 """
 
-from .basis import BasisSpec, ShapePair, basis_tables
+from .basis import BasisSpec, basis_tables
 from .coons import (
     CurveSpec,
     optimize_tb,
@@ -61,7 +61,6 @@ __all__ = [
     "QuadratureRule",
     "ReconstructionError",
     "RngStream",
-    "ShapePair",
     "SolverError",
     "SurfaceShape",
     "area",

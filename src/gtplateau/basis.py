@@ -30,28 +30,16 @@ _HALF_PI = 0.5 * np.pi
 
 
 @dataclass(frozen=True)
-class ShapePair:
-    """Shape-parameter pair (theta1, theta2) of one parametric direction."""
-
-    theta1: float
-    theta2: float
-
-    def __post_init__(self):
-        theta1, theta2 = check_theta_stack([float(self.theta1), float(self.theta2)])
-        object.__setattr__(self, "theta1", float(theta1))
-        object.__setattr__(self, "theta2", float(theta2))
-
-
-@dataclass(frozen=True)
 class BasisSpec:
     """A basis family selection: Bernstein of degree >= 0, or GT of degree >= 2.
 
-    ``shape`` is required for the GT family and must be None for Bernstein.
+    ``theta``, one direction's shape pair (theta1, theta2), is required for the
+    GT family (kept as a tuple of two floats) and must be None for Bernstein.
     """
 
     family: str
     degree: int
-    shape: ShapePair | None = None
+    theta: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.family not in ("bernstein", "gt"):
@@ -62,13 +50,18 @@ class BasisSpec:
         if self.family == "bernstein":
             if self.degree < 0:
                 raise ConfigurationError("Bernstein degree must be >= 0")
-            if self.shape is not None:
+            if self.theta is not None:
                 raise ConfigurationError("Bernstein basis takes no shape parameters")
         else:
             if self.degree < 2:
                 raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
-            if not isinstance(self.shape, ShapePair):
-                raise ConfigurationError("GT basis requires a ShapePair")
+            try:
+                theta = np.asarray(self.theta, dtype=float)
+            except (TypeError, ValueError):
+                theta = None
+            if theta is None or theta.shape != (2,):
+                raise ConfigurationError(f"GT basis requires theta = (theta1, theta2), got {self.theta!r}")
+            object.__setattr__(self, "theta", tuple(float(x) for x in check_theta_stack(theta)))
 
     @classmethod
     def bernstein(cls, degree: int) -> "BasisSpec":
@@ -76,7 +69,7 @@ class BasisSpec:
 
     @classmethod
     def gt(cls, degree: int, theta1: float, theta2: float) -> "BasisSpec":
-        return cls(family="gt", degree=degree, shape=ShapePair(theta1, theta2))
+        return cls(family="gt", degree=degree, theta=(theta1, theta2))
 
 
 @dataclass(frozen=True)
@@ -221,5 +214,5 @@ def basis_tables(spec: BasisSpec, t) -> BasisEvaluation:
     if spec.family == "bernstein":
         values, first, second = _bernstein_tables(spec.degree, t)
     else:
-        values, first, second = _gt_tables(spec.degree, spec.shape.theta1, spec.shape.theta2, t)
+        values, first, second = _gt_tables(spec.degree, *spec.theta, t)
     return BasisEvaluation(values=values, first=first, second=second)

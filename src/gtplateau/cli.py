@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .basis import THETA_MAX, THETA_MIN, BasisSpec, ShapePair, basis_tables
+from .basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
 from .coons import optimize_tb, tb_surface_jet
 from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
 from .errors import (
@@ -443,10 +443,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_basis_eval(args) -> int:
-    if args.basis == "bernstein":
-        spec = BasisSpec.bernstein(args.degree)
-    else:
-        spec = BasisSpec(family="gt", degree=args.degree, shape=ShapePair(*args.theta))
+    spec = BasisSpec.gt(args.degree, *args.theta) if args.basis == "gt" else BasisSpec.bernstein(args.degree)
     if args.samples < 2:
         raise ConfigurationError("--samples must be >= 2")
     ts = np.linspace(0.0, 1.0, args.samples)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, gt_affine_tables
+from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule
@@ -121,13 +121,13 @@ def _blend_tables(gt: BasisEvaluation, ts: np.ndarray) -> BasisEvaluation:
     )
 
 
-def _pair_tables(pair: ShapePair, ts: np.ndarray) -> BasisEvaluation:
-    return _blend_tables(basis_tables(BasisSpec(family="gt", degree=3, shape=pair), ts), ts)
+def _pair_tables(spec: BasisSpec, ts: np.ndarray) -> BasisEvaluation:
+    return _blend_tables(basis_tables(spec, ts), ts)
 
 
 def _tb_form(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
     """F = L^T Q L (16 x 16) of one shape vector: the hybrid energy over the net."""
-    u, v = (_pair_tables(pair, rule.nodes) for pair in (shape.u_pair, shape.v_pair))
+    u, v = (_pair_tables(spec, rule.nodes) for spec in shape.basis_specs(3, 3))
     return _forms(u, v, rule, net_map=_L)[0]
 
 
@@ -136,7 +136,7 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     require_blend_net(net, complete=True)
     us, vs = _check_params(us, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
-    return _jet(_pair_tables(shape.u_pair, us), _pair_tables(shape.v_pair, vs), c)
+    return _jet(*map(_pair_tables, shape.basis_specs(3, 3), (us, vs)), c)
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:

@@ -63,7 +63,7 @@ class GramMatrices:
 
 def describe_bases(*specs: BasisSpec) -> str:
     return " x ".join(
-        f"gt(degree={s.degree}, theta=({s.shape.theta1}, {s.shape.theta2}))" if s.family == "gt"
+        f"gt(degree={s.degree}, theta={s.theta})" if s.family == "gt"
         else f"bernstein(degree={s.degree})" for s in specs
     )
 

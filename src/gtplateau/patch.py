@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisEvaluation, BasisSpec, ShapePair, basis_tables, check_theta_stack
+from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack
 from .errors import ConfigurationError, DomainError
 from .numerics import QuadratureRule
 
@@ -43,14 +43,6 @@ class SurfaceShape:
         for name, value in zip(SHAPE_NAMES, values):
             object.__setattr__(self, name, float(value))
 
-    @property
-    def u_pair(self) -> ShapePair:
-        return ShapePair(self.alpha1, self.alpha2)
-
-    @property
-    def v_pair(self) -> ShapePair:
-        return ShapePair(self.beta1, self.beta2)
-
     @classmethod
     def from_iterable(cls, values) -> "SurfaceShape":
         values = list(values)
@@ -63,10 +55,7 @@ class SurfaceShape:
 
     def basis_specs(self, degree_u: int, degree_v: int) -> tuple[BasisSpec, BasisSpec]:
         """GT basis pair of the given degrees carrying this shape vector."""
-        return (
-            BasisSpec(family="gt", degree=degree_u, shape=self.u_pair),
-            BasisSpec(family="gt", degree=degree_v, shape=self.v_pair),
-        )
+        return BasisSpec.gt(degree_u, self.alpha1, self.alpha2), BasisSpec.gt(degree_v, self.beta1, self.beta2)
 
 
 def boundary_mask(rows: int, cols: int) -> np.ndarray:

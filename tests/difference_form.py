@@ -21,7 +21,7 @@ def lower(spec: BasisSpec) -> BasisSpec:
         return BasisSpec(family="bernstein", degree=spec.degree - 1)
     if spec.degree < 3:
         raise ConfigurationError("no GT basis below degree 2")
-    return BasisSpec(family="gt", degree=spec.degree - 1, shape=spec.shape)
+    return BasisSpec(family="gt", degree=spec.degree - 1, theta=spec.theta)
 
 
 def partials_difference(patch: Patch, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ import gtplateau
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
-        "gt_table_stack",
+        "gt_table_stack", "ShapePair",
     ),
     "coons": (
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",

@@ -7,7 +7,6 @@ from gtplateau.basis import (
     THETA_MAX,
     THETA_MIN,
     BasisSpec,
-    ShapePair,
     basis_tables,
 )
 from gtplateau.errors import ConfigurationError, DomainError
@@ -134,7 +133,7 @@ class TestValidation:
     @pytest.mark.parametrize("theta", [0.49, 3.51, float("nan"), -1.0])
     def test_shape_interval(self, theta):
         with pytest.raises(DomainError):
-            ShapePair(theta, 2.0)
+            BasisSpec.gt(3, theta, 2.0)
 
     def test_bernstein_degree_past_double_range(self):
         # C(1030, 515) exceeds the largest double; degree 1029 still evaluates
@@ -148,11 +147,23 @@ class TestValidation:
 
     def test_bernstein_takes_no_shape(self):
         with pytest.raises(ConfigurationError):
-            BasisSpec(family="bernstein", degree=3, shape=ShapePair(2.0, 2.0))
+            BasisSpec(family="bernstein", degree=3, theta=(2.0, 2.0))
 
     def test_gt_requires_shape(self):
         with pytest.raises(ConfigurationError):
             BasisSpec(family="gt", degree=3)
+
+    def test_theta_is_a_checked_pair(self):
+        spec = BasisSpec(family="gt", degree=3, theta=np.array([1, 2.5]))
+        assert spec.theta == (1.0, 2.5) and type(spec.theta[0]) is float
+        assert hash(spec) == hash(BasisSpec.gt(3, 1.0, 2.5))
+        for theta in (None, 2.0, (2.0,), (1.0, 2.0, 3.0), [[1.0, 2.0]], "ab", ("a", "b")):
+            with pytest.raises(ConfigurationError, match="theta"):
+                BasisSpec(family="gt", degree=3, theta=theta)
+        with pytest.raises(ConfigurationError):
+            BasisSpec(family="bernstein", degree=3, theta=(2.0, 2.0))
+        with pytest.raises(DomainError, match=r"theta2 must lie in \[0.5, 3.5\], got 3.6"):
+            BasisSpec(family="gt", degree=3, theta=(2.0, 3.6))
 
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
@@ -168,7 +179,7 @@ class TestValidation:
 
     def test_lower_keeps_shape(self):
         spec = BasisSpec.gt(4, 1.25, 3.0)
-        assert lower(spec).shape == spec.shape
+        assert lower(spec).theta == spec.theta
 
     @pytest.mark.parametrize("t", [-0.1, 1.2, float("nan")])
     def test_parameter_domain(self, t):

@@ -144,7 +144,7 @@ class TestFormBuilder:
     @pytest.mark.parametrize("seed", range(3))
     def test_hybrid_net_map(self, seed, rule16):
         shape = SurfaceShape.from_iterable(np.random.default_rng(seed).uniform(0.5, 3.5, 4))
-        tab_u, tab_v = (_pair_tables(pair, rule16.nodes) for pair in (shape.u_pair, shape.v_pair))
+        tab_u, tab_v = (_pair_tables(spec, rule16.nodes) for spec in shape.basis_specs(3, 3))
         expected = _L.T @ kron_form(tab_u, tab_v, rule16) @ _L
         form = _forms(tab_u, tab_v, rule16, net_map=_L)
         assert form.shape == (1, 16, 16)

@@ -60,8 +60,9 @@ def random_gt_patch(seed: int, rows: int = 4, cols: int = 4) -> Patch:
 class TestSurfaceShape:
     def test_pairs_split_by_direction(self):
         shape = SurfaceShape(1.0, 2.0, 3.0, 0.5)
-        assert shape.u_pair.theta1 == 1.0 and shape.u_pair.theta2 == 2.0
-        assert shape.v_pair.theta1 == 3.0 and shape.v_pair.theta2 == 0.5
+        bu, bv = shape.basis_specs(3, 3)
+        assert bu.theta == (1.0, 2.0)
+        assert bv.theta == (3.0, 0.5)
         np.testing.assert_array_equal(shape.as_array(), [1.0, 2.0, 3.0, 0.5])
 
     def test_component_interval(self):
@@ -75,7 +76,7 @@ class TestSurfaceShape:
     def test_basis_specs_carry_shape(self):
         bu, bv = SurfaceShape(1.0, 2.0, 3.0, 0.5).basis_specs(3, 4)
         assert (bu.degree, bv.degree) == (3, 4)
-        assert bu.shape.theta2 == 2.0 and bv.shape.theta1 == 3.0
+        assert bu.theta[1] == 2.0 and bv.theta[0] == 3.0
 
 
 class TestControlNet:
