@@ -11,6 +11,7 @@ usage, 3 solver failure (nothing written), 4 file error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -60,11 +61,12 @@ from .pso import PsoConfig, optimize, resolve_threads
 
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
-#: Largest coordinate magnitude (``ControlNet.scale``) a command accepts. Energies
-#: and defects are quadratic in the coordinates, but areas and curvature forms pass
-#: through quartic terms (|Su x Sv|^2, EG - F^2), times the fourth power of the
-#: bases' largest sum |G_i'| (7.5 at degree 3, 511 at degree 255). At 1e70 those
-#: stay below 1e292; a wave scaled to 6e99 already wrote an infinite area.
+#: Largest coordinate magnitude (``ControlNet.scale``) a command accepts. Areas and
+#: curvature forms are evaluated on partials scaled by a power of two, so the largest
+#: numbers left are quadratic in the coordinates: energies, Laplacian defects and the
+#: first-form coefficients, times the square of the bases' largest sum |G_i'| or
+#: |G_i''| (under 1e11 up to degree 255). At 1e70 those stay below about 1e152; the
+#: wave scaled by 1e154 (coordinates up to 6e154) writes an infinite energy.
 MAX_NET_SCALE = 1e70
 
 
@@ -168,7 +170,8 @@ def _add_pso_args(parser, runs: bool = False):
     )
 
 
-def _pso_config(args, seed: int) -> PsoConfig:
+def _pso_config(args) -> PsoConfig:
+    """The swarm settings, checked: every swarm command builds this before writing."""
     return PsoConfig(
         swarm_size=args.swarm,
         inertia=args.inertia,
@@ -176,7 +179,7 @@ def _pso_config(args, seed: int) -> PsoConfig:
         c2=args.c2,
         max_iters=args.iters,
         bounds=np.array([args.bounds] * 4, dtype=float),
-        seed=seed,
+        seed=args.seed,
         threads=resolve_threads(args.threads),  # a bad GT_PLATEAU_THREADS fails before any write
     )
 
@@ -218,11 +221,11 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
     return surface, dirichlet_energy(surface, rule), None, "none (net already complete)"
 
 
-def _swarm_runs(net, rule, args):
-    """--runs seeded swarms (seed SEED+r) on one prepared family, as its
+def _swarm_runs(net, rule, config: PsoConfig, count: int):
+    """``count`` seeded swarms (seed SEED+r) on one prepared family, as its
     ``ShapeOptimum`` winners, and the first best run."""
     family = reduced_functional_family(net, rule)
-    runs = [family.minimize(_pso_config(args, args.seed + r)) for r in range(args.runs)]
+    runs = [family.minimize(dataclasses.replace(config, seed=config.seed + r)) for r in range(count)]
     return runs, min(range(len(runs)), key=lambda r: runs[r].energy)
 
 
@@ -311,7 +314,7 @@ def cmd_optimize(args) -> int:
     if args.runs < 1:
         raise ConfigurationError("--runs must be >= 1")
     rule = gauss_legendre_rule(args.quad)
-    runs, r_best = _swarm_runs(net, rule, args)
+    runs, r_best = _swarm_runs(net, rule, _pso_config(args), args.runs)
 
     finish = _summary_writer(args)
     run_rows = []
@@ -343,7 +346,7 @@ def cmd_optimize(args) -> int:
 def cmd_harmonic(args) -> int:
     net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    config = _pso_config(args, args.seed) if args.tune_alpha else None  # validated before writing
+    config = _pso_config(args) if args.tune_alpha else None
     reconstructed = harmonic_reconstruct(net)
     defect = bernstein_laplacian_defect(reconstructed, rule)
     bound = defect_certificate_bound(reconstructed)
@@ -371,7 +374,7 @@ def cmd_harmonic(args) -> int:
 def cmd_coons(args) -> int:
     net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    optimum = optimize_tb(net, _pso_config(args, args.seed), rule)
+    optimum = optimize_tb(net, _pso_config(args), rule)
 
     finish = _summary_writer(args)
     write_convergence_csv(os.path.join(args.out, "convergence.csv"), optimum.history)
@@ -399,6 +402,7 @@ def cmd_coons(args) -> int:
 def cmd_compare(args) -> int:
     net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
+    config = _pso_config(args)  # summary.json echoes the settings even when no swarm runs
     rows = []
 
     def add_row(method, shape, energy, area_value, note=""):
@@ -407,7 +411,7 @@ def cmd_compare(args) -> int:
 
     optimized = args.runs > 0 and bool(net.free.any())
     if optimized:
-        runs, r_best = _swarm_runs(net, rule, args)
+        runs, r_best = _swarm_runs(net, rule, config, args.runs)
         best = runs[r_best]
         add_row("gt-optimized", best.shape, best.energy, area(Patch.gt(best.net, best.shape), rule))
 

@@ -11,6 +11,8 @@ unknowns are the least-squares solution of that sampled system. When the data
 admit an exactly harmonic completion this recovers it; otherwise it is the
 completion of least defect. The certificate is the sum of squares of the
 same samples, and the GT tuner is a 9 x 9 Gram form of them (``defect_family``).
+The defect is unchanged by a translation and scales as length squared, and so
+does the bound it is certified against (``defect_certificate_bound``).
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from .errors import ConfigurationError, ReconstructionError
 from .numerics import QuadratureRule, gauss_legendre_rule
 from .patch import ControlNet
 
-#: Certificate threshold scale: defect < 1e-8 * (1 + scale^2).
+#: Certificate threshold scale: defect < 1e-8 * e^2 (``defect_certificate_bound``).
 CERTIFICATE_FACTOR = 1e-8
 
 
 def defect_certificate_bound(net: ControlNet) -> float:
-    return CERTIFICATE_FACTOR * (1.0 + net.scale() ** 2)
+    """CERTIFICATE_FACTOR e^2, with e the largest |coordinate - its mean| over the
+    net's finite points: like the defect, unchanged by a translation and scaled
+    by the square of a change of units."""
+    finite = net.points[np.isfinite(net.points).all(axis=-1)]
+    return float(CERTIFICATE_FACTOR * np.abs(finite - finite.mean(axis=0)).max() ** 2)
 
 
 def _laplacian_samples(tu: BasisEvaluation, tv: BasisEvaluation, points, rule: QuadratureRule):

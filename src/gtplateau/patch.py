@@ -215,13 +215,19 @@ def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     return float(rule.weights @ integrand @ rule.weights)
 
 
+def _exponent(*arrays) -> int:
+    """Exponent of the largest magnitude in the arrays: dividing by 2^exponent
+    brings it into [0.5, 1), exactly."""
+    return int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
+
+
 def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square. The norm squares the cross
     product scaled by a power of two (exactly), so it overflows only where the
     cross product does."""
     jet = surface_jet(patch, rule.nodes, rule.nodes)
     cross = np.cross(jet.Su, jet.Sv)
-    _, exponent = np.frexp(np.abs(cross).max())
+    exponent = _exponent(cross)
     integrand = np.linalg.norm(np.ldexp(cross, -exponent), axis=-1)
     return float(np.ldexp(rule.weights @ integrand @ rule.weights, exponent))
 
@@ -243,26 +249,35 @@ class FundamentalForms:
     H: np.ndarray
 
     def __post_init__(self):
-        disc = self.E * self.G - self.F**2
         if np.any(self.E < 0.0) or np.any(self.G < 0.0):
             raise ConfigurationError("first-form diagonal must be nonnegative")
-        if np.any(disc < -1e-12 * (self.E * self.G + 1.0)):
+        exponent = _exponent(self.E, self.F, self.G)  # checked in units where EG cannot overflow
+        e, f, g = (np.ldexp(x, -exponent) for x in (self.E, self.F, self.G))
+        if np.any(e * g - f * f < -1e-12 * (e * g + 1.0)):
             raise ConfigurationError("first-form discriminant violates Cauchy-Schwarz")
 
 
 def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     """Forms from precomputed partials; normal n = S_u x S_v normalized.
 
-    Near-degenerate samples (EG - F^2 < 1e-12 (EG + 1)) get NaN second-form
-    coefficients and NaN mean curvature instead of an extrapolated value.
+    The forms are evaluated on the partials divided by 2^s, the power of two of
+    the largest entry of S_u and S_v, and scaled back exactly: E, F, G by 4^s,
+    L, M, N by 2^s and H by 2^-s. So a net scaled by 2^k gives the same digits
+    times those powers of 2^k, and nothing quartic (EG - F^2) overflows.
+    Near-degenerate samples (EG - F^2 <= 1e-12 (EG + 1) in those units, so the
+    floor is relative to the patch's own largest first partial) get NaN
+    second-form coefficients and NaN mean curvature instead of an
+    extrapolated value.
     """
+    s = _exponent(su, sv)
+    su, sv, suu, suv, svv = (np.ldexp(x, -s) for x in (su, sv, suu, suv, svv))
     e = (su * su).sum(axis=-1)
     f = (su * sv).sum(axis=-1)
     g = (sv * sv).sum(axis=-1)
     disc = e * g - f * f
     cross = np.cross(su, sv)
     norm = np.linalg.norm(cross, axis=-1)
-    degenerate = disc < 1e-12 * (e * g + 1.0)
+    degenerate = disc <= 1e-12 * (e * g + 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = cross / norm[..., None]
@@ -272,7 +287,9 @@ def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
         h = (e * n - 2.0 * f * m + g * l) / (2.0 * disc)
 
     nanval = np.where(degenerate, np.nan, 1.0)
-    return FundamentalForms(E=e, F=f, G=g, L=l * nanval, M=m * nanval, N=n * nanval, H=h * nanval)
+    first = (np.ldexp(x, 2 * s) for x in (e, f, g))
+    second = (np.ldexp(x * nanval, s) for x in (l, m, n))
+    return FundamentalForms(*first, *second, H=np.ldexp(h * nanval, -s))
 
 
 def mean_curvature_grid(patch: Patch, samples: int):

@@ -502,6 +502,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flag, value",
+        [("--inertia", "nan"), ("--inertia", "1.5"), ("--c1", "inf"), ("--c2", "0"), ("--seed", "-3")],
+    )
+    @pytest.mark.parametrize("runs, complete", [("0", False), ("2", True)], ids=["runs-0", "complete-net"])
+    def test_compare_swarm_settings_checked_before_writing(self, tmp_path, flag, value, runs, complete):
+        # no swarm runs in either case, but summary.json would echo every setting
+        net = WAVE
+        if complete:
+            net = str(tmp_path / "complete.json")
+            save_net(flat_complete_net(), net)
+        out = tmp_path / "run"
+        assert main(["compare", net, "--runs", runs, flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "stamp, argv",
         [
             ("abc", ["solve", WAVE, "--tess", "4"]),
@@ -526,12 +541,16 @@ class TestExitCodes:
         [
             ["harmonic", COLUMNS, "--tune-alpha", "--swarm", "3", "--iters", "1"],
             ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
+            ["compare", WAVE, "--runs", "0"],
+            ["compare", "{complete}", "--runs", "2"],
         ],
     )
     def test_bad_thread_variable_checked_before_writing(self, tmp_path, monkeypatch, argv):
+        complete = tmp_path / "complete.json"
+        save_net(flat_complete_net(), complete)
         monkeypatch.setenv("GT_PLATEAU_THREADS", "abc")
         out = tmp_path / "run"
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main([arg.format(complete=complete) for arg in argv] + ["--out", str(out)]) == 2
         assert not out.exists()
 
     def test_non_finite_point_is_a_file_error(self, tmp_path, capsys):

@@ -249,11 +249,24 @@ class TestDefectMeasures:
         assert np.all(defect_family(net, rule16)(alphas) >= 0.0)
 
     def test_certificate_bound_formula(self, wave_net):
-        scale = wave_net.scale()
-        assert scale == 6.0
+        # the known points' x and y span [0, 6] about a mean of 3; z spans [-2, 2] about 1/6
         assert defect_certificate_bound(wave_net) == pytest.approx(
-            CERTIFICATE_FACTOR * 37.0, rel=1e-15
+            CERTIFICATE_FACTOR * 9.0, rel=1e-15
         )
+        rebuilt = harmonic_reconstruct(wave_net)
+        spread = np.abs(rebuilt.points - rebuilt.points.mean(axis=(0, 1))).max()
+        assert defect_certificate_bound(rebuilt) == CERTIFICATE_FACTOR * spread**2
+
+    @pytest.mark.parametrize("shift, factor", [(1e6, 1.0), (0.0, 1e-6)], ids=["moved", "scaled"])
+    def test_certificate_ignores_position_and_units(self, wave_net, rule32, shift, factor):
+        # the wave has no harmonic completion; moved by 1e6 along x, or scaled by 1e-6,
+        # it was certified against 1e-8 (1 + max|coordinate|^2)
+        points = wave_net.points * factor
+        points[..., 0] += shift
+        rebuilt = harmonic_reconstruct(ControlNet(points=points))
+        defect = bernstein_laplacian_defect(rebuilt, rule32)
+        assert defect == pytest.approx(120.33723031532347 * factor**2, rel=1e-6)
+        assert not defect < defect_certificate_bound(rebuilt)
 
     def test_shape_tuning_reduces_defect(self, columns_net, rule16):
         net = harmonic_reconstruct(columns_net)

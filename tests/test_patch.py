@@ -368,6 +368,25 @@ class TestMeanCurvature:
         _, _, moved = mean_curvature_grid(shifted, 11)
         np.testing.assert_allclose(moved.H, base.H, atol=1e-9, equal_nan=True)
 
+    @pytest.mark.parametrize("exponent", [-40, 17, 266])
+    def test_forms_scale_exactly_by_powers_of_two(self, wave_net, rule32, exponent):
+        # the degenerate floor was absolute (all H NaN at 2^-40) and EG - F^2 overflowed at 2^266
+        shape = SurfaceShape(1.3, 2.7, 0.9, 3.1)
+        points = solve_interior(wave_net, *shape.basis_specs(3, 3), rule32).net.points
+        points[0] = (0.1, 0.7, 1.0 / 3.0)  # a collapsed edge, where S_v is rounding noise
+        _, _, base = mean_curvature_grid(Patch.gt(ControlNet(points=points), shape), 33)
+        _, _, scaled = mean_curvature_grid(Patch.gt(ControlNet(points=np.ldexp(points, exponent)), shape), 33)
+        assert np.isnan(base.H[0]).all() and np.isfinite(base.H[1:]).all()
+        for name, power in zip("EFGLMNH", [2, 2, 2, 1, 1, 1, -1]):
+            expected = np.ldexp(getattr(base, name), power * exponent)
+            assert getattr(scaled, name).tobytes() == expected.tobytes(), name
+
+    def test_cauchy_schwarz_check_does_not_overflow(self):
+        big, zero = np.ldexp(np.ones(1), 1000), np.zeros(1)
+        FundamentalForms(E=big, F=big / 2, G=big, L=zero, M=zero, N=zero, H=zero)
+        with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
+            FundamentalForms(E=big, F=big * 2, G=big, L=zero, M=zero, N=zero, H=zero)
+
     def test_forms_validation(self):
         one = np.ones(1)
         zero = np.zeros(1)
