@@ -8,9 +8,11 @@ Two families are supported:
   elevation ``G_{k,n} = (1-t) G_{k,n-1} + t G_{k-1,n-1}`` (terms with k out of
   range are zero).
 
-Derivatives of the GT family follow the differentiated elevation recursion,
-seeded with the analytic derivatives of the trigonometric seed, so the
-recursion base is exact and error does not accumulate through elevation.
+A ``BasisSpec`` names one: its family, its degree and, for GT, the shape pair
+``theta`` = (theta1, theta2) of its direction. Derivatives of the GT family
+follow the differentiated elevation recursion, seeded with the analytic
+derivatives of the trigonometric seed, so the recursion base is exact and
+error does not accumulate through elevation.
 """
 
 from __future__ import annotations

@@ -62,11 +62,10 @@ from .pso import PsoConfig, optimize, resolve_threads
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
 #: Largest coordinate magnitude (``ControlNet.scale``) a command accepts. Areas and
-#: curvature forms are evaluated on partials scaled by a power of two, so the largest
-#: numbers left are quadratic in the coordinates: energies, Laplacian defects and the
-#: first-form coefficients, times the square of the bases' largest sum |G_i'| or
-#: |G_i''| (under 1e11 up to degree 255). At 1e70 those stay below about 1e152; the
-#: wave scaled by 1e154 (coordinates up to 6e154) writes an infinite energy.
+#: curvature forms scale their inputs by a power of two, so the largest numbers are
+#: quadratic in the coordinates (energies, Laplacian defects, E, F, G), times the square
+#: of the bases' largest sum |G_i'| or |G_i''| (under 1e11 up to degree 255). At 1e70
+#: those stay below about 1e152; the wave scaled by 1e154 writes an infinite energy.
 MAX_NET_SCALE = 1e70
 
 
@@ -170,8 +169,7 @@ def _add_pso_args(parser, runs: bool = False):
     )
 
 
-def _pso_config(args) -> PsoConfig:
-    """The swarm settings, checked: every swarm command builds this before writing."""
+def _pso_config(args) -> PsoConfig:  # every swarm command checks its settings before writing
     return PsoConfig(
         swarm_size=args.swarm,
         inertia=args.inertia,

@@ -11,8 +11,7 @@ unknowns are the least-squares solution of that sampled system. When the data
 admit an exactly harmonic completion this recovers it; otherwise it is the
 completion of least defect. The certificate is the sum of squares of the
 same samples, and the GT tuner is a 9 x 9 Gram form of them (``defect_family``).
-The defect is unchanged by a translation and scales as length squared, and so
-does the bound it is certified against (``defect_certificate_bound``).
+The certificate's bound, like the defect, ignores translation and scales as length^2.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ CERTIFICATE_FACTOR = 1e-8
 
 def defect_certificate_bound(net: ControlNet) -> float:
     """CERTIFICATE_FACTOR e^2, with e the largest |coordinate - its mean| over the
-    net's finite points: like the defect, unchanged by a translation and scaled
-    by the square of a change of units."""
+    net's finite points: invariant to translation, and in the defect's units."""
     finite = net.points[np.isfinite(net.points).all(axis=-1)]
     return float(CERTIFICATE_FACTOR * np.abs(finite - finite.mean(axis=0)).max() ** 2)
 

@@ -7,7 +7,8 @@ a tensor grid; the Dirichlet energy, surface area, mean-curvature grids and
 uniform tessellation all read from it, and so does the hybrid patch of
 ``coons`` through ``_jet``. The CLI writes a surface's mesh and curvature
 grid from one jet (``triangulate_grid`` and ``fundamental_forms``); the
-Laplacian defect lives in ``harmonic``.
+Laplacian defect lives in ``harmonic``. Area and the curvature forms work on
+values scaled by a power of two, so neither depends on the net's units.
 """
 
 from __future__ import annotations
@@ -216,8 +217,7 @@ def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
 
 
 def _exponent(*arrays) -> int:
-    """Exponent of the largest magnitude in the arrays: dividing by 2^exponent
-    brings it into [0.5, 1), exactly."""
+    """e with the arrays' largest magnitude in [2^(e-1), 2^e): exact to divide by."""
     return int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
 
 
@@ -260,14 +260,10 @@ class FundamentalForms:
 def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     """Forms from precomputed partials; normal n = S_u x S_v normalized.
 
-    The forms are evaluated on the partials divided by 2^s, the power of two of
-    the largest entry of S_u and S_v, and scaled back exactly: E, F, G by 4^s,
-    L, M, N by 2^s and H by 2^-s. So a net scaled by 2^k gives the same digits
-    times those powers of 2^k, and nothing quartic (EG - F^2) overflows.
-    Near-degenerate samples (EG - F^2 <= 1e-12 (EG + 1) in those units, so the
-    floor is relative to the patch's own largest first partial) get NaN
-    second-form coefficients and NaN mean curvature instead of an
-    extrapolated value.
+    They are taken on the partials over 2^s, s = ``_exponent(S_u, S_v)``, then
+    scaled back exactly (E, F, G by 4^s, L, M, N by 2^s, H by 2^-s), so nothing
+    overflows and the units cancel. In those units, near-degenerate samples
+    (EG - F^2 <= 1e-12 (EG + 1)) get NaN second-form coefficients and H.
     """
     s = _exponent(su, sv)
     su, sv, suu, suv, svv = (np.ldexp(x, -s) for x in (su, sv, suu, suv, svv))
