@@ -260,7 +260,7 @@ class TestDefectMeasures:
     @pytest.mark.parametrize("shift, factor", [(1e6, 1.0), (0.0, 1e-6)], ids=["moved", "scaled"])
     def test_certificate_ignores_position_and_units(self, wave_net, rule32, shift, factor):
         # the wave has no harmonic completion; moved by 1e6 along x, or scaled by 1e-6,
-        # it was certified against 1e-8 (1 + max|coordinate|^2)
+        # a bound in absolute units, 1e-8 (1 + max|coordinate|^2), certifies it
         points = wave_net.points * factor
         points[..., 0] += shift
         rebuilt = harmonic_reconstruct(ControlNet(points=points))

@@ -370,7 +370,7 @@ class TestMeanCurvature:
 
     @pytest.mark.parametrize("exponent", [-40, 17, 266])
     def test_forms_scale_exactly_by_powers_of_two(self, wave_net, rule32, exponent):
-        # the degenerate floor was absolute (all H NaN at 2^-40) and EG - F^2 overflowed at 2^266
+        # an absolute degenerate floor makes every H NaN at 2^-40; unscaled, EG - F^2 overflows at 2^266
         shape = SurfaceShape(1.3, 2.7, 0.9, 3.1)
         points = solve_interior(wave_net, *shape.basis_specs(3, 3), rule32).net.points
         points[0] = (0.1, 0.7, 1.0 / 3.0)  # a collapsed edge, where S_v is rounding noise
@@ -381,12 +381,6 @@ class TestMeanCurvature:
             expected = np.ldexp(getattr(base, name), power * exponent)
             assert getattr(scaled, name).tobytes() == expected.tobytes(), name
 
-    def test_cauchy_schwarz_check_does_not_overflow(self):
-        big, zero = np.ldexp(np.ones(1), 1000), np.zeros(1)
-        FundamentalForms(E=big, F=big / 2, G=big, L=zero, M=zero, N=zero, H=zero)
-        with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
-            FundamentalForms(E=big, F=big * 2, G=big, L=zero, M=zero, N=zero, H=zero)
-
     def test_forms_validation(self):
         one = np.ones(1)
         zero = np.zeros(1)
@@ -394,6 +388,10 @@ class TestMeanCurvature:
             FundamentalForms(E=-one, F=zero, G=one, L=zero, M=zero, N=zero, H=zero)
         with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
             FundamentalForms(E=one, F=2 * one, G=one, L=zero, M=zero, N=zero, H=zero)
+        big = np.ldexp(one, 1000)  # EG overflows unless the check scales it
+        FundamentalForms(E=big, F=big / 2, G=big, L=zero, M=zero, N=zero, H=zero)
+        with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
+            FundamentalForms(E=big, F=2 * big, G=big, L=zero, M=zero, N=zero, H=zero)
 
 
 class TestTessellation:
