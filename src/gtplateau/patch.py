@@ -251,22 +251,20 @@ class FundamentalForms:
     def __post_init__(self):
         if np.any(self.E < 0.0) or np.any(self.G < 0.0):
             raise ConfigurationError("first-form diagonal must be nonnegative")
-        exponent = _exponent(self.E, self.F, self.G)  # checked in units where EG cannot overflow
-        e, f, g = (np.ldexp(x, -exponent) for x in (self.E, self.F, self.G))
-        if np.any(e * g - f * f < -1e-12 * (e * g + 1.0)):
+        if np.any(np.abs(self.F) > np.sqrt(self.E) * np.sqrt(self.G) * (1.0 + 1e-12)):  # EG may overflow
             raise ConfigurationError("first-form discriminant violates Cauchy-Schwarz")
 
 
 def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     """Forms from precomputed partials; normal n = S_u x S_v normalized.
 
-    They are taken on the partials over 2^s, s = ``_exponent(S_u, S_v)``, then
-    scaled back exactly (E, F, G by 4^s, L, M, N by 2^s, H by 2^-s), so nothing
-    overflows and the units cancel. In those units, near-degenerate samples
+    The first form is taken on S_u and S_v over 2^s, s = ``_exponent(S_u, S_v)``,
+    and E, F, G and H are scaled back exactly, so nothing overflows and the
+    units cancel. In those units, near-degenerate samples
     (EG - F^2 <= 1e-12 (EG + 1)) get NaN second-form coefficients and H.
     """
     s = _exponent(su, sv)
-    su, sv, suu, suv, svv = (np.ldexp(x, -s) for x in (su, sv, suu, suv, svv))
+    su, sv = np.ldexp(su, -s), np.ldexp(sv, -s)
     e = (su * su).sum(axis=-1)
     f = (su * sv).sum(axis=-1)
     g = (sv * sv).sum(axis=-1)
@@ -280,12 +278,11 @@ def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
         l = (suu * normal).sum(axis=-1)
         m = (suv * normal).sum(axis=-1)
         n = (svv * normal).sum(axis=-1)
-        h = (e * n - 2.0 * f * m + g * l) / (2.0 * disc)
+        h = (e * n - 2.0 * f * m + g * l) / (2.0 * disc)  # 4^s H: l, m, n are in the net's units
 
     nanval = np.where(degenerate, np.nan, 1.0)
     first = (np.ldexp(x, 2 * s) for x in (e, f, g))
-    second = (np.ldexp(x * nanval, s) for x in (l, m, n))
-    return FundamentalForms(*first, *second, H=np.ldexp(h * nanval, -s))
+    return FundamentalForms(*first, *(x * nanval for x in (l, m, n)), H=np.ldexp(h * nanval, -2 * s))
 
 
 def mean_curvature_grid(patch: Patch, samples: int):
