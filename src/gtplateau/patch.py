@@ -216,18 +216,13 @@ def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     return float(rule.weights @ integrand @ rule.weights)
 
 
-def _exponent(*arrays) -> int:
-    """e with the arrays' largest magnitude in [2^(e-1), 2^e): exact to divide by."""
-    return int(np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1])
-
-
 def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square. The norm squares the cross
     product scaled by a power of two (exactly), so it overflows only where the
     cross product does."""
     jet = surface_jet(patch, rule.nodes, rule.nodes)
     cross = np.cross(jet.Su, jet.Sv)
-    exponent = _exponent(cross)
+    _, exponent = np.frexp(np.abs(cross).max())
     integrand = np.linalg.norm(np.ldexp(cross, -exponent), axis=-1)
     return float(np.ldexp(rule.weights @ integrand @ rule.weights, exponent))
 
@@ -258,12 +253,12 @@ class FundamentalForms:
 def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     """Forms from precomputed partials; normal n = S_u x S_v normalized.
 
-    The first form is taken on S_u and S_v over 2^s, s = ``_exponent(S_u, S_v)``,
-    and E, F, G and H are scaled back exactly, so nothing overflows and the
-    units cancel. In those units, near-degenerate samples
-    (EG - F^2 <= 1e-12 (EG + 1)) get NaN second-form coefficients and H.
+    The first form is taken on S_u and S_v over 2^s, the power of two of their
+    largest entry, and E, F, G and H are scaled back exactly, so nothing
+    overflows and the units cancel. In those units, near-degenerate samples
+    (EG - F^2 < 1e-12 (EG + 1)) get NaN second-form coefficients and H.
     """
-    s = _exponent(su, sv)
+    _, s = np.frexp(max(np.abs(su).max(), np.abs(sv).max()))
     su, sv = np.ldexp(su, -s), np.ldexp(sv, -s)
     e = (su * su).sum(axis=-1)
     f = (su * sv).sum(axis=-1)
@@ -271,7 +266,7 @@ def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     disc = e * g - f * f
     cross = np.cross(su, sv)
     norm = np.linalg.norm(cross, axis=-1)
-    degenerate = disc <= 1e-12 * (e * g + 1.0)
+    degenerate = disc < 1e-12 * (e * g + 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = cross / norm[..., None]
