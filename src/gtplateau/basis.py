@@ -63,7 +63,7 @@ class BasisSpec:
                 theta = None
             if theta is None or theta.shape != (2,):
                 raise ConfigurationError(f"GT basis requires theta = (theta1, theta2), got {self.theta!r}")
-            object.__setattr__(self, "theta", tuple(float(x) for x in check_theta_stack(theta)))
+            object.__setattr__(self, "theta", tuple(check_theta_stack(theta).tolist()))
 
     @classmethod
     def bernstein(cls, degree: int) -> "BasisSpec":
