@@ -249,7 +249,7 @@ class TestDefectMeasures:
         assert np.all(defect_family(net, rule16)(alphas) >= 0.0)
 
     def test_certificate_bound_formula(self, wave_net):
-        # the known points' x and y span [0, 6] about a mean of 3; z spans [-2, 2] about 1/6
+        # the known points' x and y span [0, 6] about a mean of 3, farther than z strays from its mean
         assert defect_certificate_bound(wave_net) == pytest.approx(
             CERTIFICATE_FACTOR * 9.0, rel=1e-15
         )

@@ -388,7 +388,7 @@ class TestMeanCurvature:
             FundamentalForms(E=-one, F=zero, G=one, L=zero, M=zero, N=zero, H=zero)
         with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
             FundamentalForms(E=one, F=2 * one, G=one, L=zero, M=zero, N=zero, H=zero)
-        big = np.ldexp(one, 1000)  # EG overflows unless the check scales it
+        big = np.ldexp(one, 1000)  # EG overflows a double, so the check must not form it
         FundamentalForms(E=big, F=big / 2, G=big, L=zero, M=zero, N=zero, H=zero)
         with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
             FundamentalForms(E=big, F=2 * big, G=big, L=zero, M=zero, N=zero, H=zero)
