@@ -86,7 +86,7 @@ class BasisEvaluation:
 def _check_t(t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.ndim != 1:
-        raise DomainError("t must be a scalar or a 1-D array")
+        raise DomainError("t must be a scalar or a 1-D array of values in [0, 1]")
     if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
         raise DomainError("t must lie in [0, 1]")
     return t

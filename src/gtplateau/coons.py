@@ -38,7 +38,7 @@ from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule
-from .patch import ControlNet, SurfaceJet, SurfaceShape, _check_params, _jet, boundary_mask
+from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet, boundary_mask
 from .pso import PsoConfig
 
 
@@ -100,11 +100,11 @@ def _coefficient_map() -> np.ndarray:
 _L = _coefficient_map()
 
 
-def _blend_tables(gt: BasisEvaluation, ts: np.ndarray) -> BasisEvaluation:
-    """Rows (B0..B3, G0..G3, 1-t, t) of one direction around its cubic GT
-    tables, with derivatives; stacked GT tables give a stack of blend tables."""
+def _blend_tables(gt: BasisEvaluation, ts) -> BasisEvaluation:
+    """Rows (B0..B3, G0..G3, 1-t, t) of one direction: the cubic and linear Bernstein
+    tables around its cubic GT tables; stacked GT tables give a stack of blend tables."""
     b = basis_tables(BasisSpec.bernstein(3), ts)
-    one = np.ones_like(ts)
+    lin = basis_tables(BasisSpec.bernstein(1), ts)
     lead = gt.values.shape[:-2]
 
     def rows(bernstein, gt_rows, linear):
@@ -115,13 +115,13 @@ def _blend_tables(gt: BasisEvaluation, ts: np.ndarray) -> BasisEvaluation:
         )
 
     return BasisEvaluation(
-        values=rows(b.values, gt.values, np.stack([1.0 - ts, ts])),
-        first=rows(b.first, gt.first, np.stack([-one, one])),
-        second=rows(b.second, gt.second, np.zeros((2, ts.size))),
+        values=rows(b.values, gt.values, lin.values),
+        first=rows(b.first, gt.first, lin.first),
+        second=rows(b.second, gt.second, lin.second),
     )
 
 
-def _pair_tables(spec: BasisSpec, ts: np.ndarray) -> BasisEvaluation:
+def _pair_tables(spec: BasisSpec, ts) -> BasisEvaluation:
     return _blend_tables(basis_tables(spec, ts), ts)
 
 
@@ -134,7 +134,6 @@ def _tb_form(shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
     require_blend_net(net, complete=True)
-    us, vs = _check_params(us, vs)
     c = (_L @ net.points.reshape(16, 3)).reshape(10, 10, 3)
     return _jet(*map(_pair_tables, shape.basis_specs(3, 3), (us, vs)), c)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .numerics import QuadratureRule
 
 
@@ -158,15 +158,6 @@ class Patch:
         return cls(basis_u=bu, basis_v=bv, net=net)
 
 
-def _check_params(us, vs):
-    us = np.atleast_1d(np.asarray(us, dtype=float))
-    vs = np.atleast_1d(np.asarray(vs, dtype=float))
-    for arr in (us, vs):
-        if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-            raise DomainError("surface parameters must lie in [0, 1]")
-    return us, vs
-
-
 @dataclass(frozen=True)
 class SurfaceJet:
     """Value and derivative grids of a surface on a tensor parameter grid."""
@@ -205,7 +196,6 @@ def _jet(tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray) -> Surfac
 
 def surface_jet(patch: Patch, us, vs) -> SurfaceJet:
     """Value, first and second partials of the patch on the grid us x vs."""
-    us, vs = _check_params(us, vs)
     return _jet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
 
 

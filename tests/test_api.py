@@ -51,7 +51,7 @@ REMOVED = {
     "numerics": ("integrate_2d",),
     "patch": (
         "second_partials", "mesh_area", "evaluate_grid", "partial_grids",
-        "second_partial_grids", "evaluate", "partials", "laplacian_defect",
+        "second_partial_grids", "evaluate", "partials", "laplacian_defect", "_check_params",
     ),
 }
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from gtplateau.basis import BasisSpec
+from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.coons import (
     CurveSpec,
+    _pair_tables,
     _tb_form,
     _tb_system,
     optimize_tb,
@@ -199,12 +200,26 @@ class TestHybridSurface:
 
     @pytest.mark.parametrize(
         "params",
-        [([-0.1], [0.5]), ([0.5], [1.2]), ([float("nan")], [0.5]), ([0.5], [float("nan")])],
+        [([-0.1], [0.5]), ([0.5], [1.2]), ([float("nan")], [0.5]), ([0.5], [float("nan")]), ([[0.5]], [0.5])],
     )
     def test_jet_parameter_domain(self, params):
         net = ControlNet(points=random_points(14))
         with pytest.raises(DomainError, match=r"\[0, 1\]"):
             tb_surface_jet(net, random_shape(14), *params)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [np.linspace(0.0, 1.0, 17), gauss_legendre_rule(32).nodes, np.linspace(0.0, 1.0, 129)],
+        ids=["uniform-17", "gauss-32", "uniform-129"],
+    )
+    def test_pair_tables_are_three_basis_tables(self, ts):
+        spec = random_shape(15).basis_specs(3, 3)[1]
+        got = _pair_tables(spec, ts)
+        parts = [basis_tables(s, ts) for s in (CUBIC, spec, BasisSpec.bernstein(1))]
+        for name in ("values", "first", "second"):
+            want = np.concatenate([getattr(part, name) for part in parts])
+            assert getattr(got, name).shape == (10, ts.size)
+            assert getattr(got, name).tobytes() == want.tobytes()
 
 
 class TestGramAssembly:

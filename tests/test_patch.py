@@ -180,7 +180,7 @@ class TestEvaluation:
             surface_jet(patch, [1.0], us).S[0], side, atol=1e-12
         )
 
-    @pytest.mark.parametrize("u,v", [(-0.1, 0.5), (0.5, 1.01), (float("nan"), 0.5)])
+    @pytest.mark.parametrize("u,v", [(-0.1, 0.5), (0.5, 1.01), (float("nan"), 0.5), ([0.5], 0.5)])
     def test_parameter_domain(self, u, v):
         with pytest.raises(DomainError):
             surface_jet(flat_chart(), [u], [v])
