@@ -344,7 +344,7 @@ def cmd_optimize(args) -> int:
 def cmd_harmonic(args) -> int:
     net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    config = _pso_config(args) if args.tune_alpha else None
+    config = _pso_config(args)  # checked even when unused; the summary echoes only what shaped the numbers
     reconstructed = harmonic_reconstruct(net)
     defect = bernstein_laplacian_defect(reconstructed, rule)
     bound = defect_certificate_bound(reconstructed)

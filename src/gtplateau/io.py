@@ -112,14 +112,15 @@ def net_from_payload(payload, source: str = "<payload>") -> ControlNet:
 
 def load_net(path) -> ControlNet:
     """Read a net file; malformed JSON reports the path, line, and column."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        payload = json.loads(text)
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
     except json.JSONDecodeError as exc:
         raise NetFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, nested too deep, or an integer past the digit limit
+        raise NetFormatError(f"{path}: unreadable net file: {exc}") from exc
     return net_from_payload(payload, source=os.fspath(path))
 
 

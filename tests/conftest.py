@@ -27,6 +27,23 @@ def rule16():
     return gauss_legendre_rule(16)
 
 
+#: Net files no JSON net can be read from: bytes that are not UTF-8, arrays nested
+#: past the decoder's recursion limit, and an integer literal past Python's digit
+#: limit for int (an interpreter without that limit reads it as a non-finite point).
+MALFORMED_NET_FILES = {
+    "not-utf8": b"\xff{}",
+    "nested": b'{"points": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    "long-integer": b'{"points": [[[' + b"7" * 5000 + b", 0, 0], [1, 0, 0]], [[0, 1, 0], [1, 1, 0]]]}",
+}
+
+
+@pytest.fixture(params=sorted(MALFORMED_NET_FILES))
+def malformed_net_file(request, tmp_path):
+    path = tmp_path / f"{request.param}.json"
+    path.write_bytes(MALFORMED_NET_FILES[request.param])
+    return path
+
+
 @pytest.fixture
 def wave_net():
     """Bicubic boundary net with alternating-sign z data; interior unknown."""

@@ -443,6 +443,12 @@ class TestExitCodes:
         bad.write_text("{")
         assert main(["solve", str(bad), "--out", str(tmp_path / "o")]) == 4
 
+    def test_unreadable_net_file(self, tmp_path, capsys, malformed_net_file):
+        out = tmp_path / "o"
+        assert main(["solve", str(malformed_net_file), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert malformed_net_file.name in capsys.readouterr().err
+
     def test_singular_system(self, tmp_path):
         assert main(["solve", WAVE, "--quad", "1", "--out", str(tmp_path / "o")]) == 3
 
@@ -494,11 +500,19 @@ class TestExitCodes:
         assert argv[2] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--inertia", "1.5"), ("--c1", "0"), ("--c2", "inf"), ("--seed", "-1")]
+        "tune, flag, value",
+        [
+            pytest.param(tune, flag, value, id=f"{prefix}{flag}-{value}")
+            for tune, prefix in ((["--tune-alpha"], ""), ([], "untuned-"))
+            for flag, value in (
+                ("--inertia", "1.5"), ("--inertia", "nan"), ("--c1", "0"), ("--c2", "inf"),
+                ("--seed", "-1"), ("--seed", "-3"),
+            )
+        ],
     )
-    def test_harmonic_swarm_settings_checked_before_writing(self, tmp_path, flag, value):
+    def test_harmonic_swarm_settings_checked_before_writing(self, tmp_path, tune, flag, value):
         out = tmp_path / "run"
-        assert main(["harmonic", COLUMNS, "--tune-alpha", flag, value, "--out", str(out)]) == 2
+        assert main(["harmonic", COLUMNS, *tune, flag, value, "--out", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -543,6 +557,7 @@ class TestExitCodes:
             ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
             ["compare", WAVE, "--runs", "0"],
             ["compare", "{complete}", "--runs", "2"],
+            ["harmonic", COLUMNS],
         ],
     )
     def test_bad_thread_variable_checked_before_writing(self, tmp_path, monkeypatch, argv):

@@ -112,6 +112,10 @@ class TestLoadErrors:
         with pytest.raises(NetFormatError, match="invalid JSON at line"):
             load_net(bad)
 
+    def test_unreadable_file_names_path(self, malformed_net_file):
+        with pytest.raises(NetFormatError, match=malformed_net_file.name):
+            load_net(malformed_net_file)
+
     @pytest.mark.parametrize(
         "payload,fragment",
         [
