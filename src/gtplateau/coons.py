@@ -6,8 +6,10 @@ terms cancel, so the patch edges are the Bernstein curves of the boundary
 points for every shape vector; the shape moves only the interior.
 
 Each term is a function of u times a function of v, so S is a tensor patch
-over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v) whose
-10x10 coefficient net is C = L P, with L a constant 100 x 16 map:
+over F = (B0..B3, Gu0..Gu3, 1-u, u) and H = (B0..B3, Gv0..Gv3, 1-v, v), each
+the ``basis_tables`` of Bernstein 3, that direction's GT 3 and Bernstein 1
+stacked (``_blend_tables``), whose 10x10 coefficient net is C = L P, with L
+a constant 100 x 16 map:
 
 * R1 and R2: C[B_i, Gv_j] = C[Gu_i, B_j] = P_ij;
 * T's edges: C[Gu_i, 1-v] = -P_i0, C[Gu_i, v] = -P_i3, C[1-u, Gv_j] = -P_0j

@@ -3,7 +3,8 @@
 A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
 families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
 ``surface_jet``, evaluates the surface with its first and second partials on
-a tensor grid; the Dirichlet energy, surface area, mean-curvature grids and
+a tensor grid from the ``basis_tables`` of each direction, which also check
+the parameters; the Dirichlet energy, surface area, mean-curvature grids and
 uniform tessellation all read from it, and so does the hybrid patch of
 ``coons`` through ``_jet``. The CLI writes a surface's mesh and curvature
 grid from one jet (``triangulate_grid`` and ``fundamental_forms``); the
