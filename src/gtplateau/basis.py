@@ -2,17 +2,18 @@
 
 Two families are supported:
 
-* the classical Bernstein basis of any degree, and
-* a generalized trigonometric (GT) basis of degree >= 2, built from a
-  two-parameter quadratic trigonometric seed by repeated Bezier-style degree
-  elevation ``G_{k,n} = (1-t) G_{k,n-1} + t G_{k-1,n-1}`` (terms with k out of
-  range are zero).
+* the classical Bernstein basis of degree 0 to 1029, and
+* a generalized trigonometric (GT) basis of degree 2 to 1031: a two-parameter
+  quadratic trigonometric seed (g0, g1, g2) raised to degree n by Bezier
+  degree elevation. Elevation is Bernstein's recursion, so the GT basis is
+  the seed times the Bernstein basis of degree n - 2,
+  ``G_{k,n} = sum_j g_j B_{k-j,n-2}`` (terms with k - j out of range are
+  zero), and both derivatives follow by the product rule,
+  ``G' = g'B + gB'`` and ``G'' = g''B + 2g'B' + gB''``.
 
 A ``BasisSpec`` names one: its family, its degree and, for GT, the shape pair
-``theta`` = (theta1, theta2) of its direction. Derivatives of the GT family
-follow the differentiated elevation recursion, seeded with the analytic
-derivatives of the trigonometric seed, so the recursion base is exact and
-error does not accumulate through elevation.
+``theta`` = (theta1, theta2) of its direction. Past the highest degree a
+binomial of the Bernstein factor overflows a double, so the spec refuses it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,23 @@ THETA_MAX = 3.5
 
 _HALF_PI = 0.5 * np.pi
 
+#: Highest Bernstein degree whose binomials all fit in a double: C(1030, 515)
+#: does not. GT of degree n is built on Bernstein of degree n - 2.
+_BERNSTEIN_MAX_DEGREE = 1029
+
+
+def _check_gt_degree(degree: int) -> None:
+    if degree < 2:
+        raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
+    if degree > _BERNSTEIN_MAX_DEGREE + 2:
+        raise ConfigurationError(
+            f"GT degree {degree} is too high: its Bernstein factor's binomials overflow a double"
+        )
+
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """A basis family selection: Bernstein of degree >= 0, or GT of degree >= 2.
+    """A basis family selection: Bernstein of degree 0..1029, or GT of degree 2..1031.
 
     ``theta``, one direction's shape pair (theta1, theta2), is required for the
     GT family (kept as a tuple of two floats) and must be None for Bernstein.
@@ -52,11 +66,12 @@ class BasisSpec:
         if self.family == "bernstein":
             if self.degree < 0:
                 raise ConfigurationError("Bernstein degree must be >= 0")
+            if self.degree > _BERNSTEIN_MAX_DEGREE:
+                raise ConfigurationError(f"Bernstein degree {self.degree} is too high: its binomials overflow a double")
             if self.theta is not None:
                 raise ConfigurationError("Bernstein basis takes no shape parameters")
         else:
-            if self.degree < 2:
-                raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
+            _check_gt_degree(self.degree)
             try:
                 theta = np.asarray(self.theta, dtype=float)
             except (TypeError, ValueError):
@@ -94,28 +109,28 @@ def _check_t(t) -> np.ndarray:
 
 def _bernstein_values(degree: int, t: np.ndarray) -> np.ndarray:
     k = np.arange(degree + 1)
-    try:
-        coeff = np.array([math.comb(degree, int(i)) for i in k], dtype=float)
-    except OverflowError:
-        raise ConfigurationError(f"Bernstein degree {degree} is too high: its binomials overflow a double") from None
+    coeff = np.array([math.comb(degree, int(i)) for i in k], dtype=float)
     return coeff[:, None] * t[None, :] ** k[:, None] * (1.0 - t)[None, :] ** (degree - k)[:, None]
 
 
+def _shift_sum(parts: np.ndarray) -> np.ndarray:
+    """Rows ``out[k] = sum_j parts[j][k - j]`` (out-of-range terms zero); j on axis -3, k on -2."""
+    *lead, count, rows, cols = parts.shape
+    out = np.zeros((*lead, rows + count - 1, cols))
+    for j in range(count):
+        out[..., j:j + rows, :] += parts[..., j, :, :]
+    return out
+
+
 def _bernstein_tables(degree: int, t: np.ndarray):
+    """Values, and derivatives from the differences of degrees n - 1 and n - 2."""
     values = _bernstein_values(degree, t)
-    first = np.zeros_like(values)
-    second = np.zeros_like(values)
+    first, second = np.zeros_like(values), np.zeros_like(values)
     if degree >= 1:
-        low = _bernstein_values(degree - 1, t)
-        first[:-1] -= low
-        first[1:] += low
-        first *= degree
+        first = degree * _shift_sum(np.multiply.outer([-1.0, 1.0], _bernstein_values(degree - 1, t)))
     if degree >= 2:
         low2 = _bernstein_values(degree - 2, t)
-        second[:-2] += low2
-        second[1:-1] -= 2.0 * low2
-        second[2:] += low2
-        second *= degree * (degree - 1)
+        second = degree * (degree - 1) * _shift_sum(np.multiply.outer([1.0, -2.0, 1.0], low2))
     return values, first, second
 
 
@@ -142,36 +157,14 @@ def _gt_seed_tables(th1, th2, t: np.ndarray):
     dd2 = _HALF_PI**2 * (c * b + s * s * (th2 - 2.0))
     dd1 = -dd0 - dd2
 
-    return (
-        np.stack([g0, g1, g2], axis=-2),
-        np.stack([d0, d1, d2], axis=-2),
-        np.stack([dd0, dd1, dd2], axis=-2),
-    )
-
-
-def _elevate(values, first, second, t):
-    """One degree-elevation step applied to value/derivative tables (rows on axis -2)."""
-    zero = np.zeros(values.shape[:-2] + (1, t.size))
-
-    def shifted(table):
-        return np.concatenate([table, zero], axis=-2), np.concatenate([zero, table], axis=-2)
-
-    lo_v, hi_v = shifted(values)
-    lo_1, hi_1 = shifted(first)
-    lo_2, hi_2 = shifted(second)
-    w = 1.0 - t
-    return (
-        w * lo_v + t * hi_v,
-        -lo_v + w * lo_1 + hi_v + t * hi_1,
-        -2.0 * lo_1 + w * lo_2 + 2.0 * hi_1 + t * hi_2,
-    )
+    return tuple(np.stack(rows, axis=-2) for rows in ((g0, g1, g2), (d0, d1, d2), (dd0, dd1, dd2)))
 
 
 def _gt_tables(degree: int, th1, th2, t: np.ndarray):
-    values, first, second = _gt_seed_tables(th1, th2, t)
-    for _ in range(degree - 2):
-        values, first, second = _elevate(values, first, second, t)
-    return values, first, second
+    """The seed times one Bernstein table of degree - 2, derivatives by the product rule."""
+    g, dg, ddg = (x[..., :, None, :] for x in _gt_seed_tables(th1, th2, t))  # seed rows on axis -3
+    b, db, ddb = _bernstein_tables(degree - 2, t)
+    return _shift_sum(g * b), _shift_sum(dg * b + g * db), _shift_sum(ddg * b + 2.0 * dg * db + g * ddb)
 
 
 def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
@@ -196,11 +189,11 @@ def gt_affine_tables(degree: int, t) -> BasisEvaluation:
 
     ``basis_tables(BasisSpec.gt(degree, th1, th2), t)`` equals
     ``T0 + th1 T1 + th2 T2`` to rounding, for values and both derivatives:
-    the seed is affine in (th1, th2) and elevation is linear. Each array has
-    shape (3, degree + 1, len(t)), the parts stacked on axis 0.
+    the seed is affine in (th1, th2) and its product with Bernstein is
+    linear. Each array has shape (3, degree + 1, len(t)), the parts stacked
+    on axis 0.
     """
-    if degree < 2:
-        raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
+    _check_gt_degree(degree)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # tables T0, T0 + T1, T0 + T2
     at = _gt_tables(degree, corners[:, :1], corners[:, 1:], _check_t(t))
     return BasisEvaluation(*(np.stack([x[0], x[1] - x[0], x[2] - x[0]]) for x in at))

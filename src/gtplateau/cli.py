@@ -68,6 +68,10 @@ NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 #: those stay below about 1e152; the wave scaled by 1e154 writes an infinite energy.
 MAX_NET_SCALE = 1e70
 
+#: Runs whose energies lie within this relative gap of the least are tied, and the
+#: lowest-index one is the best run, so a one-ulp difference cannot decide it.
+_BEST_RUN_RTOL = 1e-12
+
 
 def _float_tuple(flag: str, count: int):
     def parse(text: str):
@@ -221,10 +225,11 @@ def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
 
 def _swarm_runs(net, rule, config: PsoConfig, count: int):
     """``count`` seeded swarms (seed SEED+r) on one prepared family, as its
-    ``ShapeOptimum`` winners, and the first best run."""
+    ``ShapeOptimum`` winners, and the first run within ``_BEST_RUN_RTOL`` of the least."""
     family = reduced_functional_family(net, rule)
     runs = [family.minimize(dataclasses.replace(config, seed=config.seed + r)) for r in range(count)]
-    return runs, min(range(len(runs)), key=lambda r: runs[r].energy)
+    least = min(run.energy for run in runs)
+    return runs, next(r for r, run in enumerate(runs) if run.energy <= least + _BEST_RUN_RTOL * abs(least))
 
 
 def _summary_writer(args):

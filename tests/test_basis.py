@@ -2,20 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtplateau.basis import (
     THETA_MAX,
     THETA_MIN,
     BasisSpec,
+    _gt_seed_tables,
     basis_tables,
 )
 from gtplateau.errors import ConfigurationError, DomainError
+from gtplateau.numerics import gauss_legendre_rule
 
 from difference_form import lower
 
 GT_DEGREES = (2, 3, 4, 5)
 THETA_GRID = np.linspace(THETA_MIN, THETA_MAX, 5)
 T_GRID = np.linspace(0.0, 1.0, 21)
+
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def elevation_oracle(degree: int, t: np.ndarray) -> np.ndarray:
@@ -27,6 +33,22 @@ def elevation_oracle(degree: int, t: np.ndarray) -> np.ndarray:
         hi = np.vstack([zero, values])
         values = (1.0 - t) * lo + t * hi
     return values
+
+
+def gt_elevation_oracle(degree: int, th1: float, th2: float, t: np.ndarray):
+    """GT values, first and second derivatives by the differentiated elevation
+    recursion ``G_{k,n} = (1-t) G_{k,n-1} + t G_{k-1,n-1}`` from the seed."""
+    values, first, second = _gt_seed_tables(th1, th2, t)
+    for _ in range(degree - 2):
+        zero = np.zeros((1, t.size))
+        lo_v, lo_1, lo_2 = (np.vstack([x, zero]) for x in (values, first, second))
+        hi_v, hi_1, hi_2 = (np.vstack([zero, x]) for x in (values, first, second))
+        values, first, second = (
+            (1.0 - t) * lo_v + t * hi_v,
+            -lo_v + (1.0 - t) * lo_1 + hi_v + t * hi_1,
+            -2.0 * lo_1 + (1.0 - t) * lo_2 + 2.0 * hi_1 + t * hi_2,
+        )
+    return values, first, second
 
 
 class TestBernstein:
@@ -94,18 +116,35 @@ def _all_specs():
                 yield BasisSpec.gt(degree, float(t1), float(t2))
 
 
+def check_partition_of_unity(spec):
+    sums = basis_tables(spec, T_GRID).values.sum(axis=0)
+    assert np.abs(sums - 1.0).max() < 1e-12, spec
+
+
+def check_endpoint_interpolation(spec):
+    values = basis_tables(spec, np.array([0.0, 1.0])).values
+    expected = np.zeros_like(values)
+    expected[0, 0] = expected[-1, 1] = 1.0
+    assert np.abs(values - expected).max() < 1e-14, spec
+
+
+def check_derivative_rows_sum_to_zero(spec):
+    # differentiating the partition of unity kills the constant; a sum of
+    # rows rounds in proportion to the sum of their magnitudes
+    tables = basis_tables(spec, T_GRID)
+    for table in (tables.first, tables.second):
+        scale = 1.0 + np.abs(table).sum(axis=0)
+        assert (np.abs(table.sum(axis=0)) < 1e-14 * scale).all(), spec
+
+
 class TestGtFamilyProperties:
     def test_partition_of_unity(self):
         for spec in _all_specs():
-            sums = basis_tables(spec, T_GRID).values.sum(axis=0)
-            assert np.abs(sums - 1.0).max() < 1e-12, spec
+            check_partition_of_unity(spec)
 
     def test_endpoint_interpolation(self):
         for spec in _all_specs():
-            values = basis_tables(spec, np.array([0.0, 1.0])).values
-            expected = np.zeros_like(values)
-            expected[0, 0] = expected[-1, 1] = 1.0
-            assert np.abs(values - expected).max() < 1e-14, spec
+            check_endpoint_interpolation(spec)
 
     def test_derivatives_match_finite_differences(self):
         h = 1e-6
@@ -122,11 +161,37 @@ class TestGtFamilyProperties:
             assert rel2.max() < 1e-6, spec
 
     def test_derivative_rows_sum_to_zero(self):
-        # differentiating the partition of unity kills the constant
         for spec in _all_specs():
-            tables = basis_tables(spec, T_GRID)
-            assert np.abs(tables.first.sum(axis=0)).max() < 1e-10
-            assert np.abs(tables.second.sum(axis=0)).max() < 1e-10
+            check_derivative_rows_sum_to_zero(spec)
+
+    @PROPERTY
+    @given(
+        degree=st.integers(2, 200),
+        th1=st.floats(THETA_MIN, THETA_MAX),
+        th2=st.floats(THETA_MIN, THETA_MAX),
+    )
+    def test_properties_at_any_degree(self, degree, th1, th2):
+        spec = BasisSpec.gt(degree, th1, th2)
+        check_partition_of_unity(spec)
+        check_derivative_rows_sum_to_zero(spec)
+        check_endpoint_interpolation(spec)
+
+
+class TestGtClosedForm:
+    """The seed times Bernstein of degree n - 2 against the elevation recursion."""
+
+    @pytest.mark.parametrize(
+        "nodes", [np.linspace(0.0, 1.0, 129), gauss_legendre_rule(32).nodes], ids=["uniform", "gauss"]
+    )
+    def test_matches_elevation_oracle(self, nodes):
+        rng = np.random.default_rng(12)
+        for degree in range(2, 41):
+            for th1, th2 in rng.uniform(THETA_MIN, THETA_MAX, size=(3, 2)):
+                tables = basis_tables(BasisSpec.gt(degree, th1, th2), nodes)
+                oracle = gt_elevation_oracle(degree, th1, th2, nodes)
+                for got, want in zip((tables.values, tables.first, tables.second), oracle):
+                    gap = np.abs(got - want).max() / (1.0 + np.abs(want).max())
+                    assert gap <= 4e-15, (degree, th1, th2, gap)
 
 
 class TestValidation:
@@ -140,6 +205,14 @@ class TestValidation:
         assert np.isfinite(basis_tables(BasisSpec.bernstein(1029), [0.5]).second).all()
         with pytest.raises(ConfigurationError, match="Bernstein degree 1030 is too high"):
             basis_tables(BasisSpec.bernstein(1030), [0.5])
+
+    def test_gt_degree_past_double_range(self):
+        # GT of degree n is built on Bernstein of degree n - 2, so 1031 still evaluates
+        tables = basis_tables(BasisSpec.gt(1031, 1.3, 2.9), T_GRID)
+        assert all(np.isfinite(x).all() for x in (tables.values, tables.first, tables.second))
+        assert np.abs(tables.values.sum(axis=0) - 1.0).max() < 1e-12
+        with pytest.raises(ConfigurationError, match="GT degree 1032 is too high"):
+            BasisSpec.gt(1032, 1.3, 2.9)
 
     def test_gt_degree_floor(self):
         with pytest.raises(ConfigurationError):

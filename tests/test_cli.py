@@ -6,12 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
 import artifact_digest
 import gtplateau
+import gtplateau.cli as cli
 import gtplateau.pso as pso
 from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
 from gtplateau.io import load_net, save_net
@@ -161,7 +163,9 @@ class TestOptimize:
         assert [row["seed"] for row in runs] == [0, 1]
         assert all(row["evaluations"] == 6 * 4 for row in runs)
         best = summary["results"]
-        assert best["energy"] == min(row["energy"] for row in runs)
+        least = min(row["energy"] for row in runs)
+        tied = [row["run"] for row in runs if row["energy"] <= least + cli._BEST_RUN_RTOL * least]
+        assert best["best_run"] == tied[0]
         assert best["runs"][best["best_run"]]["energy"] == best["energy"]
         for row in runs:
             # the winner is the swarm's own extremal, not a second solve
@@ -170,6 +174,26 @@ class TestOptimize:
             assert row["area"] <= row["energy"] + 1e-9
         assert summary["settings"]["runs"] == 2
         assert (out / "net.json").exists() and (out / "surface.obj").exists()
+
+    @pytest.mark.parametrize(
+        "energies, best",
+        [
+            ((38.428812781904995, 38.42881278190499), 0),  # one ulp apart: tied, the first wins
+            ((38.42881278190499, 38.428812781904995), 0),
+            ((2.0, 1.0, 1.0), 1),
+            ((1.0 + 1e-11, 1.0), 1),
+        ],
+    )
+    def test_best_run_ignores_rounding_ties(self, monkeypatch, energies, best):
+        class Family:
+            def minimize(self, config):
+                return types.SimpleNamespace(energy=energies[config.seed])
+
+        monkeypatch.setattr("gtplateau.cli.reduced_functional_family", lambda net, rule: Family())
+        config = pso.PsoConfig(swarm_size=2, max_iters=0, seed=0)
+        runs, r_best = cli._swarm_runs(None, None, config, len(energies))
+        assert [run.energy for run in runs] == list(energies)
+        assert r_best == best
 
     def test_winner_is_not_solved_again(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
@@ -432,6 +456,17 @@ class TestBasisEval:
     def test_degree_past_double_range(self, capsys):
         assert main(["basis", "eval", "--basis", "bernstein", "--degree", "1030", "--samples", "3"]) == 2
         assert "invalid input: Bernstein degree 1030 is too high" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "basis, degree, family", [("gt", "1032", "GT"), ("gt", "4000", "GT"), ("bernstein", "20000", "Bernstein")]
+    )
+    def test_degree_refused_before_any_table(self, capsys, monkeypatch, basis, degree, family):
+        def refuse(*args):
+            raise AssertionError("a table was built before the degree was checked")
+
+        monkeypatch.setattr("gtplateau.basis._bernstein_values", refuse)
+        assert main(["basis", "eval", "--basis", basis, "--degree", degree]) == 2
+        assert f"invalid input: {family} degree {degree} is too high" in capsys.readouterr().err
 
 
 class TestExitCodes:
