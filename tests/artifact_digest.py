@@ -53,6 +53,8 @@ COMMANDS = {
     },
     "basis-gt": ("basis", "eval", "--basis", "gt"),
     "basis-bernstein": ("basis", "eval", "--basis", "bernstein", "--degree", "12", "--out", "{out}/basis.csv"),
+    # the hybrid at boundary degrees (5, 4), beyond the bicubic nets above
+    "coons/saddle_boundary": ("coons", "fixtures/saddle_boundary.json", "--out", "{out}"),
 }
 
 

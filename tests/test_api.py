@@ -27,7 +27,10 @@ import gtplateau
 #: keys the form cache itself; the one summary writer takes its four fields;
 #: the normal equations are built where they are used. Every Dirichlet form,
 #: of a fixed basis, a shape family or the hybrid, comes from one builder,
-#: ``dirichlet._forms``, so the per-route Gram and Kronecker helpers went.
+#: ``dirichlet._forms``, so the per-route Gram and Kronecker helpers went. The
+#: hybrid's map is built from the net's degrees, so the 4x4 net check, the block
+#: offsets and the constant map went; the engine's own checks refuse what it
+#: cannot solve. ``--tess`` has an upper bound, so the integer parser has both.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -37,7 +40,9 @@ REMOVED = {
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
         "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum", "_net_form_stack",
+        "require_blend_net", "_BASES", "_B", "_G", "_LIN", "_L",
     ),
+    "cli": ("_int_at_least",),
     "dirichlet": (
         "reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness",
         "_cached_forms", "_free_system", "_gram", "_kron_sum", "_monomial_grams", "_PAIRS",

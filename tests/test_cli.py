@@ -25,6 +25,7 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 WAVE = str(FIXTURES / "wave_boundary.json")
 DOME = str(FIXTURES / "dome_boundary.json")
 COLUMNS = str(FIXTURES / "columns_known.json")
+SADDLE = str(FIXTURES / "saddle_boundary.json")
 
 
 def read_summary(out: pathlib.Path) -> dict:
@@ -384,6 +385,28 @@ class TestCoons:
         assert results["energy"] == history[-1]
         assert "coons: alpha=" in capsys.readouterr().out
 
+    def test_any_boundary_degree(self, tmp_path):
+        # the (5, 4) saddle: the surface and both mixed-basis meshes at the net's degrees
+        out = tmp_path / "run"
+        rc = main(["coons", SADDLE, "--out", str(out), "--swarm", "6", "--iters", "2",
+                   "--threads", "1", "--tess", "3"])
+        assert rc == 0
+        net, written = load_net(SADDLE), load_net(out / "net.json")
+        assert written.points.shape == (6, 5, 3) and written.is_complete
+        np.testing.assert_array_equal(written.points[net.fixed], net.points[net.fixed])
+        for name in ("surface.obj", "r1.obj", "r2.obj"):
+            vertices = [line for line in (out / name).read_text().splitlines() if line.startswith("v ")]
+            assert len(vertices) == 16, name
+
+    def test_linear_direction_refused(self, tmp_path, capsys):
+        net_file, out = tmp_path / "strip.json", tmp_path / "run"
+        points = np.zeros((2, 4, 3))
+        points[..., 0], points[..., 1] = np.arange(2)[:, None], np.arange(4)[None, :]
+        save_net(ControlNet(points=points), net_file)
+        assert main(["coons", str(net_file), "--swarm", "3", "--iters", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "GT degree must be >= 2" in capsys.readouterr().err
+
 
 class TestCompare:
     ARGS = ["--swarm", "6", "--iters", "3", "--seed", "0", "--threads", "1"]
@@ -524,6 +547,9 @@ class TestExitCodes:
             ["coons", WAVE, "--iters", "-1"],
             ["compare", WAVE, "--bounds", "1.0,3.6"],
             ["compare", WAVE, "--bounds", "3.0,1.0"],
+            ["solve", WAVE, "--tess", "2049"],
+            ["optimize", WAVE, "--tess", "1000000"],
+            ["coons", WAVE, "--tess", "2049"],
         ],
     )
     def test_counts_checked_before_any_file_is_written(self, tmp_path, capsys, argv):
@@ -532,7 +558,7 @@ class TestExitCodes:
             main(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
-        assert argv[2] in capsys.readouterr().err
+        assert f"argument {argv[2]}: {argv[2]} " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "tune, flag, value",

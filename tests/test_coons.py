@@ -10,9 +10,9 @@ from gtplateau.coons import (
     _tb_form,
     _tb_system,
     optimize_tb,
-    require_blend_net,
     solve_tb_interior,
     tb_dirichlet_energy,
+    tb_reduced_functional_family,
     tb_surface_jet,
 )
 from gtplateau.dirichlet import _free_split, reduced_functional_family
@@ -26,8 +26,8 @@ CUBIC = BasisSpec.bernstein(3)
 TS = np.linspace(0.0, 1.0, 21)
 
 
-def random_points(seed: int) -> np.ndarray:
-    return RngStream(seed, 0).uniform(-2.0, 4.0, (4, 4, 3))
+def random_points(seed: int, shape=(4, 4)) -> np.ndarray:
+    return RngStream(seed, 0).uniform(-2.0, 4.0, shape + (3,))
 
 
 def random_shape(seed: int) -> SurfaceShape:
@@ -36,7 +36,7 @@ def random_shape(seed: int) -> SurfaceShape:
 
 def open_interior(points: np.ndarray) -> ControlNet:
     points = points.copy()
-    points[1:3, 1:3] = np.nan
+    points[1:-1, 1:-1] = np.nan
     return ControlNet(points=points)
 
 
@@ -61,26 +61,38 @@ class TestCurveSpec:
 
 
 class TestBlendNetValidation:
-    def test_needs_4x4(self):
-        with pytest.raises(ConfigurationError, match="4x4"):
-            require_blend_net(ControlNet(points=np.zeros((5, 5, 3))))
+    def test_degree_one_refused(self, rule16):
+        # GT's seed is quadratic, so neither direction may be linear
+        for shape in ((2, 4), (4, 2), (2, 2)):
+            net = ControlNet(points=random_points(7, shape))
+            with pytest.raises(ConfigurationError, match="GT degree must be >= 2"):
+                tb_surface_jet(net, random_shape(7), TS, TS)
+            with pytest.raises(ConfigurationError, match="GT degree must be >= 2"):
+                tb_reduced_functional_family(net, rule16)
 
-    def test_needs_full_boundary(self):
-        points = np.zeros((4, 4, 3))
+    def test_needs_full_boundary(self, rule16):
+        points = random_points(8)
         points[0, 2] = np.nan
-        with pytest.raises(ConfigurationError, match="twelve boundary points"):
-            require_blend_net(ControlNet(points=points))
+        net = open_interior(points)
+        with pytest.raises(ConfigurationError, match="require every boundary point fixed"):
+            solve_tb_interior(net, random_shape(8), rule16)
+        with pytest.raises(ConfigurationError, match="require every boundary point fixed"):
+            tb_reduced_functional_family(net, rule16)
 
-    def test_evaluation_needs_complete_interior(self, wave_net):
-        with pytest.raises(ConfigurationError, match="must be known"):
-            require_blend_net(wave_net, complete=True)
+    def test_evaluation_needs_complete_interior(self, wave_net, rule16):
+        with pytest.raises(ConfigurationError, match="must be known for evaluation"):
+            tb_surface_jet(wave_net, random_shape(8), TS, TS)
+        with pytest.raises(ConfigurationError, match="must be known for evaluation"):
+            tb_dirichlet_energy(wave_net, random_shape(8), rule16)
 
-    def test_solve_needs_open_interior(self):
-        with pytest.raises(ConfigurationError, match="must be unknown"):
-            require_blend_net(ControlNet(points=random_points(8)), complete=False)
+    def test_solve_needs_open_interior(self, rule16):
+        net = ControlNet(points=random_points(8))
+        with pytest.raises(ConfigurationError, match="no unknown interior points"):
+            tb_reduced_functional_family(net, rule16)
 
-    def test_wave_fixture_fits_the_solve(self, wave_net):
-        require_blend_net(wave_net, complete=False)
+    def test_wave_fixture_fits_the_solve(self, wave_net, rule16):
+        family = tb_reduced_functional_family(wave_net, rule16)
+        assert family.n == 4 and family.blocks.shape[0] == 36
 
 
 class TestHybridSurface:
@@ -213,13 +225,14 @@ class TestHybridSurface:
         ids=["uniform-17", "gauss-32", "uniform-129"],
     )
     def test_pair_tables_are_three_basis_tables(self, ts):
-        spec = random_shape(15).basis_specs(3, 3)[1]
-        got = _pair_tables(spec, ts)
-        parts = [basis_tables(s, ts) for s in (CUBIC, spec, BasisSpec.bernstein(1))]
-        for name in ("values", "first", "second"):
-            want = np.concatenate([getattr(part, name) for part in parts])
-            assert getattr(got, name).shape == (10, ts.size)
-            assert getattr(got, name).tobytes() == want.tobytes()
+        for degree in (2, 3, 7):
+            spec = random_shape(15).basis_specs(degree, degree)[1]
+            got = _pair_tables(spec, ts)
+            parts = [basis_tables(s, ts) for s in (BasisSpec.bernstein(degree), spec, BasisSpec.bernstein(1))]
+            for name in ("values", "first", "second"):
+                want = np.concatenate([getattr(part, name) for part in parts])
+                assert getattr(got, name).shape == (2 * degree + 4, ts.size)
+                assert getattr(got, name).tobytes() == want.tobytes()
 
 
 class TestGramAssembly:
@@ -228,7 +241,7 @@ class TestGramAssembly:
         net = open_interior(random_points(seed))
         shape = random_shape(seed)
         rule = gauss_legendre_rule(16 + seed % 3 * 8)
-        matrix, rhs = _free_split(_tb_form(shape, rule), net)
+        matrix, rhs = _free_split(_tb_form(net, shape, rule), net)
         reference = _tb_system(net, shape, rule)
         for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
             assert got.shape == want.shape
@@ -339,7 +352,7 @@ class TestInteriorSolve:
         assert np.abs(gradient).max() < 1e-5 * (1.0 + energy)
 
     def test_complete_interior_rejected(self, rule32):
-        with pytest.raises(ConfigurationError, match="must be unknown"):
+        with pytest.raises(ConfigurationError, match="no unknown interior points"):
             solve_tb_interior(
                 ControlNet(points=random_points(17)), SurfaceShape(2, 2, 2, 2), rule32
             )
@@ -370,3 +383,101 @@ class TestShapeOptimization:
             optimize_tb(wave_net, config, rule16)
         with pytest.raises(ConfigurationError, match="4-dimensional"):
             reduced_functional_family(wave_net, rule16).minimize(config)
+
+
+DEGREES = [(2, 2), (5, 4), (8, 8)]
+
+
+def shape_grid() -> list[SurfaceShape]:
+    """Shape vectors from the corners and centre of the box, in every combination
+    of the two pairs, and a few random ones."""
+    grid = [0.5, 2.0, 3.5]
+    pairs = [(a, b) for a in grid for b in grid]
+    shapes = [SurfaceShape(*u, *v) for u in pairs[::2] for v in pairs[::2]]
+    return shapes + [random_shape(seed) for seed in range(50, 55)]
+
+
+@pytest.mark.parametrize("degrees", DEGREES, ids=lambda d: f"{d[0]}x{d[1]}")
+class TestAnyDegree:
+    """The hybrid on (m + 1) x (n + 1) nets: the edges, the jet, the form and
+    the swarm's family against their definitions and the reference route."""
+
+    def test_boundary_is_bernstein_for_every_shape(self, degrees):
+        m, n = degrees
+        points = random_points(60 + m, (m + 1, n + 1))
+        net = ControlNet(points=points)
+        sides_v = [CurveSpec(basis=BasisSpec.bernstein(m), controls=points[:, j]).at(TS) for j in (0, n)]
+        sides_u = [CurveSpec(basis=BasisSpec.bernstein(n), controls=points[i, :]).at(TS) for i in (0, m)]
+        edge = np.array([0.0, 1.0])
+        for shape in shape_grid():
+            along_u = tb_surface_jet(net, shape, TS, edge).S
+            along_v = tb_surface_jet(net, shape, edge, TS).S
+            for got, want in ((along_u[:, 0], sides_v[0]), (along_u[:, 1], sides_v[1]),
+                              (along_v[0], sides_u[0]), (along_v[1], sides_u[1])):
+                assert np.abs(got - want).max() <= 1e-14
+
+    def test_jet_matches_the_definition(self, degrees):
+        m, n = degrees
+        net = ControlNet(points=random_points(70 + m, (m + 1, n + 1)))
+        shape = random_shape(70 + n)
+        us, vs = np.array([0.0, 0.23, 0.5, 0.81, 1.0]), np.array([0.0, 0.37, 0.64, 1.0])
+        jet = tb_surface_jet(net, shape, us, vs)
+        h = 1e-5
+        for a, u in enumerate(us):
+            for b, v in enumerate(vs):
+                np.testing.assert_allclose(jet.S[a, b], tb_coons(net, shape, u, v), atol=1e-13)
+                if 0.0 < u < 1.0 and 0.0 < v < 1.0:
+                    su = (tb_coons(net, shape, u + h, v) - tb_coons(net, shape, u - h, v)) / (2 * h)
+                    sv = (tb_coons(net, shape, u, v + h) - tb_coons(net, shape, u, v - h)) / (2 * h)
+                    for fd, exact in ((su, jet.Su[a, b]), (sv, jet.Sv[a, b])):
+                        assert np.abs(fd - exact).max() <= 1e-6 * (1 + np.abs(exact).max())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_form_matches_2d_reference(self, degrees, seed):
+        m, n = degrees
+        net = open_interior(random_points(80 + seed, (m + 1, n + 1)))
+        shape = random_shape(80 + seed)
+        rule = gauss_legendre_rule(max(m, n) + 1 + 8 * seed)
+        matrix, rhs = _free_split(_tb_form(net, shape, rule), net)
+        reference = _tb_system(net, shape, rule)
+        for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_family_matches_single_solves(self, degrees, rule32):
+        m, n = degrees
+        net = open_interior(random_points(90 + m, (m + 1, n + 1)))
+        shapes = shape_grid()[::3]
+        energies = tb_reduced_functional_family(net, rule32)(np.array([s.as_array() for s in shapes]))
+        for shape, energy in zip(shapes, energies):
+            solved = solve_tb_interior(net, shape, rule32)
+            np.testing.assert_array_equal(solved.points[net.fixed], net.points[net.fixed])
+            want = tb_dirichlet_energy(solved, shape, rule32)
+            assert abs(energy - want) <= 1e-13 * want
+
+
+def test_partially_known_interior(rule32):
+    # a (5, 4) net with three interior points known: they are kept bit for bit,
+    # and the rest solve the reference route's normal equations
+    points = random_points(95, (6, 5))
+    net = open_interior(points)
+    known = [(1, 1), (3, 2), (4, 3)]
+    for i, j in known:
+        net.points[i, j] = points[i, j]
+    net = ControlNet(points=net.points)
+    assert net.free.sum() == 12 - len(known)
+    shape = random_shape(95)
+    solved = solve_tb_interior(net, shape, rule32)
+    np.testing.assert_array_equal(solved.points[net.fixed], net.points[net.fixed])
+    assert solved.is_complete
+
+    centre = net.points[net.fixed].mean(axis=0)
+    centred = ControlNet(points=net.points - centre, fixed=net.fixed)
+    reference = _tb_system(centred, shape, rule32)
+    want = np.linalg.solve(reference.matrix, reference.rhs) + centre
+    got = solved.points[net.free]
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    extremal = tb_reduced_functional_family(net, rule32).extremal(shape.as_array()).net
+    np.testing.assert_array_equal(extremal.points[net.fixed], net.points[net.fixed])
+    assert np.abs(extremal.points[net.free] - want).max() <= 1e-12 * np.abs(want).max()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from gtplateau.coons import _L, _pair_tables
+from gtplateau.coons import _coefficient_map, _pair_tables
 from gtplateau.dirichlet import (
     GramMatrices,
     _forms,
@@ -144,11 +144,13 @@ class TestFormBuilder:
     @pytest.mark.parametrize("seed", range(3))
     def test_hybrid_net_map(self, seed, rule16):
         shape = SurfaceShape.from_iterable(np.random.default_rng(seed).uniform(0.5, 3.5, 4))
-        tab_u, tab_v = (_pair_tables(spec, rule16.nodes) for spec in shape.basis_specs(3, 3))
-        expected = _L.T @ kron_form(tab_u, tab_v, rule16) @ _L
-        form = _forms(tab_u, tab_v, rule16, net_map=_L)
-        assert form.shape == (1, 16, 16)
-        assert np.abs(form[0] - expected).max() <= 1e-13 * np.abs(expected).max()
+        for m, n in ((3, 3), (2, 5), (4, 2)):
+            tab_u, tab_v = (_pair_tables(spec, rule16.nodes) for spec in shape.basis_specs(m, n))
+            net_map = _coefficient_map(m, n)
+            expected = net_map.T @ kron_form(tab_u, tab_v, rule16) @ net_map
+            form = _forms(tab_u, tab_v, rule16, net_map=net_map)
+            assert form.shape == (1, (m + 1) * (n + 1), (m + 1) * (n + 1))
+            assert np.abs(form[0] - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_net_map_of_unequal_directions(self, rule16):
         # a 4 x 5 coefficient grid over 7 net points: the u and v row counts differ

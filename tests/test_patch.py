@@ -4,11 +4,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.coons import tb_dirichlet_energy, tb_surface_jet
 from gtplateau.dirichlet import solve_interior
 from gtplateau.errors import ConfigurationError, DomainError
-from gtplateau.numerics import RngStream
+from gtplateau.numerics import RngStream, gauss_legendre_rule
 from gtplateau.patch import (
     ControlNet,
     FundamentalForms,
@@ -28,6 +31,7 @@ from laplacian_reference import laplacian_defect
 from mesh_reference import mesh_area
 
 INNER = np.linspace(0.1, 0.9, 5)
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def flat_chart(degree_u: int = 3, degree_v: int = 3) -> Patch:
@@ -311,6 +315,33 @@ class TestFunctionals:
         points[1, 1, 2] += 1.0
         patch = Patch.bernstein(ControlNet(points=points))
         assert laplacian_defect(patch, rule32) > 1e-3
+
+
+@pytest.mark.parametrize("family, lowest", [("bernstein", 1), ("gt", 2), ("hybrid", 2)])
+@PROPERTY
+@given(data=st.data())
+def test_area_never_exceeds_energy(family, lowest, data):
+    # |S_u x S_v| <= (|S_u|^2 + |S_v|^2) / 2 at every node, and both integrals
+    # take the same positive weights, so area <= energy for any complete net.
+    # The nets are a rotated, scaled uniform grid plus noise: without noise the
+    # Bernstein and hybrid charts are conformal and the two are equal
+    m, n = (data.draw(st.integers(lowest, 6), label=f"degree {d}") for d in "uv")
+    shape = SurfaceShape(*data.draw(st.lists(st.floats(0.5, 3.5), min_size=4, max_size=4), label="shape"))
+    noise = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), label="noise")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, m + 1), np.linspace(0.0, 1.0, n + 1), indexing="ij")
+    rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0] * rng.uniform(0.5, 4.0)
+    grid = np.stack([u, v, np.zeros_like(u)], axis=-1) @ rotation.T
+    net = ControlNet(points=grid + noise * rng.uniform(-1.0, 1.0, grid.shape))
+    rule = gauss_legendre_rule(16)
+    if family == "hybrid":
+        jet = tb_surface_jet(net, shape, rule.nodes, rule.nodes)
+        surface_area = rule.weights @ np.linalg.norm(np.cross(jet.Su, jet.Sv), axis=-1) @ rule.weights
+        energy = tb_dirichlet_energy(net, shape, rule)
+    else:
+        patch = Patch.bernstein(net) if family == "bernstein" else Patch.gt(net, shape)
+        surface_area, energy = area(patch, rule), dirichlet_energy(patch, rule)
+    assert surface_area <= energy * (1 + 1e-12)
 
 
 QUARTER = 4.0 / 3.0 * np.tan(np.pi / 8.0)

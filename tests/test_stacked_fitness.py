@@ -247,7 +247,7 @@ def test_failing_particle_scores_inf_alone(route, failure, monkeypatch):
     check()
 
 
-@pytest.mark.parametrize("build, degrees", [(_tensor_forms, (3, 5)), (_hybrid_forms, ())])
+@pytest.mark.parametrize("build, degrees", [(_tensor_forms, (3, 5)), (_hybrid_forms, (3, 3)), (_hybrid_forms, (4, 2))])
 def test_family_forms_are_built_once_read_only(build, degrees):
     cached = _family_forms(build, degrees, RULE)
     assert _family_forms(build, degrees, gauss_legendre_rule(RULE.order)) is cached
