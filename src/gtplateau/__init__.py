@@ -24,10 +24,8 @@ from .dirichlet import (
 )
 from .errors import (
     ConfigurationError,
-    DomainError,
     GtPlateauError,
     NetFormatError,
-    ReconstructionError,
     SolverError,
 )
 from .harmonic import harmonic_reconstruct
@@ -52,14 +50,12 @@ __all__ = [
     "ConfigurationError",
     "ControlNet",
     "CurveSpec",
-    "DomainError",
     "GtPlateauError",
     "NetFormatError",
     "Patch",
     "PsoConfig",
     "PsoResult",
     "QuadratureRule",
-    "ReconstructionError",
     "RngStream",
     "SolverError",
     "SurfaceShape",

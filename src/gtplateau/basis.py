@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 
 #: Admissible closed interval for every shape parameter.
 THETA_MIN = 0.5
@@ -101,9 +101,9 @@ class BasisEvaluation:
 def _check_t(t) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.ndim != 1:
-        raise DomainError("t must be a scalar or a 1-D array of values in [0, 1]")
+        raise ConfigurationError("t must be a scalar or a 1-D array of values in [0, 1]")
     if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
-        raise DomainError("t must lie in [0, 1]")
+        raise ConfigurationError("t must lie in [0, 1]")
     return t
 
 
@@ -170,7 +170,7 @@ def _gt_tables(degree: int, th1, th2, t: np.ndarray):
 def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
     """Validate an array of shape parameters against the admissible interval.
 
-    Raises ``DomainError`` for the first offending entry (row-major), naming
+    Raises ``ConfigurationError`` for the first offending entry (row-major), naming
     it by its column: ``names[column % len(names)]``.
     """
     thetas = np.asarray(thetas, dtype=float)
@@ -178,7 +178,7 @@ def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
     if bad.any():
         index = np.unravel_index(np.flatnonzero(bad)[0], thetas.shape)
         name = names[index[-1] % len(names)]
-        raise DomainError(
+        raise ConfigurationError(
             f"{name} must lie in [{THETA_MIN}, {THETA_MAX}], got {float(thetas[index])!r}"
         )
     return thetas

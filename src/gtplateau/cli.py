@@ -22,13 +22,7 @@ import numpy as np
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
 from .coons import optimize_tb, tb_surface_jet
 from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    NetFormatError,
-    ReconstructionError,
-    SolverError,
-)
+from .errors import ConfigurationError, NetFormatError, SolverError
 from .harmonic import (
     bernstein_laplacian_defect,
     defect_certificate_bound,
@@ -120,7 +114,7 @@ def _alpha_type(text: str):
     values = _float_tuple("--alpha", 4)(text)
     try:
         return SurfaceShape(*values)
-    except (ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -552,10 +546,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigurationError, DomainError) as exc:
+    except ConfigurationError as exc:
         print(f"gtplateau: invalid input: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, ReconstructionError) as exc:
+    except SolverError as exc:
         print(f"gtplateau: solver failure: {exc}", file=sys.stderr)
         return 3
     except (NetFormatError, OSError) as exc:

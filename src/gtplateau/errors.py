@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, one class per CLI exit code.
 
-The CLI maps these onto distinct exit codes, so library code should raise the
-most specific class that applies.
+| exit | class |
+| --- | --- |
+| 2 | ``ConfigurationError``: invalid input, including values outside their domain |
+| 3 | ``SolverError``: a solve or a reconstruction failed, nothing written |
+| 4 | ``NetFormatError`` (or ``OSError``): a net file is unreadable or malformed |
 """
 
 
@@ -10,19 +13,14 @@ class GtPlateauError(Exception):
 
 
 class ConfigurationError(GtPlateauError, ValueError):
-    """Invalid configuration: bad degrees, shapes, masks, option combinations."""
-
-
-class DomainError(GtPlateauError, ValueError):
-    """A numeric argument lies outside its mathematical domain."""
+    """Invalid input: bad degrees, shapes, masks, option combinations, or a
+    numeric argument outside its domain (t outside [0, 1], a shape parameter
+    outside [0.5, 3.5])."""
 
 
 class SolverError(GtPlateauError, RuntimeError):
-    """A linear solve failed (singular or numerically unusable system)."""
-
-
-class ReconstructionError(GtPlateauError, RuntimeError):
-    """A least-squares reconstruction is rank deficient for the given data."""
+    """A solve failed: a singular or numerically unusable system, or a
+    least-squares reconstruction that the known data leave rank deficient."""
 
 
 class NetFormatError(GtPlateauError, ValueError):

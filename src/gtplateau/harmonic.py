@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import _lift_shapes, check_rule, describe_bases
-from .errors import ConfigurationError, ReconstructionError
+from .errors import ConfigurationError, SolverError
 from .numerics import QuadratureRule, gauss_legendre_rule
 from .patch import ControlNet
 
@@ -57,8 +57,8 @@ def harmonic_reconstruct(net: ControlNet) -> ControlNet:
     least-squares system are Gauss node pairs (a, b), columns are points
     (i, j): the Laplacian samples of the net with P_ij = 1 and every other
     point 0, ``sqrt(w_a w_b) (G''_i(u_a) G_j(v_b) + G_i(u_a) G''_j(v_b))``.
-    Rank deficiency (too little known data) raises a reconstruction error
-    naming the deficiency.
+    Rank deficiency (too little known data) raises ``SolverError`` naming
+    the deficiency.
     """
     if net.degree_u < 2 or net.degree_v < 2:
         raise ConfigurationError("harmonic reconstruction needs degree >= 2 in each direction")
@@ -82,7 +82,7 @@ def harmonic_reconstruct(net: ControlNet) -> ControlNet:
     rhs = -(design[:, ~free_flat] @ known_points[~free_flat])
     solution, _, rank, _ = np.linalg.lstsq(design[:, free_flat], rhs, rcond=None)
     if rank < unknowns:
-        raise ReconstructionError(
+        raise SolverError(
             f"harmonic system is rank deficient: rank {rank} < {unknowns} unknowns; "
             "the known points do not determine the rest"
         )

@@ -31,6 +31,8 @@ import gtplateau
 #: hybrid's map is built from the net's degrees, so the 4x4 net check, the block
 #: offsets and the constant map went; the engine's own checks refuse what it
 #: cannot solve. ``--tess`` has an upper bound, so the integer parser has both.
+#: Each exit code has one exception class, so the domain and reconstruction
+#: errors went into the configuration and solver errors that shared their codes.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -43,6 +45,7 @@ REMOVED = {
         "require_blend_net", "_BASES", "_B", "_G", "_LIN", "_L",
     ),
     "cli": ("_int_at_least",),
+    "errors": ("DomainError", "ReconstructionError"),
     "dirichlet": (
         "reduced_functional_stack", "_extremal_energies", "_columns", "_family_fitness",
         "_cached_forms", "_free_system", "_gram", "_kron_sum", "_monomial_grams", "_PAIRS",

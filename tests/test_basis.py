@@ -12,7 +12,7 @@ from gtplateau.basis import (
     _gt_seed_tables,
     basis_tables,
 )
-from gtplateau.errors import ConfigurationError, DomainError
+from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import gauss_legendre_rule
 
 from difference_form import lower
@@ -197,7 +197,7 @@ class TestGtClosedForm:
 class TestValidation:
     @pytest.mark.parametrize("theta", [0.49, 3.51, float("nan"), -1.0])
     def test_shape_interval(self, theta):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             BasisSpec.gt(3, theta, 2.0)
 
     def test_bernstein_degree_past_double_range(self):
@@ -235,7 +235,7 @@ class TestValidation:
                 BasisSpec(family="gt", degree=3, theta=theta)
         with pytest.raises(ConfigurationError):
             BasisSpec(family="bernstein", degree=3, theta=(2.0, 2.0))
-        with pytest.raises(DomainError, match=r"theta2 must lie in \[0.5, 3.5\], got 3.6"):
+        with pytest.raises(ConfigurationError, match=r"theta2 must lie in \[0.5, 3.5\], got 3.6"):
             BasisSpec(family="gt", degree=3, theta=(2.0, 3.6))
 
     def test_unknown_family(self):
@@ -256,5 +256,5 @@ class TestValidation:
 
     @pytest.mark.parametrize("t", [-0.1, 1.2, float("nan")])
     def test_parameter_domain(self, t):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             basis_tables(BasisSpec.bernstein(3), [t])

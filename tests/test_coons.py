@@ -16,7 +16,7 @@ from gtplateau.coons import (
     tb_surface_jet,
 )
 from gtplateau.dirichlet import _free_split, reduced_functional_family
-from gtplateau.errors import ConfigurationError, DomainError
+from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
 from gtplateau.pso import PsoConfig
@@ -216,7 +216,7 @@ class TestHybridSurface:
     )
     def test_jet_parameter_domain(self, params):
         net = ControlNet(points=random_points(14))
-        with pytest.raises(DomainError, match=r"\[0, 1\]"):
+        with pytest.raises(ConfigurationError, match=r"\[0, 1\]"):
             tb_surface_jet(net, random_shape(14), *params)
 
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gtplateau.errors import ConfigurationError, ReconstructionError
+from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.harmonic import (
     CERTIFICATE_FACTOR,
     bernstein_laplacian_defect,
@@ -173,7 +173,7 @@ class TestReconstruct:
         for i in (0, -1):
             for j in (0, -1):
                 points[i, j] = (float(i), float(j), 1.0)
-        with pytest.raises(ReconstructionError, match="rank 8 < 12 unknowns"):
+        with pytest.raises(SolverError, match="rank 8 < 12 unknowns"):
             harmonic_reconstruct(ControlNet(points=points))
 
     def test_one_short_is_rank_deficient(self):
@@ -181,7 +181,7 @@ class TestReconstruct:
         points = np.full((4, 4, 3), np.nan)
         for i, j in [(0, 0), (0, 3), (3, 0), (3, 3), (0, 1), (0, 2), (1, 0)]:
             points[i, j] = (float(i), float(j), 1.0 + i * j)
-        with pytest.raises(ReconstructionError, match="rank 8 < 9 unknowns"):
+        with pytest.raises(SolverError, match="rank 8 < 9 unknowns"):
             harmonic_reconstruct(ControlNet(points=points))
 
 

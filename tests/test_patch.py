@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.coons import tb_dirichlet_energy, tb_surface_jet
 from gtplateau.dirichlet import solve_interior
-from gtplateau.errors import ConfigurationError, DomainError
+from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import RngStream, gauss_legendre_rule
 from gtplateau.patch import (
     ControlNet,
@@ -70,7 +70,7 @@ class TestSurfaceShape:
         np.testing.assert_array_equal(shape.as_array(), [1.0, 2.0, 3.0, 0.5])
 
     def test_component_interval(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             SurfaceShape(1.0, 2.0, 3.0, 4.0)
 
     def test_from_iterable_length(self):
@@ -186,7 +186,7 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("u,v", [(-0.1, 0.5), (0.5, 1.01), (float("nan"), 0.5), ([0.5], 0.5)])
     def test_parameter_domain(self, u, v):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             surface_jet(flat_chart(), [u], [v])
 
     def test_translation_equivariance(self):

@@ -33,7 +33,7 @@ from gtplateau.dirichlet import (
     reduced_functional_family,
     solve_interior,
 )
-from gtplateau.errors import ConfigurationError, DomainError, SolverError
+from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.harmonic import defect_family
 from gtplateau.numerics import QuadratureRule, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
@@ -291,15 +291,15 @@ class TestStackValidation:
     )
     def test_domain_checked_per_particle(self, stacked, wave_net, row, message):
         alphas = np.array([[1.0, 1.0, 1.0, 1.0], row])
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(ConfigurationError, match=message):
             stacked(wave_net, alphas)
-        with pytest.raises(DomainError, match=message):
+        with pytest.raises(ConfigurationError, match=message):
             SurfaceShape.from_iterable(row)
 
     @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
     def test_domain_error_aborts_the_swarm(self, stacked, wave_net):
         config = PsoConfig(swarm_size=3, max_iters=1, seed=0, bounds=[[0.1, 0.4]] * 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             optimize(lambda alphas: stacked(wave_net, alphas), config)
 
     @pytest.mark.parametrize("stacked", [tensor_stack, hybrid_stack])
