@@ -51,7 +51,7 @@ from .patch import (
     tessellate,
     triangulate_grid,
 )
-from .pso import PsoConfig, optimize, resolve_threads
+from .pso import MAX_THREADS, PsoConfig, optimize, resolve_threads
 
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
@@ -69,6 +69,10 @@ _BEST_RUN_RTOL = 1e-12
 #: Largest ``--tess``: a cold ``solve`` of the wave peaks at 657 MB RSS at 1024 and 2288 MB at
 #: 2048 (numpy 2.4 on x86-64 Linux), and the grids grow as the square of it.
 _MAX_TESS = 2048
+
+#: Largest ``basis eval`` table, samples x (3 (degree + 1) + 1) cells: cold peaks were 561 MB RSS
+#: at 3.1 M cells (degree 1029) and 877 MB at 13 M (degree 3), numpy 2.4 on x86-64 Linux.
+_MAX_TABLE_CELLS = 2**22
 
 
 def _float_tuple(flag: str, count: int):
@@ -145,10 +149,10 @@ def _add_output_args(parser, tess: bool = True):
     )
 
 
-def _add_pso_args(parser, runs: bool = False):
-    if runs:
+def _add_pso_args(parser, min_runs: int | None = None):
+    if min_runs is not None:
         parser.add_argument(
-            "--runs", type=_int_in_range("--runs", 0), default=1, metavar="R",
+            "--runs", type=_int_in_range("--runs", min_runs), default=1, metavar="R",
             help="independent swarm runs; run r uses seed SEED+r (default 1)",
         )
     parser.add_argument("--seed", type=int, default=0, metavar="S", help="base RNG seed (default 0)")
@@ -168,8 +172,8 @@ def _add_pso_args(parser, runs: bool = False):
         help="shape-parameter box inside [0.5, 3.5], applied per component (default 0.5,3.5)",
     )
     parser.add_argument(
-        "--threads", type=_int_in_range("--threads", 1), default=None, metavar="N",
-        help="fitness evaluation threads (default: GT_PLATEAU_THREADS or 1)",
+        "--threads", type=_int_in_range("--threads", 1, MAX_THREADS), default=None, metavar="N",
+        help=f"fitness evaluation threads, at most {MAX_THREADS} (default: GT_PLATEAU_THREADS or 1)",
     )
 
 
@@ -314,8 +318,6 @@ def cmd_optimize(args) -> int:
     net = _read_net(args.net)
     if not net.free.any():
         raise ConfigurationError("optimize needs a net with unknown interior points")
-    if args.runs < 1:
-        raise ConfigurationError("--runs must be >= 1")
     rule = gauss_legendre_rule(args.quad)
     runs, r_best = _swarm_runs(net, rule, _pso_config(args), args.runs)
 
@@ -451,8 +453,11 @@ def cmd_compare(args) -> int:
 
 def cmd_basis_eval(args) -> int:
     spec = BasisSpec.gt(args.degree, *args.theta) if args.basis == "gt" else BasisSpec.bernstein(args.degree)
-    if args.samples < 2:
-        raise ConfigurationError("--samples must be >= 2")
+    cells = args.samples * (3 * (spec.degree + 1) + 1)
+    if cells > _MAX_TABLE_CELLS:
+        raise ConfigurationError(
+            f"--samples {args.samples} at degree {spec.degree} is {cells} table cells, over {_MAX_TABLE_CELLS}"
+        )
     ts = np.linspace(0.0, 1.0, args.samples)
     tables = basis_tables(spec, ts)
 
@@ -490,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--theta", type=_float_tuple("--theta", 2), default=(2.0, 2.0), metavar="T1,T2",
         help="shape pair for the gt family (default 2,2)",
     )
-    ev.add_argument("--samples", type=int, default=21, help="parameter samples (default 21)")
+    ev.add_argument("--samples", type=_int_in_range("--samples", 2), default=21, help="parameter samples (default 21)")
     ev.add_argument("--out", default=None, metavar="FILE", help="CSV file (default stdout)")
     ev.set_defaults(handler=cmd_basis_eval)
 
@@ -513,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("optimize", help="swarm-search the shape vector minimizing the extremal energy")
     _add_output_args(opt)
-    _add_pso_args(opt, runs=True)
+    _add_pso_args(opt, min_runs=1)
     opt.set_defaults(handler=cmd_optimize)
 
     harm = sub.add_parser("harmonic", help="reconstruct missing points from the harmonicity relations")
@@ -536,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=_alpha_type, default=SurfaceShape(2.0, 2.0, 2.0, 2.0),
         metavar="A1,A2,B1,B2", help="shape vector for the fixed-alpha row (default 2,2,2,2)",
     )
-    _add_pso_args(comp, runs=True)
+    _add_pso_args(comp, min_runs=0)
     comp.set_defaults(handler=cmd_compare)
 
     return parser

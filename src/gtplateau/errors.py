@@ -1,10 +1,8 @@
-"""Exception hierarchy shared across the package, one class per CLI exit code.
+"""Exception hierarchy shared across the package: one class per CLI exit code.
 
-| exit | class |
-| --- | --- |
-| 2 | ``ConfigurationError``: invalid input, including values outside their domain |
-| 3 | ``SolverError``: a solve or a reconstruction failed, nothing written |
-| 4 | ``NetFormatError`` (or ``OSError``): a net file is unreadable or malformed |
+    2  ConfigurationError  invalid input, including a value outside its domain
+    3  SolverError         a solve or a reconstruction failed; nothing is written
+    4  NetFormatError      a net file is malformed (an OSError if it cannot be read)
 """
 
 
@@ -13,14 +11,11 @@ class GtPlateauError(Exception):
 
 
 class ConfigurationError(GtPlateauError, ValueError):
-    """Invalid input: bad degrees, shapes, masks, option combinations, or a
-    numeric argument outside its domain (t outside [0, 1], a shape parameter
-    outside [0.5, 3.5])."""
+    """Invalid input: bad degrees, shapes, masks, options, or a value outside its domain."""
 
 
 class SolverError(GtPlateauError, RuntimeError):
-    """A solve failed: a singular or numerically unusable system, or a
-    least-squares reconstruction that the known data leave rank deficient."""
+    """A solve failed: a singular or unusable system, or a rank-deficient reconstruction."""
 
 
 class NetFormatError(GtPlateauError, ValueError):

@@ -80,20 +80,24 @@ class ControlNet:
     fixed: np.ndarray | None = None
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=float)
+        try:
+            points = np.asarray(self.points)
+            if np.iscomplexobj(points):
+                raise TypeError("complex coordinates")
+            points = points.astype(float)
+            fixed = None if self.fixed is None else np.array(self.fixed, dtype=bool)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"points must be real numbers and fixed booleans, as arrays: {exc}") from exc
         if points.ndim != 3 or points.shape[2] != 3:
             raise ConfigurationError("points must be a (rows, cols, 3) array")
         if points.shape[0] < 2 or points.shape[1] < 2:
             raise ConfigurationError("a control net needs at least 2 points per direction")
         finite = np.all(np.isfinite(points), axis=-1)
-        if self.fixed is None:
-            fixed = finite.copy()
-        else:
-            fixed = np.array(self.fixed, dtype=bool)
-            if fixed.shape != points.shape[:2]:
-                raise ConfigurationError("fixed mask shape must match the point grid")
-            if np.any(fixed & ~finite):
-                raise ConfigurationError("fixed control points must have finite coordinates")
+        fixed = finite if fixed is None else fixed
+        if fixed.shape != points.shape[:2]:
+            raise ConfigurationError("fixed mask shape must match the point grid")
+        if np.any(fixed & ~finite):
+            raise ConfigurationError("fixed control points must have finite coordinates")
         self.points = points
         self.fixed = fixed
 

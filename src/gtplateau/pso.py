@@ -11,7 +11,7 @@ iteration t sees the global best settled at the end of iteration t - 1.
 The objective is evaluated on stacks: it maps a (k, dims) array of positions
 to k values, so a whole swarm costs one call. The initial swarm is evaluated
 on the driver thread, and that call is timed. ``threads`` (or
-``GT_PLATEAU_THREADS``) is an upper bound: only when the call took at least
+``GT_PLATEAU_THREADS``, at most ``MAX_THREADS``) is an upper bound: only when the call took at least
 ``POOL_MIN_SWARM_S`` is a thread pool built, and then each iteration's swarm
 is split into one contiguous chunk per worker; a cheaper swarm runs every
 iteration sequentially, because a pool's hand-off costs more than it saves.
@@ -53,6 +53,10 @@ VELOCITY_INIT_FRACTION = 0.25
 #: 5-8 tensor nets, 50 particles), broke even at 8 ms and won 40% at 14 ms
 #: (degree 10). A cold process's first call can take twice its warm time.
 POOL_MIN_SWARM_S = 0.005
+
+#: Most fitness threads a swarm may use, from ``threads`` or ``GT_PLATEAU_THREADS``;
+#: numpy's bundled OpenBLAS is built for at most 64 threads.
+MAX_THREADS = 64
 
 
 @dataclass
@@ -99,6 +103,8 @@ class PsoConfig:
             raise ConfigurationError("seed must be a nonnegative integer")
         if self.threads is not None and self.threads < 1:
             raise ConfigurationError("threads must be >= 1 when given")
+        if self.threads is not None and self.threads > MAX_THREADS:
+            raise ConfigurationError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
 
     @property
     def dims(self) -> int:
@@ -138,6 +144,8 @@ def resolve_threads(threads: int | None) -> int:
         raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ConfigurationError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
+    if value > MAX_THREADS:
+        raise ConfigurationError(f"{THREADS_ENV_VAR} must be <= {MAX_THREADS}, got {value}")
     return value
 
 

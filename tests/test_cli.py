@@ -203,9 +203,13 @@ class TestOptimize:
         monkeypatch.setattr("gtplateau.cli.solve_interior", refuse)
         assert main(["optimize", WAVE, "--out", str(tmp_path / "run")] + self.ARGS) == 0
 
-    def test_zero_runs_rejected(self, tmp_path):
-        rc = main(["optimize", WAVE, "--runs", "0", "--out", str(tmp_path)] + self.ARGS)
-        assert rc == 2
+    def test_zero_runs_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", WAVE, "--runs", "0", "--out", str(out)] + self.ARGS)
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "argument --runs: --runs must be >= 1, got 0" in capsys.readouterr().err
 
     def test_complete_net_rejected(self, tmp_path):
         net_file = tmp_path / "flat.json"
@@ -473,8 +477,39 @@ class TestBasisEval:
         assert main(["basis", "eval", "--theta", "0.1,2.0"]) == 2
         assert "theta1 must lie in" in capsys.readouterr().err
 
-    def test_sample_floor(self):
-        assert main(["basis", "eval", "--samples", "1"]) == 2
+    def test_sample_floor(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "eval", "--samples", "1"])
+        assert exc.value.code == 2
+        assert "argument --samples: --samples must be >= 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "basis, degree, samples",
+        [("gt", "3", "1000000000000"), ("bernstein", "3", "322639"), ("gt", "1029", "1357"), ("gt", "1031", "2000")],
+    )
+    def test_table_size_refused_before_any_table(self, tmp_path, capsys, monkeypatch, basis, degree, samples):
+        def refuse(*args):
+            raise AssertionError("a table was built before its size was checked")
+
+        monkeypatch.setattr("gtplateau.basis._bernstein_values", refuse)
+        target = tmp_path / "basis.csv"
+        assert main(["basis", "eval", "--basis", basis, "--degree", degree, "--samples", samples,
+                     "--out", str(target)]) == 2
+        assert not target.exists()
+        cells = int(samples) * (3 * (int(degree) + 1) + 1)
+        assert cells > cli._MAX_TABLE_CELLS
+        assert (f"invalid input: --samples {samples} at degree {degree} is {cells} table cells, "
+                f"over {cli._MAX_TABLE_CELLS}") in capsys.readouterr().err
+
+    def test_table_size_counts_every_column(self, tmp_path, monkeypatch):
+        # t and the values and both derivatives of degree + 1 functions: 13 cells a row at degree 3
+        monkeypatch.setattr(cli, "_MAX_TABLE_CELLS", 13 * 5)
+        target = tmp_path / "basis.csv"
+        argv = ["basis", "eval", "--degree", "3", "--out", str(target), "--samples"]
+        assert main(argv + ["6"]) == 2
+        assert not target.exists()
+        assert main(argv + ["5"]) == 0
+        assert len(target.read_text().splitlines()) == 6
 
     def test_degree_past_double_range(self, capsys):
         assert main(["basis", "eval", "--basis", "bernstein", "--degree", "1030", "--samples", "3"]) == 2
@@ -550,6 +585,10 @@ class TestExitCodes:
             ["solve", WAVE, "--tess", "2049"],
             ["optimize", WAVE, "--tess", "1000000"],
             ["coons", WAVE, "--tess", "2049"],
+            ["optimize", WAVE, "--threads", "65"],
+            ["coons", WAVE, "--threads", "100000"],
+            ["compare", WAVE, "--threads", "65"],
+            ["harmonic", COLUMNS, "--threads", "100000", "--tune-alpha"],
         ],
     )
     def test_counts_checked_before_any_file_is_written(self, tmp_path, capsys, argv):
@@ -667,6 +706,32 @@ NET_COMMANDS = [
     ["compare", "--swarm", "4", "--iters", "2"],
     ["harmonic", "--tune-alpha", "--swarm", "4", "--iters", "2"],
 ]
+
+
+class TestThreadCap:
+    """A thread count past pso.MAX_THREADS, from --threads or GT_PLATEAU_THREADS, is refused
+    by every swarm command before --out exists and before any pool is built."""
+
+    @pytest.mark.parametrize("command", [c for c in NET_COMMANDS if c[0] != "solve"], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("flag", [False, True], ids=["variable", "flag"])
+    def test_thread_cap_refused_before_any_pool(self, tmp_path, monkeypatch, capsys, command, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", refuse)
+        monkeypatch.setenv("GT_PLATEAU_THREADS", "1" if flag else str(pso.MAX_THREADS + 1))
+        net = COLUMNS if command[0] == "harmonic" else WAVE
+        out = tmp_path / "run"
+        argv = [command[0], net, *command[1:], "--out", str(out)] + (["--threads", "100000"] if flag else [])
+        if flag:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"argument --threads: --threads must be <= {pso.MAX_THREADS}, got 100000" in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            assert f"GT_PLATEAU_THREADS must be <= {pso.MAX_THREADS}, got 65" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCoordinateBound:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gtplateau.basis import BasisSpec, basis_tables
 from gtplateau.coons import tb_dirichlet_energy, tb_surface_jet
@@ -123,6 +124,67 @@ class TestControlNet:
         points = np.full((2, 2, 3), np.nan)
         net = ControlNet(points=points, fixed=np.zeros((2, 2), dtype=bool))
         assert net.scale() == 0.0
+
+    @pytest.mark.parametrize(
+        "points, fixed",
+        [
+            ("abc", None),
+            ([[[0.0, 0.0, 0.0]] * 2, [[0.0, 0.0, 0.0]]], None),
+            (np.zeros((2, 2, 3), dtype=complex), None),
+            ([[[1j, 0, 0]] * 2] * 2, None),
+            (np.zeros((2, 2, 3)), [[True, False], [True]]),
+        ],
+        ids=["text", "ragged", "complex", "complex-list", "ragged-mask"],
+    )
+    def test_rejects_what_is_not_a_real_grid(self, points, fixed):
+        with pytest.raises(ConfigurationError, match="points must be real numbers and fixed booleans"):
+            ControlNet(points=points, fixed=fixed)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_every_construction_is_refused_or_consistent(self, data):
+        # random shapes, non-finite patterns and masks: ConfigurationError, or a net whose
+        # mask, degrees and copy agree with its points
+        shape = data.draw(
+            st.tuples(st.integers(2, 5), st.integers(2, 5), st.just(3))
+            | st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple),
+            label="shape",
+        )
+        points = data.draw(arrays(float, shape, elements=st.floats(-1e3, 1e3)), label="points")
+        holes = data.draw(arrays(bool, shape), label="non-finite entries")
+        points[holes] = data.draw(arrays(float, shape, elements=st.sampled_from([np.nan, np.inf, -np.inf])))[holes]
+        finite = np.isfinite(points).all(axis=-1) if points.ndim else np.bool_(True)
+        grid = shape[:2] if len(shape) > 1 else (2, 2)
+        masks = st.sampled_from([grid, (grid[0] + 1, grid[1]), grid[:1]]).flatmap(lambda s: arrays(bool, s))
+        if finite.shape == grid:
+            masks |= st.just(finite) | arrays(bool, grid).map(lambda m: m & finite)
+        fixed = data.draw(st.none() | masks, label="fixed")
+        form = data.draw(st.sampled_from(["array", "list", "complex"]), label="form")
+        given_points = {"array": points, "list": points.tolist(), "complex": points.astype(complex)}[form]
+
+        mask = finite if fixed is None else fixed
+        valid = (
+            form != "complex" and len(shape) == 3 and shape[2] == 3 and min(shape[:2]) >= 2
+            and mask.shape == shape[:2] and not (mask & ~finite).any()
+        )
+        try:
+            net = ControlNet(points=given_points, fixed=fixed)
+        except ConfigurationError:
+            assert not valid
+            return
+        assert valid
+        np.testing.assert_array_equal(net.points, points)
+        np.testing.assert_array_equal(net.fixed, mask)
+        assert not (net.fixed & ~finite).any()
+        np.testing.assert_array_equal(net.free, ~net.fixed)
+        assert (net.degree_u, net.degree_v) == (shape[0] - 1, shape[1] - 1)
+        dup = net.copy()
+        np.testing.assert_array_equal(dup.points, net.points)
+        np.testing.assert_array_equal(dup.fixed, net.fixed)
+        dup.points += 1.0
+        dup.fixed[...] = ~dup.fixed
+        np.testing.assert_array_equal(net.points, points)
+        np.testing.assert_array_equal(net.fixed, mask)
 
 
 class TestPatchConstruction:

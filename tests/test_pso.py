@@ -15,6 +15,7 @@ from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.numerics import RngStream
 from gtplateau.patch import Patch, SurfaceShape, area
 from gtplateau.pso import (
+    MAX_THREADS,
     POOL_MIN_SWARM_S,
     THREADS_ENV_VAR,
     VELOCITY_INIT_FRACTION,
@@ -74,6 +75,8 @@ class TestConfigValidation:
             {"max_iters": -1},
             {"seed": -1},
             {"threads": 0},
+            {"threads": MAX_THREADS + 1},
+            {"threads": np.int64(100_000)},
             {"c1": math.nan},
             {"c2": math.inf},
             {"swarm_size": 2.5},
@@ -351,6 +354,22 @@ class TestResolveThreads:
         monkeypatch.setenv(THREADS_ENV_VAR, raw)
         with pytest.raises(ConfigurationError):
             resolve_threads(None)
+
+    def test_thread_cap(self, monkeypatch):
+        # the cap is checked where the count enters: the variable here, the config's field
+        # in PsoConfig; no pool may be built on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", refuse)
+        monkeypatch.setenv(THREADS_ENV_VAR, str(MAX_THREADS))
+        assert resolve_threads(None) == MAX_THREADS == PsoConfig(threads=MAX_THREADS).threads
+        for raw in (str(MAX_THREADS + 1), "100000"):
+            monkeypatch.setenv(THREADS_ENV_VAR, raw)
+            with pytest.raises(ConfigurationError, match=f"{THREADS_ENV_VAR} must be <= {MAX_THREADS}, got {raw}"):
+                resolve_threads(None)
+        with pytest.raises(ConfigurationError, match=f"threads must be <= {MAX_THREADS}, got 100000"):
+            PsoConfig(threads=100_000)
 
 
 class TestShapeOptimization:
