@@ -527,6 +527,17 @@ class TestBasisEval:
         assert f"invalid input: {family} degree {degree} is too high" in capsys.readouterr().err
 
 
+#: Every command that reads GT_PLATEAU_THREADS, including those that run no swarm.
+THREAD_VARIABLE_ARGV = [
+    ["harmonic", COLUMNS, "--tune-alpha", "--swarm", "3", "--iters", "1"],
+    ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
+    ["compare", WAVE, "--runs", "0"],
+    ["compare", "{complete}", "--runs", "2"],
+    ["harmonic", COLUMNS],
+    ["optimize", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
+]
+
+
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.json"), "--out", str(tmp_path)]) == 4
@@ -650,16 +661,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"SOURCE_DATE_EPOCH must be an integer number of seconds in the datetime range, got '{stamp}'" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["harmonic", COLUMNS, "--tune-alpha", "--swarm", "3", "--iters", "1"],
-            ["coons", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
-            ["compare", WAVE, "--runs", "0"],
-            ["compare", "{complete}", "--runs", "2"],
-            ["harmonic", COLUMNS],
-        ],
-    )
+    @pytest.mark.parametrize("argv", THREAD_VARIABLE_ARGV)
     def test_bad_thread_variable_checked_before_writing(self, tmp_path, monkeypatch, argv):
         complete = tmp_path / "complete.json"
         save_net(flat_complete_net(), complete)
@@ -667,6 +669,20 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert main([arg.format(complete=complete) for arg in argv] + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", THREAD_VARIABLE_ARGV)
+    def test_thread_variable_past_the_cap_checked_before_any_pool(self, tmp_path, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", refuse)
+        complete = tmp_path / "complete.json"
+        save_net(flat_complete_net(), complete)
+        monkeypatch.setenv("GT_PLATEAU_THREADS", str(pso.MAX_THREADS + 1))
+        out = tmp_path / "run"
+        assert main([arg.format(complete=complete) for arg in argv] + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"GT_PLATEAU_THREADS must be <= {pso.MAX_THREADS}, got {pso.MAX_THREADS + 1}" in capsys.readouterr().err
 
     def test_non_finite_point_is_a_file_error(self, tmp_path, capsys):
         payload = json.loads(pathlib.Path(WAVE).read_text())
@@ -706,32 +722,6 @@ NET_COMMANDS = [
     ["compare", "--swarm", "4", "--iters", "2"],
     ["harmonic", "--tune-alpha", "--swarm", "4", "--iters", "2"],
 ]
-
-
-class TestThreadCap:
-    """A thread count past pso.MAX_THREADS, from --threads or GT_PLATEAU_THREADS, is refused
-    by every swarm command before --out exists and before any pool is built."""
-
-    @pytest.mark.parametrize("command", [c for c in NET_COMMANDS if c[0] != "solve"], ids=lambda argv: argv[0])
-    @pytest.mark.parametrize("flag", [False, True], ids=["variable", "flag"])
-    def test_thread_cap_refused_before_any_pool(self, tmp_path, monkeypatch, capsys, command, flag):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
-
-        monkeypatch.setattr(pso, "ThreadPoolExecutor", refuse)
-        monkeypatch.setenv("GT_PLATEAU_THREADS", "1" if flag else str(pso.MAX_THREADS + 1))
-        net = COLUMNS if command[0] == "harmonic" else WAVE
-        out = tmp_path / "run"
-        argv = [command[0], net, *command[1:], "--out", str(out)] + (["--threads", "100000"] if flag else [])
-        if flag:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert f"argument --threads: --threads must be <= {pso.MAX_THREADS}, got 100000" in capsys.readouterr().err
-        else:
-            assert main(argv) == 2
-            assert f"GT_PLATEAU_THREADS must be <= {pso.MAX_THREADS}, got 65" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestCoordinateBound:
