@@ -70,8 +70,8 @@ _BEST_RUN_RTOL = 1e-12
 #: 2048 (numpy 2.4 on x86-64 Linux), and the grids grow as the square of it.
 _MAX_TESS = 2048
 
-#: Largest ``basis eval`` table, samples x (3 (degree + 1) + 1) cells: cold peaks were 561 MB RSS
-#: at 3.1 M cells (degree 1029) and 877 MB at 13 M (degree 3), numpy 2.4 on x86-64 Linux.
+#: Largest ``basis eval`` table, samples x (3 (degree + 1) + 1) cells, under about 0.8 GB RSS at any degree:
+#: cold peaks were 561 MB at 3.1 M cells (degree 1029) and 877 MB at 13 M (degree 3), numpy 2.4 on x86-64 Linux.
 _MAX_TABLE_CELLS = 2**22
 
 
