@@ -41,7 +41,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
-from .numerics import DenseSystem, QuadratureRule
+from .numerics import DenseSystem, QuadratureRule, freeze_arrays
 from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet
 from .pso import PsoConfig
 
@@ -54,14 +54,11 @@ class CurveSpec:
     controls: np.ndarray
 
     def __post_init__(self):
-        controls = np.asarray(self.controls, dtype=float)
-        if controls.ndim != 2 or controls.shape != (self.basis.degree + 1, 3):
-            raise ConfigurationError(
-                f"curve controls must have shape ({self.basis.degree + 1}, 3)"
-            )
+        (controls,) = freeze_arrays(self, "controls")
+        if controls.shape != (self.basis.degree + 1, 3):
+            raise ConfigurationError(f"curve controls must have shape ({self.basis.degree + 1}, 3)")
         if not np.all(np.isfinite(controls)):
             raise ConfigurationError("curve controls must be finite")
-        object.__setattr__(self, "controls", controls)
 
     def at(self, ts) -> np.ndarray:
         return basis_tables(self.basis, ts).values.T @ self.controls

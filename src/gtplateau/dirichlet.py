@@ -43,7 +43,7 @@ import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
-from .numerics import DenseSystem, QuadratureRule, pivot_ratio, solve_dense, solve_spd_stack
+from .numerics import DenseSystem, QuadratureRule, _check_symmetric, pivot_ratio, solve_dense, solve_spd_stack
 from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, dirichlet_energy
 from .pso import PsoConfig, PsoResult, optimize
 
@@ -203,6 +203,7 @@ class _ExtremalFamily:
     def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):
         centred, self.centre = _solve_frame(net, rule, bases)
         matrix, rhs = _free_split(forms, centred)
+        _check_symmetric(matrix)  # once per net: the solve trusts every weighted sum of these
         known = np.where(net.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
         const = (known * (forms @ known)).sum(axis=(-2, -1))
         k = len(forms)

@@ -24,6 +24,26 @@ MAX_QUADRATURE_ORDER = 256
 DEFAULT_FD_STEP = 1e-5
 
 
+def real_array(value, name: str) -> np.ndarray:
+    """A read-only float copy of ``value``; text, ragged or complex input is a ConfigurationError."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind not in "biuf":
+            raise TypeError(f"got dtype {array.dtype}")
+        array = array.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be real numbers: {exc}") from exc
+    array.flags.writeable = False
+    return array
+
+
+def freeze_arrays(owner, *names: str) -> list[np.ndarray]:
+    """Set the named fields of the frozen dataclass ``owner`` to their ``real_array``s; return them."""
+    for name in names:
+        object.__setattr__(owner, name, real_array(getattr(owner, name), name))
+    return [getattr(owner, name) for name in names]
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights of a quadrature rule on [0, 1].
@@ -37,11 +57,7 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.array(self.nodes, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        nodes.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        nodes, weights = freeze_arrays(self, "nodes", "weights")
         if nodes.ndim != 1 or weights.shape != nodes.shape:
             raise ConfigurationError("nodes and weights must be 1-D arrays of equal length")
         if nodes.size == 0:
@@ -76,26 +92,24 @@ def _gauss_legendre(k: int) -> QuadratureRule:  # one rule per order, so one for
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseSystem:
     """A dense symmetric linear system ``matrix @ X = rhs`` with K right-hand sides.
 
     Every system here is the normal equations of a quadratic energy, so
-    near-symmetry is checked at construction time.
+    near-symmetry is checked at construction time, on read-only copies.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+        matrix, rhs = freeze_arrays(self, "matrix", "rhs")
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ConfigurationError("matrix must be square")
-        n = self.matrix.shape[0]
-        if self.rhs.shape[:1] != (n,) or self.rhs.ndim not in (1, 2):
+        if rhs.shape[:1] != matrix.shape[:1] or rhs.ndim not in (1, 2):
             raise ConfigurationError("rhs must have one row per matrix row")
-        _check_symmetric(self.matrix)
+        _check_symmetric(matrix)
 
     @property
     def size(self) -> int:
@@ -105,14 +119,11 @@ class DenseSystem:
 def _check_symmetric(matrix: np.ndarray) -> None:
     """Raise ConfigurationError unless every matrix of the stack (last two
     axes) is symmetric to 1e-10 of its largest entry."""
-    axes = (-2, -1)
-    gap = np.abs(matrix - np.swapaxes(matrix, -1, -2)).max(axis=axes, initial=0.0)
-    scale = 1.0 + np.abs(matrix).max(axis=axes, initial=0.0)
+    gap = np.abs(matrix - np.swapaxes(matrix, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    scale = 1.0 + np.abs(matrix).max(axis=(-2, -1), initial=0.0)
     bad = gap >= 1e-10 * scale
     if bad.any():
-        raise ConfigurationError(
-            f"system must be symmetric but max asymmetry {gap[bad].max():.3e} exceeds tolerance"
-        )
+        raise ConfigurationError(f"system must be symmetric but max asymmetry {gap[bad].max():.3e} exceeds tolerance")
 
 
 def _check_residual(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
@@ -132,13 +143,13 @@ def _check_residual(matrix: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
 def solve_spd_stack(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve a (k, n, n) stack of SPD systems with (k, n, r) right-hand sides.
 
-    Every matrix is checked for symmetry, verified SPD by one stacked Cholesky
-    (``SolverError`` when any factor fails), solved by one stacked LU solve,
-    and held to a residual bound (``SolverError``). Each matrix goes through
-    LAPACK on its own, so a system's solution does not depend on the rest of
-    the stack. Returns the solutions and the (k, n) Cholesky pivots.
+    Symmetry is certified where the matrices are built (``DenseSystem``, and
+    ``dirichlet._ExtremalFamily`` once per net). Every matrix is verified SPD by
+    one stacked Cholesky (``SolverError`` when any factor fails), solved by one
+    stacked LU solve, and held to a residual bound (``SolverError``). Each
+    matrix goes through LAPACK on its own, so a system's solution does not
+    depend on the rest of the stack. Returns solutions and (k, n) Cholesky pivots.
     """
-    _check_symmetric(matrices)
     try:
         pivots = np.diagonal(np.linalg.cholesky(matrices), axis1=-2, axis2=-1)
     except np.linalg.LinAlgError as exc:

@@ -34,16 +34,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .numerics import RngStream
+from .numerics import RngStream, freeze_arrays
 
 THREADS_ENV_VAR = "GT_PLATEAU_THREADS"
-
-_DEFAULT_BOUNDS = ((0.5, 3.5), (0.5, 3.5), (0.5, 3.5), (0.5, 3.5))
 
 #: Initial velocities are uniform in +-(this fraction of each box width).
 VELOCITY_INIT_FRACTION = 0.25
@@ -59,14 +57,16 @@ POOL_MIN_SWARM_S = 0.005
 MAX_THREADS = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class PsoConfig:
+    """Swarm settings, checked at construction and then frozen (``bounds`` read-only)."""
+
     swarm_size: int = 50
     inertia: float = 0.7
     c1: float = 1.5
     c2: float = 1.5
     max_iters: int = 200
-    bounds: np.ndarray = field(default_factory=lambda: np.array(_DEFAULT_BOUNDS))
+    bounds: np.ndarray = ((0.5, 3.5),) * 4  # the shape domain, one row per component
     seed: int = 0
     threads: int | None = None
 
@@ -79,32 +79,23 @@ class PsoConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise ConfigurationError(f"{name} must be a real number, got {value!r}")
-        try:
-            self.bounds = np.asarray(self.bounds, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bounds must be a (dims, 2) array of numbers: {exc}") from exc
-        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2 or self.bounds.shape[0] < 1:
+        (bounds,) = freeze_arrays(self, "bounds")
+        if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.shape[0] < 1:
             raise ConfigurationError("bounds must be a (dims, 2) array")
-        if not np.all(np.isfinite(self.bounds)) or np.any(
-            self.bounds[:, 0] >= self.bounds[:, 1]
-        ):
+        if not np.all(np.isfinite(bounds)) or np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ConfigurationError("each bound must satisfy lower < upper")
         if self.swarm_size < 1:
             raise ConfigurationError("swarm size must be >= 1")
         if not 0.0 <= self.inertia <= 1.0:
             raise ConfigurationError("inertia must lie in [0, 1]")
         if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
-            raise ConfigurationError(
-                f"accelerations c1, c2 must be finite and positive, got {self.c1}, {self.c2}"
-            )
+            raise ConfigurationError(f"accelerations c1, c2 must be finite and positive, got {self.c1}, {self.c2}")
         if self.max_iters < 0:
             raise ConfigurationError("max_iters must be >= 0")
         if self.seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigurationError("threads must be >= 1 when given")
-        if self.threads is not None and self.threads > MAX_THREADS:
-            raise ConfigurationError(f"threads must be <= {MAX_THREADS}, got {self.threads}")
+        if self.threads is not None:
+            resolve_threads(self.threads)
 
     @property
     def dims(self) -> int:
@@ -132,21 +123,21 @@ def project_to_bounds(x, bounds) -> np.ndarray:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit setting wins; else the environment cap; else sequential."""
-    if threads is not None:
-        return int(threads)
-    raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
+    """Explicit setting wins; else the environment cap; else sequential; each in [1, MAX_THREADS]."""
+    name, value = "threads", threads
+    if threads is None:
+        name, raw = THREADS_ENV_VAR, os.environ.get(THREADS_ENV_VAR, "").strip()
+        if not raw:
+            return 1
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ConfigurationError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
+        raise ConfigurationError(f"{name} must be >= 1, got {value}")
     if value > MAX_THREADS:
-        raise ConfigurationError(f"{THREADS_ENV_VAR} must be <= {MAX_THREADS}, got {value}")
-    return value
+        raise ConfigurationError(f"{name} must be <= {MAX_THREADS}, got {value}")
+    return int(value)
 
 
 #: Failures of one fitness evaluation that score +inf instead of aborting the swarm.

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gtplateau.dirichlet import _ExtremalFamily
 from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.numerics import (
     MAX_QUADRATURE_ORDER,
@@ -15,6 +16,7 @@ from gtplateau.numerics import (
     solve_dense,
     solve_spd_stack,
 )
+from gtplateau.patch import ControlNet, boundary_mask
 
 
 class TestGaussLegendre:
@@ -152,11 +154,25 @@ class TestSolveSpdStack:
             solve_spd_stack(matrices, rhs)
         solve_spd_stack(matrices[[0, 2]], rhs[[0, 2]])
 
-    def test_asymmetry_checked_per_matrix(self):
+    def test_asymmetry_refused_where_built(self):
+        # the solve trusts symmetry: each matrix of an asymmetric stack is refused where
+        # its system is built, by DenseSystem and by a family (once per net), not per solve
+        net = ControlNet(points=np.ones((3, 7, 3)), fixed=boundary_mask(3, 7))  # 5 free points
+        inner = np.flatnonzero(net.free)
         matrices, rhs = self.spd_stack(3)
-        matrices[2, 0, 1] += 1e-6
-        with pytest.raises(ConfigurationError, match="asymmetry"):
-            solve_spd_stack(matrices, rhs)
+        forms = np.tile(np.eye(21), (3, 1, 1))
+        forms[:, inner[:, None], inner] = matrices
+        family = _ExtremalFamily(forms, net, gauss_legendre_rule(8), "test")
+        np.testing.assert_array_equal(family.blocks[:, :25].reshape(3, 5, 5), matrices)
+        for i in range(3):
+            bad, bad_forms = matrices.copy(), forms.copy()
+            bad[i, 0, 1] += 1e-6
+            bad_forms[i, inner[0], inner[1]] += 1e-6
+            with pytest.raises(ConfigurationError, match="asymmetry"):
+                DenseSystem(matrix=bad[i], rhs=rhs[i])
+            with pytest.raises(ConfigurationError, match="asymmetry"):
+                _ExtremalFamily(bad_forms, net, gauss_legendre_rule(8), "test")
+            solve_spd_stack(bad, rhs)  # unchecked here; Cholesky and the residual bound still certify
 
     def test_residual_bound_checked_per_matrix(self):
         # Cholesky succeeds, but the solve of the last system is swamped by rounding
