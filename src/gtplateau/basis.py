@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .numerics import real_array
 
 #: Admissible closed interval for every shape parameter.
 THETA_MIN = 0.5
@@ -99,7 +100,7 @@ class BasisEvaluation:
 
 
 def _check_t(t) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.atleast_1d(real_array(t, "t"))
     if t.ndim != 1:
         raise ConfigurationError("t must be a scalar or a 1-D array of values in [0, 1]")
     if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
@@ -170,10 +171,11 @@ def _gt_tables(degree: int, th1, th2, t: np.ndarray):
 def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
     """Validate an array of shape parameters against the admissible interval.
 
-    Raises ``ConfigurationError`` for the first offending entry (row-major), naming
-    it by its column: ``names[column % len(names)]``.
+    Raises ``ConfigurationError`` for input that is not real numbers, or for the
+    first offending entry (row-major), naming it by its column:
+    ``names[column % len(names)]``. Returns a read-only float copy.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = real_array(thetas, "shape parameters")
     bad = ~(np.isfinite(thetas) & (thetas >= THETA_MIN) & (thetas <= THETA_MAX))
     if bad.any():
         index = np.unravel_index(np.flatnonzero(bad)[0], thetas.shape)

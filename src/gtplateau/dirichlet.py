@@ -193,9 +193,10 @@ class _ExtremalFamily:
     flattened net: one form for a fixed basis, or a shape family's 36, where
     forms[6p + q] multiplies monomial p of the u pair times q of the v.
 
-    Each row is weighted by its own matrix product and factored once, which
-    gives its interior, energy 1/2 (c - x . rhs) and max/min pivot hint
-    independently of its stack. A family called on a (k, 4) stack of shape
+    The split blocks are checked symmetric once per net, at construction, so
+    the per-particle solve does not check again. Each row is weighted by its
+    own matrix product and factored once, which gives its interior, energy
+    1/2 (c - x . rhs) and max/min pivot hint independently of its stack. A family called on a (k, 4) stack of shape
     vectors gives k energies; ``extremal`` fills the net from one row, and
     ``minimize`` swarm-searches the shape vectors for the lowest.
     """
@@ -203,7 +204,7 @@ class _ExtremalFamily:
     def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):
         centred, self.centre = _solve_frame(net, rule, bases)
         matrix, rhs = _free_split(forms, centred)
-        _check_symmetric(matrix)  # once per net: the solve trusts every weighted sum of these
+        _check_symmetric(matrix)
         known = np.where(net.fixed[..., None], centred.points, 0.0).reshape(-1, 3)
         const = (known * (forms @ known)).sum(axis=(-2, -1))
         k = len(forms)

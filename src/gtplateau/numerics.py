@@ -168,15 +168,12 @@ def solve_dense(system: DenseSystem) -> np.ndarray:
 
 
 def pivot_ratio(matrix: np.ndarray) -> float:
-    """Max/min pivot magnitude ratio, a cheap conditioning hint."""
-    matrix = np.asarray(matrix, dtype=float)
+    """Max/min Cholesky pivot ratio, a cheap conditioning hint; inf when the factor fails."""
     try:
-        d = np.abs(np.diag(np.linalg.cholesky(matrix)))
+        d = np.diag(np.linalg.cholesky(matrix))
     except np.linalg.LinAlgError:
-        d = np.abs(np.diag(np.linalg.qr(matrix, mode="r")))
-    if d.size == 0 or d.min() == 0.0:
         return float("inf")
-    return float(d.max() / d.min())
+    return float(d.max() / d.min()) if d.size else float("inf")
 
 
 def finite_diff_gradient(f, x, step: float = DEFAULT_FD_STEP) -> np.ndarray:
@@ -208,7 +205,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
             raise ConfigurationError("seed must be a nonnegative integer")
-        if not isinstance(stream_id, (int, np.integer)) or stream_id < 0:
+        if not isinstance(stream_id, (int, np.integer)) or isinstance(stream_id, bool) or stream_id < 0:
             raise ConfigurationError("stream_id must be a nonnegative integer")
         self.seed = int(seed)
         self.stream_id = int(stream_id)

@@ -41,7 +41,7 @@ class SurfaceShape:
     beta2: float
 
     def __post_init__(self):
-        values = check_theta_stack([float(getattr(self, name)) for name in SHAPE_NAMES], SHAPE_NAMES)
+        values = check_theta_stack([getattr(self, name) for name in SHAPE_NAMES], SHAPE_NAMES)
         for name, value in zip(SHAPE_NAMES, values):
             object.__setattr__(self, name, float(value))
 
@@ -50,7 +50,7 @@ class SurfaceShape:
         values = list(values)
         if len(values) != 4:
             raise ConfigurationError("a surface shape needs exactly 4 components")
-        return cls(*(float(v) for v in values))
+        return cls(*values)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha1, self.alpha2, self.beta1, self.beta2])

@@ -9,14 +9,15 @@ with componentwise draws r1, r2. Updates are synchronous: every particle in
 iteration t sees the global best settled at the end of iteration t - 1.
 
 The objective is evaluated on stacks: it maps a (k, dims) array of positions
-to k values, so a whole swarm costs one call. The initial swarm is evaluated
-on the driver thread, and that call is timed. ``threads`` (or
-``GT_PLATEAU_THREADS``, at most ``MAX_THREADS``) is an upper bound: only when the call took at least
-``POOL_MIN_SWARM_S`` is a thread pool built, and then each iteration's swarm
-is split into one contiguous chunk per worker; a cheaper swarm runs every
-iteration sequentially, because a pool's hand-off costs more than it saves.
-A chunk whose call raises a solver failure is re-evaluated one row at a time,
-so only the failing particles score +inf.
+to k values, so a whole swarm costs one call. A ``PsoConfig`` is checked once,
+where it is built, and is frozen. The initial swarm is evaluated on the driver
+thread, and that call is timed. ``threads`` (or ``GT_PLATEAU_THREADS``, each
+held to [1, ``MAX_THREADS``] by ``resolve_threads``) is an upper bound: only
+when the call took at least ``POOL_MIN_SWARM_S`` is a thread pool built, and
+then each iteration's swarm is split into one contiguous chunk per worker; a
+cheaper swarm runs every iteration sequentially, because a pool's hand-off
+costs more than it saves. A chunk whose call raises a solver failure is
+re-evaluated one row at a time, so only the failing particles score +inf.
 
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its

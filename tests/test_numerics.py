@@ -1,9 +1,13 @@
 """Quadrature, dense solves, finite differences, and seeded substreams."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gtplateau.dirichlet import _ExtremalFamily
+from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.coons import CurveSpec
+from gtplateau.dirichlet import _ExtremalFamily, reduced_functional_family
 from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.numerics import (
     MAX_QUADRATURE_ORDER,
@@ -16,7 +20,8 @@ from gtplateau.numerics import (
     solve_dense,
     solve_spd_stack,
 )
-from gtplateau.patch import ControlNet, boundary_mask
+from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
+from gtplateau.pso import PsoConfig
 
 
 class TestGaussLegendre:
@@ -248,3 +253,68 @@ class TestRngStream:
     def test_key_validation(self, seed, stream):
         with pytest.raises(ConfigurationError):
             RngStream(seed, stream)
+
+
+def boundary_family():
+    points = np.full((4, 4, 3), np.nan)
+    points[boundary_mask(4, 4)] = np.arange(36.0).reshape(12, 3) % 5.0
+    return reduced_functional_family(ControlNet(points=points), gauss_legendre_rule(8))
+
+
+#: Library entry points given text, ragged or complex input where real numbers belong;
+#: each raises ConfigurationError, not numpy's bare ValueError or a ComplexWarning.
+NOT_REAL = {
+    "shape-text": lambda: SurfaceShape("a", 2.0, 2.0, 2.0),
+    "shape-from-text": lambda: SurfaceShape.from_iterable(["2.0", 2.0, 2.0, 2.0]),
+    "shape-complex": lambda: SurfaceShape(2.0 + 1j, 2.0, 2.0, 2.0),
+    "basis-t-text": lambda: basis_tables(BasisSpec.bernstein(3), "x"),
+    "basis-t-ragged": lambda: basis_tables(BasisSpec.bernstein(3), [[0.5], [0.1, 0.2]]),
+    "basis-t-complex": lambda: basis_tables(BasisSpec.gt(3, 2.0, 2.0), [0.5 + 0.5j]),
+    "family-text": lambda: boundary_family()([["a", "b", "c", "d"]]),
+    "family-ragged": lambda: boundary_family()([[2.0] * 4, [2.0]]),
+    "family-complex": lambda: boundary_family()(np.full((2, 4), 2.0 + 0j)),
+    "stream-bool": lambda: RngStream(0, True),
+    "stream-numpy-bool": lambda: RngStream(0, np.True_),
+    "rule-text": lambda: QuadratureRule(nodes="ab", weights=[0.5, 0.5]),
+    "rule-ragged": lambda: QuadratureRule(nodes=[[0.25], [0.5, 0.75]], weights=[0.5, 0.5]),
+    "rule-complex": lambda: QuadratureRule(nodes=np.array([0.25, 0.75]) + 0j, weights=[0.5, 0.5]),
+    "system-text": lambda: DenseSystem(matrix="x", rhs=[1.0]),
+    "system-complex": lambda: DenseSystem(matrix=np.eye(2) + 0j, rhs=np.ones(2)),
+    "curve-text": lambda: CurveSpec(BasisSpec.bernstein(1), "xy"),
+    "curve-complex": lambda: CurveSpec(BasisSpec.bernstein(1), np.zeros((2, 3), dtype=complex)),
+    "config-bounds-complex": lambda: PsoConfig(bounds=[[0.0, 1.0 + 1j]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_REAL))
+def test_non_real_input_raises_configuration_error(case):
+    with pytest.raises(ConfigurationError):
+        NOT_REAL[case]()
+
+
+#: (build from the caller's array, that array, the field keeping it): every validated
+#: value keeps a read-only copy, so what was checked at construction stays checked.
+READ_ONLY = {
+    "rule-nodes": (lambda a: QuadratureRule(nodes=a, weights=np.full(3, 1 / 3)), [0.2, 0.5, 0.8], "nodes"),
+    "rule-weights": (lambda a: QuadratureRule(nodes=[0.2, 0.5, 0.8], weights=a), [0.25, 0.5, 0.25], "weights"),
+    "system-matrix": (lambda a: DenseSystem(matrix=a, rhs=np.ones(2)), [[2.0, 1.0], [1.0, 2.0]], "matrix"),
+    "system-rhs": (lambda a: DenseSystem(matrix=np.eye(2), rhs=a), [1.0, 2.0], "rhs"),
+    "config-bounds": (lambda a: PsoConfig(bounds=a), [[0.0, 1.0], [2.0, 3.0]], "bounds"),
+    "curve-controls": (lambda a: CurveSpec(BasisSpec.bernstein(1), a), np.arange(6.0).reshape(2, 3), "controls"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_ONLY))
+def test_validated_arrays_are_read_only_copies(case):
+    build, given, name = READ_ONLY[case]
+    given = np.array(given, dtype=float)
+    value = build(given)
+    kept = getattr(value, name)
+    want = given.copy()
+    given.flat[1] = 5.0  # asymmetric matrix, unordered nodes, inverted bound
+    np.testing.assert_array_equal(kept, want)
+    with pytest.raises(ValueError, match="read-only"):
+        kept.flat[1] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, name, given)
+    np.testing.assert_array_equal(getattr(value, name), want)

@@ -1,5 +1,6 @@
 """Particle swarm: determinism, update-rule semantics, guards, threading."""
 
+import dataclasses
 import math
 import threading
 import time
@@ -370,6 +371,28 @@ class TestResolveThreads:
                 resolve_threads(None)
         with pytest.raises(ConfigurationError, match=f"threads must be <= {MAX_THREADS}, got 100000"):
             PsoConfig(threads=100_000)
+
+    def test_config_is_checked_once_and_frozen(self, monkeypatch):
+        # a config cannot change after its checks: a field is frozen, the bounds are a
+        # read-only copy, and dataclasses.replace checks the new config; no pool is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", refuse)
+        config = PsoConfig(swarm_size=500, threads=2)
+        for name, value in (("threads", 100_000), ("threads", 0), ("swarm_size", 0), ("bounds", [[3.0, 1.0]] * 4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(config, **{name: value})
+        with pytest.raises(ValueError, match="read-only"):
+            config.bounds[0] = [3.0, 1.0]
+        assert (config.swarm_size, config.threads) == (500, 2)
+        np.testing.assert_array_equal(config.bounds, [[0.5, 3.5]] * 4)
+        with pytest.raises(ConfigurationError, match="threads must be >= 1, got 0"):
+            resolve_threads(0)
+        with pytest.raises(ConfigurationError, match=f"threads must be <= {MAX_THREADS}, got 100000"):
+            resolve_threads(100_000)
 
 
 class TestShapeOptimization:

@@ -27,7 +27,9 @@ from gtplateau.coons import (
     tb_reduced_functional_family,
 )
 from gtplateau.dirichlet import (
+    _ExtremalFamily,
     _family_forms,
+    _forms,
     _tensor_forms,
     reduced_functional,
     reduced_functional_family,
@@ -336,5 +338,59 @@ def test_translated_net_keeps_scalar_agreement(route):
         moved = ControlNet(points=net.points + 100.0, fixed=net.fixed)
         want = scalar(moved, alphas)
         np.testing.assert_allclose(stacked(moved, alphas), want, rtol=ROUTE_RTOL, atol=0.0)
+
+    check()
+
+
+def single_form_family(family):
+    """A family of one fixed-basis form: Bernstein, or GT at the drawn shape vector."""
+
+    def build(net, rule, alpha):
+        specs = [
+            BasisSpec.bernstein(d) if family == "bernstein" else BasisSpec.gt(d, *pair)
+            for d, pair in zip((net.degree_u, net.degree_v), (alpha[:2], alpha[2:]))
+        ]
+        return _ExtremalFamily(_forms(*(basis_tables(s, rule.nodes) for s in specs), rule), net, rule, family)
+
+    return build
+
+
+#: Every builder of the forms whose split blocks the solve loop trusts to be symmetric,
+#: with the degrees each is checked at.
+FORM_BUILDERS = {
+    "tensor": (lambda net, rule, alpha: reduced_functional_family(net, rule), [(d, d) for d in range(2, 9)]),
+    "hybrid": (lambda net, rule, alpha: tb_reduced_functional_family(net, rule), [(2, 2), (3, 3), (5, 4), (8, 8)]),
+    "bernstein": (single_form_family("bernstein"), [(2, 2), (3, 3), (5, 4), (8, 8)]),
+    "gt": (single_form_family("gt"), [(2, 2), (3, 3), (5, 4), (8, 8)]),
+}
+
+
+@pytest.mark.parametrize(
+    "builder, degrees",
+    [(name, degrees) for name, (_, cases) in FORM_BUILDERS.items() for degrees in cases],
+    ids=lambda value: value if isinstance(value, str) else "x".join(map(str, value)),
+)
+def test_split_blocks_are_symmetric(builder, degrees):
+    # the family checks its blocks once, to 1e-10, and the solve does not check again;
+    # every builder is symmetric to rounding, far inside that gate
+    build, (m, n) = FORM_BUILDERS[builder][0], degrees
+
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1), order=st.integers(max(m, n) + 1, 40),
+        alpha=st.lists(thetas, min_size=4, max_size=4), known=st.sampled_from([0.0, 0.3, 0.7]),
+    )
+    def check(seed, order, alpha, known):
+        net = boundary_net(seed, m + 1, n + 1)
+        rng = np.random.default_rng(seed)
+        fixed = net.fixed | (rng.random(net.fixed.shape) < known)
+        fixed[m // 2, n // 2] = False  # at least one unknown point
+        points = np.where(fixed[..., None], rng.uniform(-3.0, 5.0, size=net.points.shape), np.nan)
+        points[net.fixed] = net.points[net.fixed]
+        family = build(ControlNet(points=points, fixed=fixed), gauss_legendre_rule(order), alpha)
+        k = family.n
+        blocks = family.blocks[:, : k * k].reshape(-1, k, k)
+        gap = np.abs(blocks - np.swapaxes(blocks, -1, -2)).max(axis=(-2, -1))
+        assert np.all(gap <= 1e-13 * np.abs(blocks).max(axis=(-2, -1)))
 
     check()
