@@ -73,13 +73,10 @@ class BasisSpec:
                 raise ConfigurationError("Bernstein basis takes no shape parameters")
         else:
             _check_gt_degree(self.degree)
-            try:
-                theta = np.asarray(self.theta, dtype=float)
-            except (TypeError, ValueError):
-                theta = None
+            theta = None if self.theta is None else check_theta_stack(self.theta)
             if theta is None or theta.shape != (2,):
                 raise ConfigurationError(f"GT basis requires theta = (theta1, theta2), got {self.theta!r}")
-            object.__setattr__(self, "theta", tuple(check_theta_stack(theta).tolist()))
+            object.__setattr__(self, "theta", tuple(theta.tolist()))
 
     @classmethod
     def bernstein(cls, degree: int) -> "BasisSpec":
@@ -175,7 +172,7 @@ def check_theta_stack(thetas, names=("theta1", "theta2")) -> np.ndarray:
     first offending entry (row-major), naming it by its column:
     ``names[column % len(names)]``. Returns a read-only float copy.
     """
-    thetas = real_array(thetas, "shape parameters")
+    thetas = real_array(thetas, ", ".join(names))
     bad = ~(np.isfinite(thetas) & (thetas >= THETA_MIN) & (thetas <= THETA_MAX))
     if bad.any():
         index = np.unravel_index(np.flatnonzero(bad)[0], thetas.shape)

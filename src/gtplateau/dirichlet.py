@@ -196,9 +196,10 @@ class _ExtremalFamily:
     The split blocks are checked symmetric once per net, at construction, so
     the per-particle solve does not check again. Each row is weighted by its
     own matrix product and factored once, which gives its interior, energy
-    1/2 (c - x . rhs) and max/min pivot hint independently of its stack. A family called on a (k, 4) stack of shape
-    vectors gives k energies; ``extremal`` fills the net from one row, and
-    ``minimize`` swarm-searches the shape vectors for the lowest.
+    1/2 (c - x . rhs) and max/min pivot hint independently of its stack. A
+    family called on a (k, 4) stack of shape vectors gives k energies;
+    ``extremal`` fills the net from one row, and ``minimize`` swarm-searches
+    the shape vectors for the lowest.
     """
 
     def __init__(self, forms: np.ndarray, net: ControlNet, rule: QuadratureRule, bases: str):

@@ -60,8 +60,6 @@ MAX_THREADS = 64
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm settings, checked at construction and then frozen (``bounds`` read-only)."""
-
     swarm_size: int = 50
     inertia: float = 0.7
     c1: float = 1.5

@@ -267,6 +267,7 @@ NOT_REAL = {
     "shape-text": lambda: SurfaceShape("a", 2.0, 2.0, 2.0),
     "shape-from-text": lambda: SurfaceShape.from_iterable(["2.0", 2.0, 2.0, 2.0]),
     "shape-complex": lambda: SurfaceShape(2.0 + 1j, 2.0, 2.0, 2.0),
+    "basis-theta-text": lambda: BasisSpec.gt(3, "2.0", "2.0"),
     "basis-t-text": lambda: basis_tables(BasisSpec.bernstein(3), "x"),
     "basis-t-ragged": lambda: basis_tables(BasisSpec.bernstein(3), [[0.5], [0.1, 0.2]]),
     "basis-t-complex": lambda: basis_tables(BasisSpec.gt(3, 2.0, 2.0), [0.5 + 0.5j]),
