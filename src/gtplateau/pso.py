@@ -10,7 +10,7 @@ iteration t sees the global best settled at the end of iteration t - 1.
 
 The objective is evaluated on stacks: it maps a (k, dims) array of positions
 to k values, so a whole swarm costs one call. A ``PsoConfig`` is checked once,
-where it is built, and is frozen. The initial swarm is evaluated on the driver
+where it is built, and is frozen. The initial swarm is evaluated on the calling
 thread, and that call is timed. ``threads`` (or ``GT_PLATEAU_THREADS``, each
 held to [1, ``MAX_THREADS``] by ``resolve_threads``) is an upper bound: only
 when the call took at least ``POOL_MIN_SWARM_S`` is a thread pool built, and

@@ -355,9 +355,9 @@ def single_form_family(family):
     return build
 
 
-#: Every builder of the forms whose split blocks the solve loop trusts to be symmetric,
+#: Every source of the forms whose split blocks the solve loop trusts to be symmetric,
 #: with the degrees each is checked at.
-FORM_BUILDERS = {
+FORM_SOURCES = {
     "tensor": (lambda net, rule, alpha: reduced_functional_family(net, rule), [(d, d) for d in range(2, 9)]),
     "hybrid": (lambda net, rule, alpha: tb_reduced_functional_family(net, rule), [(2, 2), (3, 3), (5, 4), (8, 8)]),
     "bernstein": (single_form_family("bernstein"), [(2, 2), (3, 3), (5, 4), (8, 8)]),
@@ -366,14 +366,14 @@ FORM_BUILDERS = {
 
 
 @pytest.mark.parametrize(
-    "builder, degrees",
-    [(name, degrees) for name, (_, cases) in FORM_BUILDERS.items() for degrees in cases],
+    "source, degrees",
+    [(name, degrees) for name, (_, cases) in FORM_SOURCES.items() for degrees in cases],
     ids=lambda value: value if isinstance(value, str) else "x".join(map(str, value)),
 )
-def test_split_blocks_are_symmetric(builder, degrees):
+def test_split_blocks_are_symmetric(source, degrees):
     # the family checks its blocks once, to 1e-10, and the solve does not check again;
-    # every builder is symmetric to rounding, far inside that gate
-    build, (m, n) = FORM_BUILDERS[builder][0], degrees
+    # every source is symmetric to rounding, far inside that gate
+    build, (m, n) = FORM_SOURCES[source][0], degrees
 
     @PROPERTY
     @given(
