@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import real_array
+from .numerics import integer, real_array
 
 #: Admissible closed interval for every shape parameter.
 THETA_MIN = 0.5
@@ -37,13 +37,8 @@ _HALF_PI = 0.5 * np.pi
 _BERNSTEIN_MAX_DEGREE = 1029
 
 
-def _check_gt_degree(degree: int) -> None:
-    if degree < 2:
-        raise ConfigurationError("GT degree must be >= 2 (the seed is quadratic)")
-    if degree > _BERNSTEIN_MAX_DEGREE + 2:
-        raise ConfigurationError(
-            f"GT degree {degree} is too high: its Bernstein factor's binomials overflow a double"
-        )
+def _check_gt_degree(degree: int) -> int:
+    return integer(degree, "GT degree", 2, _BERNSTEIN_MAX_DEGREE + 2)  # the seed is quadratic
 
 
 @dataclass(frozen=True)
@@ -61,18 +56,12 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in ("bernstein", "gt"):
             raise ConfigurationError(f"unknown basis family {self.family!r}")
-        if not isinstance(self.degree, (int, np.integer)) or isinstance(self.degree, bool):
-            raise ConfigurationError("degree must be an integer")
-        object.__setattr__(self, "degree", int(self.degree))
         if self.family == "bernstein":
-            if self.degree < 0:
-                raise ConfigurationError("Bernstein degree must be >= 0")
-            if self.degree > _BERNSTEIN_MAX_DEGREE:
-                raise ConfigurationError(f"Bernstein degree {self.degree} is too high: its binomials overflow a double")
+            object.__setattr__(self, "degree", integer(self.degree, "Bernstein degree", 0, _BERNSTEIN_MAX_DEGREE))
             if self.theta is not None:
                 raise ConfigurationError("Bernstein basis takes no shape parameters")
         else:
-            _check_gt_degree(self.degree)
+            object.__setattr__(self, "degree", _check_gt_degree(self.degree))
             theta = None if self.theta is None else check_theta_stack(self.theta)
             if theta is None or theta.shape != (2,):
                 raise ConfigurationError(f"GT basis requires theta = (theta1, theta2), got {self.theta!r}")
@@ -192,7 +181,7 @@ def gt_affine_tables(degree: int, t) -> BasisEvaluation:
     linear. Each array has shape (3, degree + 1, len(t)), the parts stacked
     on axis 0.
     """
-    _check_gt_degree(degree)
+    degree = _check_gt_degree(degree)
     corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # tables T0, T0 + T1, T0 + T2
     at = _gt_tables(degree, corners[:, :1], corners[:, 1:], _check_t(t))
     return BasisEvaluation(*(np.stack([x[0], x[1] - x[0], x[2] - x[0]]) for x in at))

@@ -40,7 +40,7 @@ from .io import (
     write_obj,
     write_summary,
 )
-from .numerics import gauss_legendre_rule
+from .numerics import gauss_legendre_rule, integer
 from .patch import (
     Patch,
     SurfaceShape,
@@ -93,14 +93,11 @@ def _float_tuple(flag: str, count: int):
 def _int_in_range(flag: str, low: int, high: int | None = None):
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            return integer(int(text), flag, low, high)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
         except ValueError:
             raise argparse.ArgumentTypeError(f"{flag} needs an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{flag} must be >= {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"{flag} must be <= {high}, got {value}")
-        return value
 
     return parse
 

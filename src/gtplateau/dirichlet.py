@@ -210,7 +210,7 @@ class _ExtremalFamily:
         const = (known * (forms @ known)).sum(axis=(-2, -1))
         k = len(forms)
         self.blocks = np.concatenate([matrix.reshape(k, -1), rhs.reshape(k, -1), const[:, None]], 1)
-        self.net, self.bases, self.n = net, bases, matrix.shape[-1]
+        self.net, self.bases, self.n = net.copy(), bases, matrix.shape[-1]  # the caller's net may change
 
     def _solve(self, weights: np.ndarray):
         mixed = (weights[:, None] @ self.blocks)[:, 0]

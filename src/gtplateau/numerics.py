@@ -2,11 +2,13 @@
 
 Gauss-Legendre quadrature on [0, 1], SPD solves, independent seeded random
 substreams, and central-difference utilities used as test oracles throughout
-the package. A quadrature rule is an immutable value hashed by identity, one
-object per Gauss order, so it can key a cache. Every system is the normal
-equations of a positive-definite energy, so every solve is certified by
-Cholesky and a residual bound, and fails with ``SolverError`` instead of
-falling back to elimination.
+the package. Two checks serve every library value: ``integer`` for a count
+and ``real_array`` for real numbers; neither takes a bool as a number. A
+quadrature rule is an immutable value hashed by identity, one object per
+Gauss order, so it can key a cache. Every system is the normal equations of
+a positive-definite energy, so every solve is certified by Cholesky and a
+residual bound, and fails with ``SolverError`` instead of falling back to
+elimination.
 """
 
 from __future__ import annotations
@@ -24,11 +26,22 @@ MAX_QUADRATURE_ORDER = 256
 DEFAULT_FD_STEP = 1e-5
 
 
+def integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as a plain int in [low, high]; a bool, float or text is a ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ConfigurationError(f"{name} must be <= {high}, got {value}")
+    return int(value)
+
+
 def real_array(value, name: str) -> np.ndarray:
-    """A read-only float copy of ``value``; text, ragged or complex input is a ConfigurationError."""
+    """A read-only float copy of ``value``; bool, text, ragged or complex input is a ConfigurationError."""
     try:
         array = np.asarray(value)
-        if array.dtype.kind not in "biuf":
+        if array.dtype.kind not in "iuf":
             raise TypeError(f"got dtype {array.dtype}")
         array = array.astype(float)
     except (TypeError, ValueError) as exc:
@@ -77,13 +90,7 @@ def gauss_legendre_rule(k: int) -> QuadratureRule:
 
     Exact for polynomials of degree <= 2k - 1.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ConfigurationError("node count must be an integer")
-    if not 1 <= k <= MAX_QUADRATURE_ORDER:
-        raise ConfigurationError(
-            f"node count must lie in [1, {MAX_QUADRATURE_ORDER}], got {k}"
-        )
-    return _gauss_legendre(int(k))
+    return _gauss_legendre(integer(k, "quadrature order", 1, MAX_QUADRATURE_ORDER))
 
 
 @functools.cache
@@ -92,12 +99,13 @@ def _gauss_legendre(k: int) -> QuadratureRule:  # one rule per order, so one for
     return QuadratureRule(nodes=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseSystem:
     """A dense symmetric linear system ``matrix @ X = rhs`` with K right-hand sides.
 
     Every system here is the normal equations of a quadratic energy, so
-    near-symmetry is checked at construction time, on read-only copies.
+    near-symmetry is checked at construction time, on read-only copies. Like
+    a rule, a system is compared and hashed by identity.
     """
 
     matrix: np.ndarray
@@ -203,12 +211,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer")
-        if not isinstance(stream_id, (int, np.integer)) or isinstance(stream_id, bool) or stream_id < 0:
-            raise ConfigurationError("stream_id must be a nonnegative integer")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = integer(seed, "seed", 0)
+        self.stream_id = integer(stream_id, "stream_id", 0)
         self._gen = np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack
 from .errors import ConfigurationError
-from .numerics import QuadratureRule
+from .numerics import QuadratureRule, integer, real_array
 
 
 #: Components of a surface shape vector, in order; domain errors name them.
@@ -73,7 +73,8 @@ class ControlNet:
 
     Entries not marked fixed may be NaN (unknown, to be solved for). The
     default mask marks exactly the finite entries as fixed, which matches the
-    usual file convention of nulls for unknowns.
+    usual file convention of nulls for unknowns. A given mask must have bool
+    dtype. The net keeps writable copies of both, since solvers fill it in place.
     """
 
     points: np.ndarray
@@ -81,12 +82,11 @@ class ControlNet:
 
     def __post_init__(self):
         try:
-            points = np.asarray(self.points)
-            if np.iscomplexobj(points):
-                raise TypeError("complex coordinates")
-            points = points.astype(float)
-            fixed = None if self.fixed is None else np.array(self.fixed, dtype=bool)
-        except (TypeError, ValueError) as exc:
+            points = np.array(real_array(self.points, "points"))  # a writable copy
+            fixed = None if self.fixed is None else np.array(self.fixed)
+            if fixed is not None and fixed.dtype != bool:
+                raise ValueError(f"fixed has dtype {fixed.dtype}")
+        except (ConfigurationError, ValueError) as exc:
             raise ConfigurationError(f"points must be real numbers and fixed booleans, as arrays: {exc}") from exc
         if points.ndim != 3 or points.shape[2] != 3:
             raise ConfigurationError("points must be a (rows, cols, 3) array")
@@ -122,7 +122,7 @@ class ControlNet:
         return bool(np.all(self.fixed[boundary_mask(*self.fixed.shape)]))
 
     def copy(self) -> "ControlNet":
-        return ControlNet(points=self.points.copy(), fixed=self.fixed.copy())
+        return ControlNet(points=self.points, fixed=self.fixed)  # the constructor copies both
 
     def scale(self) -> float:
         """Largest coordinate magnitude among known points (0 if none)."""
@@ -281,9 +281,7 @@ def mean_curvature_grid(patch: Patch, samples: int):
     Returns (us, vs, FundamentalForms) with array fields of shape
     (samples, samples).
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise ConfigurationError("mean-curvature grid needs at least 2 samples per direction")
-    us = np.linspace(0.0, 1.0, samples)
+    us = np.linspace(0.0, 1.0, integer(samples, "samples", 2))
     jet = surface_jet(patch, us, us)
     return us, us, fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
 
@@ -309,7 +307,5 @@ def triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tessellate(patch: Patch, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform tessellation: (cells+1)^2 vertices, 2*cells^2 triangles."""
-    if not isinstance(cells, (int, np.integer)) or cells < 1:
-        raise ConfigurationError("tessellation needs at least 1 cell per direction")
-    params = np.linspace(0.0, 1.0, cells + 1)
+    params = np.linspace(0.0, 1.0, integer(cells, "cells", 1) + 1)
     return triangulate_grid(surface_jet(patch, params, params).S)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, SolverError
-from .numerics import RngStream, freeze_arrays
+from .numerics import RngStream, freeze_arrays, integer, real_array
 
 THREADS_ENV_VAR = "GT_PLATEAU_THREADS"
 
@@ -58,7 +58,7 @@ POOL_MIN_SWARM_S = 0.005
 MAX_THREADS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsoConfig:
     swarm_size: int = 50
     inertia: float = 0.7
@@ -70,31 +70,24 @@ class PsoConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        counts = (self.swarm_size, self.max_iters, self.seed, 1 if self.threads is None else self.threads)
-        for name, value in zip(("swarm_size", "max_iters", "seed", "threads"), counts):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        for name, low in (("swarm_size", 1), ("max_iters", 0), ("seed", 0)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", resolve_threads(self.threads))
         for name in ("inertia", "c1", "c2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            value = real_array(getattr(self, name), name)
+            if value.ndim:
+                raise ConfigurationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(value))
         (bounds,) = freeze_arrays(self, "bounds")
         if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.shape[0] < 1:
             raise ConfigurationError("bounds must be a (dims, 2) array")
         if not np.all(np.isfinite(bounds)) or np.any(bounds[:, 0] >= bounds[:, 1]):
             raise ConfigurationError("each bound must satisfy lower < upper")
-        if self.swarm_size < 1:
-            raise ConfigurationError("swarm size must be >= 1")
         if not 0.0 <= self.inertia <= 1.0:
             raise ConfigurationError("inertia must lie in [0, 1]")
         if not (0.0 < self.c1 < math.inf and 0.0 < self.c2 < math.inf):
             raise ConfigurationError(f"accelerations c1, c2 must be finite and positive, got {self.c1}, {self.c2}")
-        if self.max_iters < 0:
-            raise ConfigurationError("max_iters must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer")
-        if self.threads is not None:
-            resolve_threads(self.threads)
 
     @property
     def dims(self) -> int:
@@ -132,11 +125,7 @@ def resolve_threads(threads: int | None) -> int:
             value = int(raw)
         except ValueError as exc:
             raise ConfigurationError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    if value > MAX_THREADS:
-        raise ConfigurationError(f"{name} must be <= {MAX_THREADS}, got {value}")
-    return int(value)
+    return integer(value, name, 1, MAX_THREADS)
 
 
 #: Failures of one fitness evaluation that score +inf instead of aborting the swarm.

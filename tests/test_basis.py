@@ -203,7 +203,7 @@ class TestValidation:
     def test_bernstein_degree_past_double_range(self):
         # C(1030, 515) exceeds the largest double; degree 1029 still evaluates
         assert np.isfinite(basis_tables(BasisSpec.bernstein(1029), [0.5]).second).all()
-        with pytest.raises(ConfigurationError, match="Bernstein degree 1030 is too high"):
+        with pytest.raises(ConfigurationError, match="Bernstein degree must be <= 1029, got 1030"):
             basis_tables(BasisSpec.bernstein(1030), [0.5])
 
     def test_gt_degree_past_double_range(self):
@@ -211,7 +211,7 @@ class TestValidation:
         tables = basis_tables(BasisSpec.gt(1031, 1.3, 2.9), T_GRID)
         assert all(np.isfinite(x).all() for x in (tables.values, tables.first, tables.second))
         assert np.abs(tables.values.sum(axis=0) - 1.0).max() < 1e-12
-        with pytest.raises(ConfigurationError, match="GT degree 1032 is too high"):
+        with pytest.raises(ConfigurationError, match="GT degree must be <= 1031, got 1032"):
             BasisSpec.gt(1032, 1.3, 2.9)
 
     def test_gt_degree_floor(self):

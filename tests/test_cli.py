@@ -1,5 +1,6 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -513,7 +514,7 @@ class TestBasisEval:
 
     def test_degree_past_double_range(self, capsys):
         assert main(["basis", "eval", "--basis", "bernstein", "--degree", "1030", "--samples", "3"]) == 2
-        assert "invalid input: Bernstein degree 1030 is too high" in capsys.readouterr().err
+        assert "invalid input: Bernstein degree must be <= 1029, got 1030" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "basis, degree, family", [("gt", "1032", "GT"), ("gt", "4000", "GT"), ("bernstein", "20000", "Bernstein")]
@@ -524,7 +525,8 @@ class TestBasisEval:
 
         monkeypatch.setattr("gtplateau.basis._bernstein_values", refuse)
         assert main(["basis", "eval", "--basis", basis, "--degree", degree]) == 2
-        assert f"invalid input: {family} degree {degree} is too high" in capsys.readouterr().err
+        high = {"GT": 1031, "Bernstein": 1029}[family]
+        assert f"invalid input: {family} degree must be <= {high}, got {degree}" in capsys.readouterr().err
 
 
 #: Every command that reads GT_PLATEAU_THREADS, including those that run no swarm.
@@ -536,6 +538,19 @@ THREAD_VARIABLE_ARGV = [
     ["harmonic", COLUMNS],
     ["optimize", WAVE, "--swarm", "3", "--iters", "1", "--tess", "4"],
 ]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("0", "--n must be >= 1, got 0"), ("6", "--n must be <= 5, got 6"), ("2.0", "--n needs an integer, got '2.0'"),
+     ("True", "--n needs an integer, got 'True'")],
+)
+def test_int_flag_shares_the_library_check(text, message):
+    parse = cli._int_in_range("--n", 1, 5)
+    assert parse(" 3 ") == 3 and type(parse("5")) is int
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 class TestExitCodes:

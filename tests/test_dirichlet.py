@@ -16,6 +16,7 @@ from gtplateau.dirichlet import (
     assemble_system,
     assemble_system_generic,
     reduced_functional,
+    reduced_functional_family,
     solve_interior,
 )
 from gtplateau.errors import ConfigurationError, SolverError
@@ -376,6 +377,17 @@ class TestReducedFunctional:
             patch = Patch.gt(solved.net, shape)
             assert value >= area(patch, rule32) - 1e-9
             assert abs(value - solved.energy) < 1e-12
+
+    def test_family_keeps_its_own_net(self, wave_net, rule16):
+        # editing the caller's net after the family is built changes no extremal
+        net = wave_net.copy()
+        family = reduced_functional_family(net, rule16)
+        before = family.extremal([2.0, 2.0, 2.0, 2.0])
+        net.points[0, 0] += 1.0
+        net.points[1, 1] = 5.0
+        after = family.extremal([2.0, 2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(after.net.points, before.net.points)
+        assert after.energy == before.energy
 
     def test_frozen_wave_energy(self, wave_net, rule32):
         shape = SurfaceShape(0.8706, 0.8706, 0.8706, 0.8706)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.basis import BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from gtplateau.coons import CurveSpec
 from gtplateau.dirichlet import _ExtremalFamily, reduced_functional_family
 from gtplateau.errors import ConfigurationError, SolverError
@@ -16,12 +16,14 @@ from gtplateau.numerics import (
     RngStream,
     finite_diff_gradient,
     gauss_legendre_rule,
+    integer,
     pivot_ratio,
+    real_array,
     solve_dense,
     solve_spd_stack,
 )
-from gtplateau.patch import ControlNet, SurfaceShape, boundary_mask
-from gtplateau.pso import PsoConfig
+from gtplateau.patch import ControlNet, Patch, SurfaceShape, boundary_mask, mean_curvature_grid, tessellate
+from gtplateau.pso import PsoConfig, resolve_threads
 
 
 class TestGaussLegendre:
@@ -284,6 +286,9 @@ NOT_REAL = {
     "curve-text": lambda: CurveSpec(BasisSpec.bernstein(1), "xy"),
     "curve-complex": lambda: CurveSpec(BasisSpec.bernstein(1), np.zeros((2, 3), dtype=complex)),
     "config-bounds-complex": lambda: PsoConfig(bounds=[[0.0, 1.0 + 1j]]),
+    "real-bool": lambda: real_array(np.ones(2, dtype=bool), "x"),
+    "theta-bool": lambda: check_theta_stack([True, True]),
+    "config-bounds-bool": lambda: PsoConfig(bounds=[[False, True]]),
 }
 
 
@@ -291,6 +296,54 @@ NOT_REAL = {
 def test_non_real_input_raises_configuration_error(case):
     with pytest.raises(ConfigurationError):
         NOT_REAL[case]()
+
+
+FLAT_PATCH = Patch.bernstein(ControlNet(points=np.zeros((2, 2, 3))))
+
+#: Every library count, read back from what it built: given 3 (as a Python or numpy
+#: integer), each gives the plain int 3.
+COUNTS = {
+    "integer": lambda n: integer(n, "n", 0),
+    "bernstein-degree": lambda n: BasisSpec.bernstein(n).degree,
+    "gt-degree": lambda n: BasisSpec.gt(n, 2.0, 2.0).degree,
+    "gt-affine-degree": lambda n: gt_affine_tables(n, [0.5]).values.shape[1] - 1,
+    "quadrature-order": lambda n: gauss_legendre_rule(n).order,
+    "stream-seed": lambda n: RngStream(n).seed,
+    "stream-id": lambda n: RngStream(0, n).stream_id,
+    "tessellate": lambda n: round(len(tessellate(FLAT_PATCH, n)[0]) ** 0.5) - 1,
+    "curvature-samples": lambda n: mean_curvature_grid(FLAT_PATCH, n)[0].size,
+    "config-swarm-size": lambda n: PsoConfig(swarm_size=n).swarm_size,
+    "config-max-iters": lambda n: PsoConfig(max_iters=n).max_iters,
+    "config-seed": lambda n: PsoConfig(seed=n).seed,
+    "config-threads": lambda n: PsoConfig(threads=n).threads,
+    "resolve-threads": resolve_threads,
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTS))
+def test_counts_share_one_integer_check(case):
+    for value in (3, np.int64(3), np.uint8(3)):
+        count = COUNTS[case](value)
+        assert type(count) is int and count == 3
+    for value in (True, np.True_, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ConfigurationError, match="must be an integer, got"):
+            COUNTS[case](value)
+
+
+def test_integer_range_messages():
+    assert integer(5, "n", 5, 5) == 5
+    with pytest.raises(ConfigurationError, match="^n must be >= 1, got 0$"):
+        integer(0, "n", 1)
+    with pytest.raises(ConfigurationError, match="^n must be <= 4, got 5$"):
+        integer(np.int64(5), "n", 1, 4)
+
+
+@pytest.mark.parametrize("build", [PsoConfig, lambda: DenseSystem(matrix=np.eye(2), rhs=np.ones(2))])
+def test_array_holders_compare_by_identity(build):
+    # the generated __eq__ compared array fields as a tuple, which numpy cannot truth-test
+    first, second = build(), build()
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
 
 
 #: (build from the caller's array, that array, the field keeping it): every validated

@@ -108,6 +108,13 @@ class TestControlNet:
         with pytest.raises(ConfigurationError):
             ControlNet(points=points, fixed=np.ones((4, 4), dtype=bool))
 
+    def test_keeps_writable_copies(self):
+        points, fixed = np.zeros((2, 2, 3)), np.ones((2, 2), dtype=bool)
+        net = ControlNet(points=points, fixed=fixed)
+        points[0, 0, 0], fixed[0, 0] = 1.0, False
+        assert net.points[0, 0, 0] == 0.0 and net.fixed[0, 0]
+        net.points[0, 0, 0] = 2.0  # a net is filled in place
+
     def test_copy_is_deep(self):
         net = random_net(3)
         dup = net.copy()
@@ -133,8 +140,17 @@ class TestControlNet:
             (np.zeros((2, 2, 3), dtype=complex), None),
             ([[[1j, 0, 0]] * 2] * 2, None),
             (np.zeros((2, 2, 3)), [[True, False], [True]]),
+            (np.full((2, 2, 3), "1.5"), None),
+            (np.ones((2, 2, 3), dtype=bool), None),
+            (np.zeros((2, 2, 3)), [["a", "b"], ["c", "d"]]),
+            (np.zeros((2, 2, 3)), [[0.5, 1], [1, 1]]),
+            (np.zeros((2, 2, 3)), [[np.nan, True], [True, True]]),
+            (np.zeros((2, 2, 3)), np.ones((2, 2), dtype=int)),
         ],
-        ids=["text", "ragged", "complex", "complex-list", "ragged-mask"],
+        ids=[
+            "text", "ragged", "complex", "complex-list", "ragged-mask",
+            "numeric-text", "bool-points", "text-mask", "float-mask", "nan-mask", "int-mask",
+        ],
     )
     def test_rejects_what_is_not_a_real_grid(self, points, fixed):
         with pytest.raises(ConfigurationError, match="points must be real numbers and fixed booleans"):
