@@ -51,7 +51,7 @@ from .patch import (
     tessellate,
     triangulate_grid,
 )
-from .pso import MAX_THREADS, PsoConfig, optimize, resolve_threads
+from .pso import MAX_THREADS, PsoConfig, optimize
 
 NOT_IMPLEMENTED_NOTE = "not implemented: out of scope"
 
@@ -183,7 +183,7 @@ def _pso_config(args) -> PsoConfig:  # every swarm command checks its settings b
         max_iters=args.iters,
         bounds=np.array([args.bounds] * 4, dtype=float),
         seed=args.seed,
-        threads=resolve_threads(args.threads),  # a bad GT_PLATEAU_THREADS fails before any write
+        threads=args.threads,  # None reads GT_PLATEAU_THREADS here, so a bad value fails before any write
     )
 
 

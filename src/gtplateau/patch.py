@@ -67,14 +67,14 @@ def boundary_mask(rows: int, cols: int) -> np.ndarray:
     return mask
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ControlNet:
     """A (m+1) x (n+1) grid of 3-D control points with a fixed/known mask.
 
     Entries not marked fixed may be NaN (unknown, to be solved for). The
-    default mask marks exactly the finite entries as fixed, which matches the
-    usual file convention of nulls for unknowns. A given mask must have bool
-    dtype. The net keeps writable copies of both, since solvers fill it in place.
+    default mask marks exactly the finite entries as fixed, as files mark
+    unknowns by nulls; a given mask must be bool. Solvers fill the net's writable
+    copies in place; no field can be reassigned, and nets compare and hash by identity.
     """
 
     points: np.ndarray
@@ -98,8 +98,8 @@ class ControlNet:
             raise ConfigurationError("fixed mask shape must match the point grid")
         if np.any(fixed & ~finite):
             raise ConfigurationError("fixed control points must have finite coordinates")
-        self.points = points
-        self.fixed = fixed
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "fixed", fixed)
 
     @property
     def degree_u(self) -> int:

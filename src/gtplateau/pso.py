@@ -9,15 +9,17 @@ with componentwise draws r1, r2. Updates are synchronous: every particle in
 iteration t sees the global best settled at the end of iteration t - 1.
 
 The objective is evaluated on stacks: it maps a (k, dims) array of positions
-to k values, so a whole swarm costs one call. A ``PsoConfig`` is checked once,
-where it is built, and is frozen. The initial swarm is evaluated on the calling
-thread, and that call is timed. ``threads`` (or ``GT_PLATEAU_THREADS``, each
-held to [1, ``MAX_THREADS``] by ``resolve_threads``) is an upper bound: only
-when the call took at least ``POOL_MIN_SWARM_S`` is a thread pool built, and
-then each iteration's swarm is split into one contiguous chunk per worker; a
-cheaper swarm runs every iteration sequentially, because a pool's hand-off
-costs more than it saves. A chunk whose call raises a solver failure is
-re-evaluated one row at a time, so only the failing particles score +inf.
+to k values, so a whole swarm costs one call. The initial swarm is iteration 0
+of the one update: the bests start at +inf, and only later iterations draw,
+move, clamp and evaluate. A frozen ``PsoConfig`` is checked once, where it is
+built; its ``threads`` (else ``GT_PLATEAU_THREADS``, else 1, held to [1,
+``MAX_THREADS``] by ``resolve_threads``) is fixed there and is an upper bound:
+only when the initial swarm's call, timed on the calling thread, took at least
+``POOL_MIN_SWARM_S`` is a thread pool built, which splits each later swarm
+into one contiguous chunk per worker. A cheaper swarm runs sequentially, as a
+pool's hand-off costs more than it saves. A chunk whose call raises a solver
+failure is re-evaluated one row at a time, so only the failing particles score
++inf.
 
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its
@@ -31,6 +33,7 @@ clock-driven choice of a pool changes no value either.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -72,8 +75,7 @@ class PsoConfig:
     def __post_init__(self):
         for name, low in (("swarm_size", 1), ("max_iters", 0), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
-        if self.threads is not None:
-            object.__setattr__(self, "threads", resolve_threads(self.threads))
+        object.__setattr__(self, "threads", resolve_threads(self.threads))
         for name in ("inertia", "c1", "c2"):
             value = real_array(getattr(self, name), name)
             if value.ndim:
@@ -106,12 +108,6 @@ class PsoResult:
     velocities: np.ndarray
     personal_best: np.ndarray
     personal_best_values: np.ndarray
-
-
-def project_to_bounds(x, bounds) -> np.ndarray:
-    """Componentwise clamp onto the box; idempotent."""
-    bounds = np.asarray(bounds, dtype=float)
-    return np.clip(np.asarray(x, dtype=float), bounds[:, 0], bounds[:, 1])
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -157,15 +153,13 @@ def _guard(objective):
 
 
 def optimize(objective, config: PsoConfig) -> PsoResult:
-    """Minimize ``objective`` over the configured box.
+    """Minimize ``objective``, a map from a (k, dims) stack to k values, over the box.
 
-    ``objective`` maps a (k, dims) stack of positions to an array of k values.
-    Inner-solver failures count as +inf fitness rather than aborting the
-    swarm. The returned history holds the global best value per iteration,
-    including the initial swarm (index 0), and is non-increasing.
+    Inner-solver failures score +inf rather than aborting the swarm. The history
+    holds the non-increasing global best of each iteration, the initial swarm's at 0.
     """
-    lo = config.bounds[:, 0]
-    width = config.bounds[:, 1] - lo
+    lo, hi = config.bounds.T
+    width = hi - lo
     n = config.swarm_size
     dims = config.dims
     guarded = _guard(objective)
@@ -178,39 +172,31 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
     draws = draw()
     positions = lo + width * draws[:, 0]
     velocities = VELOCITY_INIT_FRACTION * width * (2.0 * draws[:, 1] - 1.0)
+    personal_best = positions.copy()
+    personal_values = np.full(n, math.inf)
+    global_best = personal_best[0].copy()  # kept while every value is +inf: the strict < never fires
+    global_value = math.inf
+    history = []
 
-    threads = min(resolve_threads(config.threads), n)
+    threads = min(config.threads, n)
     start = time.perf_counter()
     values = guarded(positions)
     if time.perf_counter() - start < POOL_MIN_SWARM_S:
         threads = 1
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        def evaluate_all(points):
-            if pool is None:
-                return guarded(points)
-            # one contiguous chunk per worker; map preserves order
-            return np.concatenate(list(pool.map(guarded, np.array_split(points, threads))))
-
-        evaluations = n
-        personal_best = positions.copy()
-        personal_values = values.copy()
-        best_index = int(np.argmin(personal_values))
-        global_best = personal_best[best_index].copy()
-        global_value = float(personal_values[best_index])
-        history = [global_value]
-
-        for iteration in range(1, config.max_iters + 1):
-            draws = draw()
-            velocities = (
-                config.inertia * velocities
-                + config.c1 * draws[:, 0] * (global_best - positions)
-                + config.c2 * draws[:, 1] * (personal_best - positions)
-            )
-            positions = project_to_bounds(positions + velocities, config.bounds)
-
-            values = evaluate_all(positions)
-            evaluations += n
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for iteration in range(config.max_iters + 1):
+            if iteration:  # the initial swarm, evaluated above, is iteration 0
+                draws = draw()
+                velocities = (
+                    config.inertia * velocities
+                    + config.c1 * draws[:, 0] * (global_best - positions)
+                    + config.c2 * draws[:, 1] * (personal_best - positions)
+                )
+                positions = np.clip(positions + velocities, lo, hi)
+                if pool is None:
+                    values = guarded(positions)
+                else:  # one contiguous chunk per worker; map preserves order
+                    values = np.concatenate(list(pool.map(guarded, np.array_split(positions, threads))))
             improved = values < personal_values
             personal_best[improved] = positions[improved]
             personal_values[improved] = values[improved]
@@ -219,15 +205,12 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
                 global_value = float(personal_values[best_index])
                 global_best = personal_best[best_index].copy()
             history.append(global_value)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     return PsoResult(
         position=global_best.copy(),
         value=global_value,
         history=np.array(history),
-        evaluations=evaluations,
+        evaluations=n * (config.max_iters + 1),
         positions=positions,
         velocities=velocities,
         personal_best=personal_best,

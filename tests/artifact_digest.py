@@ -6,6 +6,10 @@ wrote, and for its stdout, stderr and exit code.
 runs every command of ``COMMANDS`` in process, with SOURCE_DATE_EPOCH=0, once
 at each of 1 and 2 fitness threads (GT_PLATEAU_THREADS, which ``--threads``
 would override, so the settings a summary records are the same for both).
+These swarms are too cheap to pass the pool's clock gate ``pso.POOL_MIN_SWARM_S``,
+so the 2-thread runs set it to 0 while they run: each of their swarms builds
+its thread pool and evaluates every iteration after the first in it, and the
+two thread counts compare a sequential run with a pooled one.
 The runs of thread count t are made in OUT/threads-t, beside a copy of the
 fixtures there, and every path a run is given is relative to it: the lines do
 not depend on where OUT or the checkout is, and the two thread counts give
@@ -75,6 +79,20 @@ def _environment(cwd, **variables):
                 os.environ[name] = value
 
 
+@contextlib.contextmanager
+def _pool_forced(threads: int):
+    """Above 1 thread, build every swarm's pool however cheap the swarm; restore the gate."""
+    from gtplateau import pso
+
+    saved = pso.POOL_MIN_SWARM_S
+    if threads > 1:
+        pso.POOL_MIN_SWARM_S = 0.0
+    try:
+        yield
+    finally:
+        pso.POOL_MIN_SWARM_S = saved
+
+
 def _run(label: str, argv: tuple[str, ...]) -> dict[str, bytes]:
     """Path -> bytes of one run in the new directory ``label``: its files, and
     ``label/:stdout``, ``:stderr`` and ``:exit``."""
@@ -105,7 +123,7 @@ def digest(out, labels=tuple(COMMANDS)) -> list[str]:
         root = pathlib.Path(out, f"threads-{t}")
         root.mkdir(parents=True)
         shutil.copytree(FIXTURES, root / "fixtures")
-        with _environment(root, SOURCE_DATE_EPOCH="0", GT_PLATEAU_THREADS=str(t)):
+        with _environment(root, SOURCE_DATE_EPOCH="0", GT_PLATEAU_THREADS=str(t)), _pool_forced(t):
             for label in labels:
                 for path, data in _run(label, COMMANDS[label]).items():
                     lines.append(f"{hashlib.sha256(data).hexdigest()}  threads-{t}/{path}")

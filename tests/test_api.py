@@ -57,6 +57,7 @@ REMOVED = {
         "bernstein_gram", "defect_objective",
     ),
     "numerics": ("integrate_2d",),
+    "pso": ("project_to_bounds",),
     "patch": (
         "second_partials", "mesh_area", "evaluate_grid", "partial_grids",
         "second_partial_grids", "evaluate", "partials", "laplacian_defect", "_check_params",

@@ -788,10 +788,21 @@ class TestDependencies:
 
 
 class TestArtifactDigest:
-    def test_repeats_and_threads_agree(self, tmp_path):
+    def test_repeats_and_threads_agree(self, tmp_path, monkeypatch):
+        built = []
+
+        class CountedPool(pso.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pso, "ThreadPoolExecutor", CountedPool)
+        gate = pso.POOL_MIN_SWARM_S
         labels = ("solve-gt/wave_boundary", "coons/wave_boundary")
         first, second = (artifact_digest.digest(tmp_path / run, labels) for run in ("a", "b"))
         assert first == second
+        assert built == [2, 2]  # the 2-thread coons swarm of each digest ran in its pool
+        assert pso.POOL_MIN_SWARM_S == gate  # and the forced gate did not leak
         one, two = (
             [line.replace(f"  threads-{t}/", "  ") for line in first if f"  threads-{t}/" in line]
             for t in artifact_digest.THREADS

@@ -1,6 +1,6 @@
 """Tensor-product patches: evaluation, partials, functionals, curvature, meshes."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -115,6 +115,16 @@ class TestControlNet:
         assert net.points[0, 0, 0] == 0.0 and net.fixed[0, 0]
         net.points[0, 0, 0] = 2.0  # a net is filled in place
 
+    def test_is_a_frozen_value(self):
+        # a reassigned field would skip the construction checks; == and hash go by identity
+        net = random_net(3)
+        for name in ("points", "fixed"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(net, name, np.ones(getattr(net, name).shape, dtype=bool))
+        dup = net.copy()
+        assert net == net and net != dup
+        assert len({net, dup, net}) == 2
+
     def test_copy_is_deep(self):
         net = random_net(3)
         dup = net.copy()
@@ -197,7 +207,7 @@ class TestControlNet:
         dup = net.copy()
         np.testing.assert_array_equal(dup.points, net.points)
         np.testing.assert_array_equal(dup.fixed, net.fixed)
-        dup.points += 1.0
+        dup.points[...] += 1.0
         dup.fixed[...] = ~dup.fixed
         np.testing.assert_array_equal(net.points, points)
         np.testing.assert_array_equal(net.fixed, mask)

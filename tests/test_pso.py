@@ -23,7 +23,6 @@ from gtplateau.pso import (
     PsoConfig,
     PsoResult,
     optimize,
-    project_to_bounds,
     resolve_threads,
 )
 from rowwise import rowwise
@@ -33,22 +32,6 @@ UNIT_BOX = np.array([[0.0, 1.0], [0.0, 1.0]])
 
 def sphere(x: np.ndarray) -> float:
     return float(((x - 2.0) ** 2).sum())
-
-
-class TestProjectToBounds:
-    def test_inside_unchanged(self):
-        np.testing.assert_array_equal(
-            project_to_bounds([0.25, 0.75], UNIT_BOX), [0.25, 0.75]
-        )
-
-    def test_clamps_componentwise(self):
-        np.testing.assert_array_equal(
-            project_to_bounds([-3.0, 4.0], UNIT_BOX), [0.0, 1.0]
-        )
-
-    def test_idempotent(self):
-        once = project_to_bounds([2.0, -1.0], UNIT_BOX)
-        np.testing.assert_array_equal(project_to_bounds(once, UNIT_BOX), once)
 
 
 #: Counts that PsoConfig must accept (small integers of either kind) or refuse.
@@ -120,7 +103,7 @@ class TestConfigValidation:
         result = optimize(lambda x: np.sum(x * x, axis=1), config)
         assert len(result.history) == config.max_iters + 1
         assert result.evaluations == config.swarm_size * (config.max_iters + 1)
-        assert np.all(project_to_bounds(result.positions, config.bounds) == result.positions)
+        assert np.all(np.clip(result.positions, *config.bounds.T) == result.positions)
 
     def test_default_box_is_shape_domain(self):
         config = PsoConfig()
@@ -277,7 +260,7 @@ class TestOptimize:
                     + config.c1 * r1 * (global_best - positions[i])
                     + config.c2 * r2 * (personal_best[i] - positions[i])
                 )
-                positions[i] = project_to_bounds(positions[i] + velocities[i], bounds)
+                positions[i] = np.clip(positions[i] + velocities[i], bounds[:, 0], bounds[:, 1])
             values = np.array([objective(p) for p in positions])
             improved = values < personal_values
             personal_best[improved] = positions[improved]
@@ -325,7 +308,11 @@ class TestGuards:
         config = PsoConfig(swarm_size=3, max_iters=2, seed=6, bounds=UNIT_BOX)
         result = optimize(rowwise(hopeless), config)
         assert math.isinf(result.value)
-        assert np.all(np.isinf(result.history))
+        assert np.all(np.isinf(result.history)) and result.history.shape == (3,)
+        assert result.evaluations == 3 * (2 + 1)
+        # no best ever improves on +inf: argmin's pick, particle 0's initial position
+        lo, width = UNIT_BOX[:, 0], UNIT_BOX[:, 1] - UNIT_BOX[:, 0]
+        np.testing.assert_array_equal(result.position, lo + width * RngStream(6, 0).uniform(size=2))
 
     def test_unguarded_errors_propagate(self):
         def broken(x):
@@ -355,6 +342,19 @@ class TestResolveThreads:
         monkeypatch.setenv(THREADS_ENV_VAR, raw)
         with pytest.raises(ConfigurationError):
             resolve_threads(None)
+        with pytest.raises(ConfigurationError, match=THREADS_ENV_VAR):
+            PsoConfig()  # where a swarm's thread count is fixed
+
+    def test_config_fixes_the_count(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        assert PsoConfig().threads == 3
+
+    def test_env_after_config_is_not_read(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        config = PsoConfig(swarm_size=3, max_iters=2, seed=1, bounds=UNIT_BOX)
+        monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+        result = optimize(rowwise(sphere), config)
+        assert config.threads == 1 and result.evaluations == 9
 
     def test_thread_cap(self, monkeypatch):
         # the cap is checked where the count enters: the variable here, the config's field
