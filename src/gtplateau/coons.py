@@ -23,8 +23,9 @@ Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
 P_c^T F P_c for the (m + 1)(n + 1)-point form F = L^T Q L, which the tensor
 patch's form builder ``_forms`` gives with L as its net map, and
 ``solve_tb_interior`` is the tensor patch's extremal engine on F: it fills
-whichever interior points are unknown. ``_tb_system`` builds the same normal
-equations from 2-D gradient fields; it is the independent reference. The GT
+whichever interior points are unknown. The independent reference reads the
+jet instead: ``_tb_system`` is ``gradient_normal_system`` on it, and
+``tb_dirichlet_energy`` is the tensor patch's quadrature energy of it. The GT
 rows of the tables carry the shape, affinely, so F is bi-quadratic in it: the
 swarm's fitness ``tb_reduced_functional_family`` is the engine on its 36
 blocks, and ``optimize_tb`` is that family's ``minimize``.
@@ -42,7 +43,7 @@ from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule, freeze_arrays
-from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet
+from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet, _quadrature_energy
 from .pso import PsoConfig
 
 
@@ -111,50 +112,41 @@ def _tb_form(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> np.n
 
 
 def _known_points(net: ControlNet) -> np.ndarray:
-    """The net's points as rows, for evaluating the patch: every one must be known."""
+    """The net's points, for evaluating the patch: every one must be known."""
     if not net.is_complete:
         raise ConfigurationError("every control point must be known for evaluation")
-    return net.points.reshape(-1, 3)
+    return net.points
+
+
+def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
+    """The hybrid's jet on us x vs as a function of a net of ``net``'s degrees,
+    (m + 1, n + 1, ...): the tensor patch's ``_jet`` of its coefficient grid C = L P."""
+    m, n = net.degree_u, net.degree_v
+    tables = list(map(_pair_tables, shape.basis_specs(m, n), (us, vs)))
+    net_map = _coefficient_map(m, n)
+
+    def jet_at(points):
+        c = net_map @ points.reshape(net_map.shape[1], -1)
+        return _jet(*tables, c.reshape((2 * m + 4, 2 * n + 4) + points.shape[2:]))
+
+    return jet_at
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
-    m, n = net.degree_u, net.degree_v
-    c = (_coefficient_map(m, n) @ _known_points(net)).reshape(2 * m + 4, 2 * n + 4, 3)
-    return _jet(*map(_pair_tables, shape.basis_specs(m, n), (us, vs)), c)
+    return _tb_jet_at(net, shape, us, vs)(_known_points(net))
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
-    """1/2 sum_c P_c^T F P_c with F = L^T (K_F (x) M_H + M_F (x) K_H) L."""
+    """(1/2) integral of |S_u|^2 + |S_v|^2: the tensor patch's quadrature energy of the jet."""
     p = _known_points(net)
-    p = p - p.mean(axis=0)  # F 1 = 0: centring costs no energy and saves a far offset's digits
-    return float(0.5 * (p * (_tb_form(net, shape, rule) @ p)).sum())
+    p = p - p.mean(axis=(0, 1))  # S ignores constants: centring saves a far offset's digits
+    return _quadrature_energy(_tb_jet_at(net, shape, rule.nodes, rule.nodes)(p), rule)
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
-    """Reference route: the same normal equations from 2-D gradient fields.
-
-    The unknown points' coefficient fields come from R1 + R2 (T reads only the
-    boundary, which a Plateau net fixes); the known part enters through the jet
-    of the net with its unknowns anchored at zero.
-    """
-    free = net.free
-    anchored = ControlNet(points=np.where(free[..., None], 0.0, net.points), fixed=np.ones_like(free))
-    jet0 = tb_surface_jet(anchored, shape, rule.nodes, rule.nodes)
-
-    m, n = net.degree_u, net.degree_v
-    bu, bv = (basis_tables(BasisSpec.bernstein(d), rule.nodes) for d in (m, n))
-    gu, gv = (basis_tables(spec, rule.nodes) for spec in shape.basis_specs(m, n))
-    fi, fj = np.nonzero(free)
-    phi_u = (
-        bu.first[fi][:, :, None] * gv.values[fj][:, None, :]
-        + gu.first[fi][:, :, None] * bv.values[fj][:, None, :]
-    )
-    phi_v = (
-        bu.values[fi][:, :, None] * gv.first[fj][:, None, :]
-        + gu.values[fi][:, :, None] * bv.first[fj][:, None, :]
-    )
-    return gradient_normal_system(phi_u, phi_v, jet0.Su, jet0.Sv, rule)
+    """Reference route: the same normal equations, ``gradient_normal_system`` on the hybrid's jet."""
+    return gradient_normal_system(_tb_jet_at(net, shape, rule.nodes, rule.nodes), net, rule)
 
 
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:

@@ -28,10 +28,13 @@ swarm's fitness ``reduced_functional_family`` hands it the 36, and its
 Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
 keeps them, read-only, for the process (so does the hybrid's family), keyed
 by the rule object: rules are immutable, and there is one per Gauss order.
-The "generic" route (``assemble_system_generic``, from the 2-D gradient
-fields of the unknowns' coefficient functions) keeps its own solve,
-quadrature energy and pivot ratio, as the independent reference. Every solve
-refuses a rule too coarse for the bases (``check_rule``, shared with harmonic).
+The independent reference reads the surface's own jet instead of any form:
+``gradient_normal_system`` integrates the normal equations of any surface
+linear in its net from the jets of unit nets, one per unknown. The "generic"
+route (``assemble_system_generic``) is that builder on the tensor patch's jet,
+with its own solve, quadrature energy and pivot ratio; the hybrid's
+``_tb_system`` is the same builder on its jet. Every solve refuses a rule too
+coarse for the bases (``check_rule``, shared with harmonic).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, _check_symmetric, pivot_ratio, solve_dense, solve_spd_stack
-from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, dirichlet_energy
+from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, _jet, dirichlet_energy
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -244,49 +247,39 @@ class _ExtremalFamily:
         return ShapeOptimum(**vars(self.extremal(result.position)), shape=shape, history=result.history, pso=result)
 
 
-def gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule: QuadratureRule) -> DenseSystem:
-    """Normal equations for any surface affine in its unknowns.
+def gradient_normal_system(jet_at, net: ControlNet, rule: QuadratureRule) -> DenseSystem:
+    """Normal equations A[q, r] = integral <grad phi_q, grad phi_r> of any surface
+    linear in its net, from first principles.
 
-    ``phi_u``/``phi_v`` hold the gradient grids (q, U, V) of each unknown's
-    scalar coefficient field on the tensor quadrature grid; ``fixed_su``/
-    ``fixed_sv`` are the (U, V, 3) gradients of the fully known part. This is
-    the shared engine behind the generic tensor-patch route and the blended
-    -patch interior solve.
+    ``jet_at`` maps an (m+1, n+1, ...) net to its ``SurfaceJet`` on the rule's
+    tensor grid. phi_q is the jet of the scalar net that is 1 at unknown q and 0
+    elsewhere, all unknowns (row-major) in one (m+1, n+1, N) stack; the known
+    part enters through the jet of the net with its unknowns at 0. The generic
+    tensor route and the hybrid's reference route are this on their own jets.
     """
-    w2 = np.outer(rule.weights, rule.weights)
-    pu = phi_u * w2
-    pv = phi_v * w2
-    matrix = np.tensordot(pu, phi_u, axes=([1, 2], [1, 2])) + np.tensordot(
-        pv, phi_v, axes=([1, 2], [1, 2])
-    )
-    rhs = -(
-        np.tensordot(pu, fixed_su, axes=([1, 2], [0, 1]))
-        + np.tensordot(pv, fixed_sv, axes=([1, 2], [0, 1]))
-    )
+    free = net.free
+    units = np.eye(free.size)[:, free.ravel()].reshape(free.shape + (-1,))
+    phi, known = jet_at(units), jet_at(np.where(free[..., None], 0.0, net.points))
+    w2 = np.outer(rule.weights, rule.weights)[..., None]
+
+    def inner(grad_phi, grad):  # sum over the grid of w_a w_b grad_phi[a, b, q] grad[a, b, ...]
+        return np.tensordot(grad_phi * w2, grad, axes=([0, 1], [0, 1]))
+
+    matrix = inner(phi.Su, phi.Su) + inner(phi.Sv, phi.Sv)
+    rhs = -(inner(phi.Su, known.Su) + inner(phi.Sv, known.Sv))
     return DenseSystem(matrix=matrix, rhs=rhs)
 
 
 def assemble_system_generic(
     net: ControlNet, basis_u: BasisSpec, basis_v: BasisSpec, rule: QuadratureRule
 ) -> DenseSystem:
-    """Normal equations from first principles: A[q,r] = intgrl <grad phi_q, grad phi_r>.
-
-    phi for unknown P_ab is the scalar field G_a(u) G_b(v); the fixed part
-    enters through its gradient. Independent of assemble_system (no shared
-    integrals), used as its oracle.
+    """Normal equations from first principles: ``gradient_normal_system`` on the
+    tensor patch's jet, whose phi for unknown P_ab is G_a(u) G_b(v). Independent
+    of assemble_system (no shared integrals), used as its oracle.
     """
-    free = _require_plateau(net)
-    tu = basis_tables(basis_u, rule.nodes)
-    tv = basis_tables(basis_v, rule.nodes)
-
-    fi, fj = np.nonzero(free)
-    phi_u = tu.first[fi][:, :, None] * tv.values[fj][:, None, :]
-    phi_v = tu.values[fi][:, :, None] * tv.first[fj][:, None, :]
-
-    anchored = np.where(net.fixed[..., None], net.points, 0.0)
-    fixed_su = np.einsum("iu,jv,ijc->uvc", tu.first, tv.values, anchored)
-    fixed_sv = np.einsum("iu,jv,ijc->uvc", tu.values, tv.first, anchored)
-    return gradient_normal_system(phi_u, phi_v, fixed_su, fixed_sv, rule)
+    _require_plateau(net)
+    tables = (basis_tables(basis, rule.nodes) for basis in (basis_u, basis_v))
+    return gradient_normal_system(functools.partial(_jet, *tables), net, rule)
 
 
 @dataclass

@@ -176,18 +176,21 @@ class SurfaceJet:
 
 
 def _jet(tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray) -> SurfaceJet:
-    """(U, V, 3) grids of the surface of ``points`` (m+1, n+1, 3) over u tables
-    (m+1, U) and v tables (n+1, V): ``np.tensordot``'s products without its
-    call overhead, each u table contracted once to rows (u node, coordinate)."""
-    cols = points.shape[1]
+    """(U, V, ...) grids of the surface of ``points`` (m+1, n+1, ...) over u tables
+    (m+1, U) and v tables (n+1, V), for any trailing coordinates (a stack of nets
+    is one more): ``np.tensordot``'s products without its call overhead, each u
+    table contracted once to rows (u node, coordinate)."""
+    cols, trail = points.shape[1], points.shape[2:]
     flat = points.reshape(points.shape[0], -1)
+    c = flat.shape[1] // cols
     p0, p1, p2 = (
-        np.dot(t.T, flat).reshape(-1, cols, 3).transpose(0, 2, 1).reshape(-1, cols)
+        np.dot(t.T, flat).reshape(-1, cols, c).transpose(0, 2, 1).reshape(-1, cols)
         for t in (tu.values, tu.first, tu.second)
     )
 
     def along_v(partial, table):
-        return np.dot(partial, table).reshape(-1, 3, table.shape[1]).transpose(0, 2, 1)
+        grid = np.dot(partial, table).reshape(-1, c, table.shape[1]).transpose(0, 2, 1)
+        return grid.reshape(grid.shape[:2] + trail)
 
     return SurfaceJet(
         S=along_v(p0, tv.values),
@@ -204,11 +207,15 @@ def surface_jet(patch: Patch, us, vs) -> SurfaceJet:
     return _jet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
 
 
-def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
-    """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
-    jet = surface_jet(patch, rule.nodes, rule.nodes)
+def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
+    """(1/2) integral of |S_u|^2 + |S_v|^2 from a jet on the rule's tensor grid."""
     integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
     return float(rule.weights @ integrand @ rule.weights)
+
+
+def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
+    """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
+    return _quadrature_energy(surface_jet(patch, rule.nodes, rule.nodes), rule)
 
 
 def area(patch: Patch, rule: QuadratureRule) -> float:

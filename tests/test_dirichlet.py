@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from gtplateau.coons import _coefficient_map, _pair_tables
+from gtplateau.coons import _coefficient_map, _pair_tables, _tb_form, _tb_system
 from gtplateau.dirichlet import (
     GramMatrices,
     _forms,
+    _free_split,
     assemble_coefficients,
     assemble_system,
     assemble_system_generic,
@@ -25,6 +26,7 @@ from gtplateau.patch import (
     ControlNet,
     Patch,
     SurfaceShape,
+    _jet,
     area,
     dirichlet_energy,
     tessellate,
@@ -32,6 +34,7 @@ from gtplateau.patch import (
 from mesh_reference import mesh_area
 
 CUBIC = BasisSpec.bernstein(3)
+PROPERTY = settings(max_examples=25, deadline=None)
 
 
 def bernstein_mass(degree: int, k: int, i: int) -> float:
@@ -205,6 +208,76 @@ class TestAssembly:
                     assert np.abs(gram.rhs - generic.rhs).max() < 1e-9
                     assert np.abs(gram.matrix - gram.matrix.T).max() < 1e-10
                     np.linalg.cholesky(gram.matrix)
+
+
+def partly_known(net: ControlNet, share: float, seed: int) -> ControlNet:
+    """The net with about ``share`` of its unknown interior points made known; (1, 1) stays unknown."""
+    rng = np.random.default_rng(seed)
+    known = net.free & (rng.uniform(size=net.free.shape) < share)
+    known[1, 1] = False
+    points = np.where(known[..., None], rng.uniform(-3.0, 5.0, net.points.shape), net.points)
+    return ControlNet(points=points, fixed=net.fixed | known)
+
+
+def same_system(got, want) -> None:
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestJetBuilder:
+    """``gradient_normal_system`` integrates either patch's jet; each route must
+    give the normal equations of its production form."""
+
+    @PROPERTY
+    @given(
+        degrees=st.tuples(st.integers(2, 8), st.integers(2, 8)),
+        gt=st.tuples(st.booleans(), st.booleans()),
+        thetas=st.lists(st.floats(THETA_MIN, THETA_MAX), min_size=4, max_size=4),
+        share=st.floats(0.0, 0.8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tensor_route_is_the_split_form(self, degrees, gt, thetas, share, seed, rule16, boundary_net_factory):
+        net = partly_known(boundary_net_factory(seed, shape=(degrees[0] + 1, degrees[1] + 1)), share, seed)
+        bases = [
+            BasisSpec.gt(d, *pair) if is_gt else BasisSpec.bernstein(d)
+            for d, is_gt, pair in zip(degrees, gt, (thetas[:2], thetas[2:]))
+        ]
+        form = _forms(*(basis_tables(b, rule16.nodes) for b in bases), rule16)[0]
+        generic = assemble_system_generic(net, *bases, rule16)
+        same_system((generic.matrix, generic.rhs), _free_split(form, net))
+
+    @PROPERTY
+    @given(
+        degrees=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        thetas=st.lists(st.floats(THETA_MIN, THETA_MAX), min_size=4, max_size=4),
+        share=st.floats(0.0, 0.8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hybrid_route_is_the_split_form(self, degrees, thetas, share, seed, rule16, boundary_net_factory):
+        net = partly_known(boundary_net_factory(seed, shape=(degrees[0] + 1, degrees[1] + 1)), share, seed)
+        shape = SurfaceShape(*thetas)
+        reference = _tb_system(net, shape, rule16)
+        same_system((reference.matrix, reference.rhs), _free_split(_tb_form(net, shape, rule16), net))
+
+    @PROPERTY
+    @given(
+        degrees=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        coordinates=st.sampled_from([1, 2, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jet_of_a_stack_is_the_jets_of_its_coordinates(self, degrees, coordinates, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-3.0, 5.0, (degrees[0] + 1, degrees[1] + 1, coordinates))
+        us, vs = rng.uniform(size=7), rng.uniform(size=5)
+        tu, tv = (basis_tables(BasisSpec.bernstein(d), ts) for d, ts in zip(degrees, (us, vs)))
+        jet = _jet(tu, tv, points)
+        for c in range(coordinates):
+            single = _jet(tu, tv, points[..., c])
+            for name in ("S", "Su", "Sv", "Suu", "Suv", "Svv"):
+                got, want = getattr(jet, name), getattr(single, name)
+                assert got.shape == want.shape[:2] + (coordinates,)
+                np.testing.assert_allclose(got[..., c], want, rtol=0.0, atol=1e-12 * (1 + np.abs(want).max()))
 
 
 class TestSolveInterior:
