@@ -123,13 +123,8 @@ def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
     (m + 1, n + 1, ...): the tensor patch's ``_jet`` of its coefficient grid C = L P."""
     m, n = net.degree_u, net.degree_v
     tables = list(map(_pair_tables, shape.basis_specs(m, n), (us, vs)))
-    net_map = _coefficient_map(m, n)
-
-    def jet_at(points):
-        c = net_map @ points.reshape(net_map.shape[1], -1)
-        return _jet(*tables, c.reshape((2 * m + 4, 2 * n + 4) + points.shape[2:]))
-
-    return jet_at
+    grid_map = _coefficient_map(m, n).reshape(2 * m + 4, 2 * n + 4, m + 1, n + 1)
+    return lambda points: _jet(*tables, np.tensordot(grid_map, points, 2))
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
@@ -138,10 +133,10 @@ def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
-    """(1/2) integral of |S_u|^2 + |S_v|^2: the tensor patch's quadrature energy of the jet."""
+    """(1/2) integral of |S_u|^2 + |S_v|^2: the tensor patch's quadrature energy of
+    the jet of the net centred at its mean (S ignores constants; a far offset keeps its digits)."""
     p = _known_points(net)
-    p = p - p.mean(axis=(0, 1))  # S ignores constants: centring saves a far offset's digits
-    return _quadrature_energy(_tb_jet_at(net, shape, rule.nodes, rule.nodes)(p), rule)
+    return _quadrature_energy(_tb_jet_at(net, shape, rule.nodes, rule.nodes)(p - p.mean(axis=(0, 1))), rule)
 
 
 def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:

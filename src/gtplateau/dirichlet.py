@@ -28,13 +28,12 @@ swarm's fitness ``reduced_functional_family`` hands it the 36, and its
 Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
 keeps them, read-only, for the process (so does the hybrid's family), keyed
 by the rule object: rules are immutable, and there is one per Gauss order.
-The independent reference reads the surface's own jet instead of any form:
-``gradient_normal_system`` integrates the normal equations of any surface
-linear in its net from the jets of unit nets, one per unknown. The "generic"
-route (``assemble_system_generic``) is that builder on the tensor patch's jet,
-with its own solve, quadrature energy and pivot ratio; the hybrid's
-``_tb_system`` is the same builder on its jet. Every solve refuses a rule too
-coarse for the bases (``check_rule``, shared with harmonic).
+The independent reference reads the surface's jet, not a form:
+``gradient_normal_system`` integrates the normal equations of any surface linear
+in its net from the jets of unit nets. The "generic" route (with its own solve,
+quadrature energy and pivot ratio) is it on the tensor patch's jet, and the
+hybrid's ``_tb_system`` on its own. Every solve refuses a rule too coarse for
+the bases (``check_rule``, shared with harmonic).
 """
 
 from __future__ import annotations
@@ -254,8 +253,7 @@ def gradient_normal_system(jet_at, net: ControlNet, rule: QuadratureRule) -> Den
     ``jet_at`` maps an (m+1, n+1, ...) net to its ``SurfaceJet`` on the rule's
     tensor grid. phi_q is the jet of the scalar net that is 1 at unknown q and 0
     elsewhere, all unknowns (row-major) in one (m+1, n+1, N) stack; the known
-    part enters through the jet of the net with its unknowns at 0. The generic
-    tensor route and the hybrid's reference route are this on their own jets.
+    part enters through the jet of the net with its unknowns at 0.
     """
     free = net.free
     units = np.eye(free.size)[:, free.ravel()].reshape(free.shape + (-1,))
@@ -273,10 +271,8 @@ def gradient_normal_system(jet_at, net: ControlNet, rule: QuadratureRule) -> Den
 def assemble_system_generic(
     net: ControlNet, basis_u: BasisSpec, basis_v: BasisSpec, rule: QuadratureRule
 ) -> DenseSystem:
-    """Normal equations from first principles: ``gradient_normal_system`` on the
-    tensor patch's jet, whose phi for unknown P_ab is G_a(u) G_b(v). Independent
-    of assemble_system (no shared integrals), used as its oracle.
-    """
+    """Normal equations from first principles, ``gradient_normal_system`` on the tensor
+    patch's jet: independent of assemble_system (no shared integrals), used as its oracle."""
     _require_plateau(net)
     tables = (basis_tables(basis, rule.nodes) for basis in (basis_u, basis_v))
     return gradient_normal_system(functools.partial(_jet, *tables), net, rule)
