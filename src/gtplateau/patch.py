@@ -5,11 +5,14 @@ families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
 ``surface_jet``, evaluates the surface with its first and second partials on
 a tensor grid from the ``basis_tables`` of each direction, which also check
 the parameters; the Dirichlet energy, surface area, mean-curvature grids and
-uniform tessellation all read from it, and so does the hybrid patch of
-``coons`` through ``_jet``. The CLI writes a surface's mesh and curvature
-grid from one jet (``triangulate_grid`` and ``fundamental_forms``); the
-Laplacian defect lives in ``harmonic``. Area and the curvature forms work on
-values scaled by a power of two, so neither depends on the net's units.
+uniform tessellation all read from it. Its core ``_jet`` takes any trailing
+coordinates, so the hybrid of ``coons`` and the normal equations of
+``dirichlet``, over a stack of unit nets, read it too. The CLI writes a
+surface's mesh and curvature grid from one jet (``triangulate_grid`` and
+``fundamental_forms``); the Laplacian defect lives in ``harmonic``. Area and
+the curvature forms work on values scaled by a power of two, so neither
+depends on the net's units; area and energy take the jet of the net centred
+at its mean, so a translation costs them no digits.
 """
 
 from __future__ import annotations
@@ -213,16 +216,24 @@ def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
     return float(rule.weights @ integrand @ rule.weights)
 
 
+def _centred_jet(patch: Patch, rule: QuadratureRule) -> SurfaceJet:
+    """The jet on the rule's tensor grid of the net centred at its mean: S_u and
+    S_v ignore translation, and centring saves a far offset's digits."""
+    points = patch.net.points
+    tu, tv = (basis_tables(basis, rule.nodes) for basis in (patch.basis_u, patch.basis_v))
+    return _jet(tu, tv, points - points.mean(axis=(0, 1)))
+
+
 def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
-    return _quadrature_energy(surface_jet(patch, rule.nodes, rule.nodes), rule)
+    return _quadrature_energy(_centred_jet(patch, rule), rule)
 
 
 def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square. The norm squares the cross
     product scaled by a power of two (exactly), so it overflows only where the
     cross product does."""
-    jet = surface_jet(patch, rule.nodes, rule.nodes)
+    jet = _centred_jet(patch, rule)
     cross = np.cross(jet.Su, jet.Sv)
     _, exponent = np.frexp(np.abs(cross).max())
     integrand = np.linalg.norm(np.ldexp(cross, -exponent), axis=-1)
