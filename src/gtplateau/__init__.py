@@ -9,16 +9,12 @@ Coons-style construction with Bernstein boundaries round out the toolkit.
 
 from .basis import BasisSpec, basis_tables
 from .coons import (
-    CurveSpec,
     optimize_tb,
     solve_tb_interior,
     tb_dirichlet_energy,
     tb_surface_jet,
 )
 from .dirichlet import (
-    assemble_coefficients,
-    assemble_system,
-    assemble_system_generic,
     reduced_functional,
     solve_interior,
 )
@@ -37,7 +33,6 @@ from .patch import (
     SurfaceShape,
     area,
     dirichlet_energy,
-    mean_curvature_grid,
     surface_jet,
     tessellate,
 )
@@ -49,7 +44,6 @@ __all__ = [
     "BasisSpec",
     "ConfigurationError",
     "ControlNet",
-    "CurveSpec",
     "GtPlateauError",
     "NetFormatError",
     "Patch",
@@ -60,15 +54,11 @@ __all__ = [
     "SolverError",
     "SurfaceShape",
     "area",
-    "assemble_coefficients",
-    "assemble_system",
-    "assemble_system_generic",
     "basis_tables",
     "dirichlet_energy",
     "gauss_legendre_rule",
     "harmonic_reconstruct",
     "load_net",
-    "mean_curvature_grid",
     "optimize",
     "optimize_tb",
     "reduced_functional",

@@ -18,7 +18,7 @@ those three blocks:
   and C[u, Gv_j] = -P_mj;
 * T's corners: C[lin_a, lin_b] = +corner_ab, the point at (u, v) = (a, b).
 
-Jets contract the tables with C by the tensor patch's ``_jet``. With
+Jets contract the tables with C by the tensor patch's ``SurfaceJet``. With
 Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
 P_c^T F P_c for the (m + 1)(n + 1)-point form F = L^T Q L, which the tensor
 patch's form builder ``_forms`` gives with L as its net map, and
@@ -43,7 +43,7 @@ from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
 from .errors import ConfigurationError
 from .numerics import DenseSystem, QuadratureRule, freeze_arrays
-from .patch import ControlNet, SurfaceJet, SurfaceShape, _jet, _quadrature_energy
+from .patch import ControlNet, SurfaceJet, SurfaceShape, _quadrature_energy
 from .pso import PsoConfig
 
 
@@ -120,11 +120,11 @@ def _known_points(net: ControlNet) -> np.ndarray:
 
 def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
     """The hybrid's jet on us x vs as a function of a net of ``net``'s degrees,
-    (m + 1, n + 1, ...): the tensor patch's ``_jet`` of its coefficient grid C = L P."""
+    (m + 1, n + 1, ...): the tensor patch's ``SurfaceJet`` of its coefficient grid C = L P."""
     m, n = net.degree_u, net.degree_v
     tables = list(map(_pair_tables, shape.basis_specs(m, n), (us, vs)))
     grid_map = _coefficient_map(m, n).reshape(2 * m + 4, 2 * n + 4, m + 1, n + 1)
-    return lambda points: _jet(*tables, np.tensordot(grid_map, points, 2))
+    return lambda points: SurfaceJet(*tables, np.tensordot(grid_map, points, 2))
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:

@@ -46,7 +46,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, _check_symmetric, pivot_ratio, solve_dense, solve_spd_stack
-from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, _jet, dirichlet_energy
+from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceJet, SurfaceShape, dirichlet_energy
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -275,7 +275,7 @@ def assemble_system_generic(
     patch's jet: independent of assemble_system (no shared integrals), used as its oracle."""
     _require_plateau(net)
     tables = (basis_tables(basis, rule.nodes) for basis in (basis_u, basis_v))
-    return gradient_normal_system(functools.partial(_jet, *tables), net, rule)
+    return gradient_normal_system(functools.partial(SurfaceJet, *tables), net, rule)
 
 
 @dataclass

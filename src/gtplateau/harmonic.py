@@ -7,7 +7,9 @@ Monterde and Ugail, "On harmonic and biharmonic Bezier surfaces", CAGD 21,
 degree at most 2m in u and 2n in v, so sampling it at the nodes of a
 (max(m, n) + 1)-point Gauss rule, each sample weighted by the root of its
 quadrature weight, turns the integral into an exact sum of squares. The
-unknowns are the least-squares solution of that sampled system. When the data
+samples are the patch's ``SurfaceJet`` over root-weighted tables, read only
+for S_uu and S_vv. The unknowns are the least-squares solution of that
+sampled system. When the data
 admit an exactly harmonic completion this recovers it; otherwise it is the
 completion of least defect. The certificate is the sum of squares of the
 same samples, and the GT tuner is a 9 x 9 Gram form of them (``defect_family``).
@@ -22,7 +24,7 @@ from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
 from .dirichlet import _lift_shapes, check_rule, describe_bases
 from .errors import ConfigurationError, SolverError
 from .numerics import QuadratureRule, gauss_legendre_rule
-from .patch import ControlNet
+from .patch import ControlNet, SurfaceJet
 
 #: Certificate threshold scale: defect < 1e-8 * e^2 (``defect_certificate_bound``).
 CERTIFICATE_FACTOR = 1e-8
@@ -37,17 +39,18 @@ def defect_certificate_bound(net: ControlNet) -> float:
 
 def _laplacian_samples(tu: BasisEvaluation, tv: BasisEvaluation, points, rule: QuadratureRule):
     """Root-weighted Laplacian samples ``sqrt(w_a w_b) (S_uu + S_vv)`` (Q, Q, c) of the
-    complete net ``points`` (m+1, n+1, c) at the rule's node pairs (a, b). Tables may
-    carry leading part axes, (p, m+1, Q) and (q, n+1, Q), giving (p, q, Q, Q, c)."""
+    complete net ``points`` (m+1, n+1, c) at the rule's node pairs (a, b): the jet
+    over root-weighted tables. Part tables (p, m+1, Q) and (q, n+1, Q) sit side by
+    side along the node axis, part by part, giving (pQ, qQ, c)."""
     root = np.sqrt(rule.weights)
 
-    def term(u_table, v_table):  # (parts u..., a, c, parts v..., b)
-        along_u = np.tensordot(u_table * root, points, axes=(-2, 0))
-        return np.tensordot(along_u, v_table * root, axes=(-2, -2))
+    def rooted(table):  # (parts..., d+1, Q) -> (d+1, parts x Q)
+        parts = (table * root).reshape((-1,) + table.shape[-2:])
+        return parts.swapaxes(0, 1).reshape(parts.shape[1], -1)
 
-    lap = term(tu.second, tv.values) + term(tu.values, tv.second)
-    lead = tu.values.ndim - 2
-    return np.moveaxis(lap, (lead, lead + 1), (-3, -1))
+    tables = (BasisEvaluation(rooted(t.values), None, rooted(t.second)) for t in (tu, tv))  # S_uu, S_vv read no first
+    jet = SurfaceJet(*tables, points)
+    return jet.Suu + jet.Svv
 
 
 def harmonic_reconstruct(net: ControlNet) -> ControlNet:
@@ -115,7 +118,8 @@ def defect_family(net: ControlNet, rule: QuadratureRule):
     check_rule(net, rule, f"gt(degree={net.degree_u}) x gt(degree={net.degree_v})")
     tu, tv = (gt_affine_tables(degree, rule.nodes) for degree in (net.degree_u, net.degree_v))
     centred = net.points - net.points.mean(axis=(0, 1))
-    grids = _laplacian_samples(tu, tv, centred, rule).reshape(9, -1)
+    samples = _laplacian_samples(tu, tv, centred, rule).reshape(3, rule.order, 3, rule.order, 3)
+    grids = samples.transpose(0, 2, 1, 3, 4).reshape(9, -1)  # (part u, part v, a, b, c)
     gram = grids @ grids.T
 
     def defects(alphas) -> np.ndarray:

@@ -14,7 +14,6 @@ import datetime
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -24,12 +23,13 @@ from .patch import ControlNet, FundamentalForms
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text via a temp file in the target directory, then rename."""
+    """Write text via a new temp file in the target directory, then rename. The
+    file gets mode 0o666 & ~umask, as ``open(path, "w")`` gives a new file."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gtplateau-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f".gtplateau-{os.urandom(8).hex()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="\n")  # exclusive: never another's file
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -2,14 +2,16 @@
 
 A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
 families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
-``surface_jet``, evaluates the surface with its first and second partials on
-a tensor grid from the ``basis_tables`` of each direction, which also check
-the parameters; the Dirichlet energy, surface area, mean-curvature grids and
-uniform tessellation all read from it. Its core ``_jet`` takes any trailing
-coordinates, so the hybrid of ``coons`` and the normal equations of
-``dirichlet``, over a stack of unit nets, read it too. The CLI writes a
-surface's mesh and curvature grid from one jet (``triangulate_grid`` and
-``fundamental_forms``); the Laplacian defect lives in ``harmonic``. Area and
+``SurfaceJet``, is the only code that contracts basis tables with a net: it
+gives the surface with its first and second partials on a tensor grid, and
+computes only what is read, each grid when first read. ``surface_jet`` builds
+it from the ``basis_tables`` of each direction, which also check the
+parameters; the Dirichlet energy, surface area, mean-curvature grids and
+uniform tessellation all read from it. It takes any trailing coordinates, so
+the hybrid of ``coons``, the normal equations of ``dirichlet`` over a stack of
+unit nets, and the Laplacian samples of ``harmonic`` (over root-weighted
+tables) are jets too. The CLI writes a surface's mesh and curvature grid from
+one jet (``triangulate_grid`` and ``fundamental_forms``). Area and
 the curvature forms work on values scaled by a power of two, so neither
 depends on the net's units; area and energy take the jet of the net centred
 at its mean, so a translation costs them no digits.
@@ -17,6 +19,7 @@ at its mean, so a translation costs them no digits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,48 +169,48 @@ class Patch:
         return cls(basis_u=bu, basis_v=bv, net=net)
 
 
-@dataclass(frozen=True)
+def _grid(u: str, v: str):
+    """A jet field: the net contracted with u table ``u`` and v table ``v`` when first read."""
+    return functools.cached_property(lambda jet: jet._contract(u, v))
+
+
 class SurfaceJet:
-    """Value and derivative grids of a surface on a tensor parameter grid."""
+    """Value and derivative grids (U, V, ...) of the surface of ``points``
+    (m+1, n+1, ...) over u tables (m+1, U) and v tables (n+1, V), for any
+    trailing coordinates (a stack of nets is one more).
 
-    S: np.ndarray
-    Su: np.ndarray
-    Sv: np.ndarray
-    Suu: np.ndarray
-    Suv: np.ndarray
-    Svv: np.ndarray
+    Each grid is contracted the first time it is read, and each u table at most
+    once, to rows (u node, coordinate): ``np.tensordot``'s products without its
+    call overhead. A grid reads only its own two tables. The jet keeps a copy of
+    ``points``, so a later change to the net does not reach it.
+    """
 
+    def __init__(self, tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray):
+        self._tu, self._tv, self._cols, self._trail = tu, tv, points.shape[1], points.shape[2:]
+        self._flat = np.array(points).reshape(points.shape[0], -1)
+        self._along_u = {}
 
-def _jet(tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray) -> SurfaceJet:
-    """(U, V, ...) grids of the surface of ``points`` (m+1, n+1, ...) over u tables
-    (m+1, U) and v tables (n+1, V), for any trailing coordinates (a stack of nets
-    is one more): ``np.tensordot``'s products without its call overhead, each u
-    table contracted once to rows (u node, coordinate)."""
-    cols, trail = points.shape[1], points.shape[2:]
-    flat = points.reshape(points.shape[0], -1)
-    c = flat.shape[1] // cols
-    p0, p1, p2 = (
-        np.dot(t.T, flat).reshape(-1, cols, c).transpose(0, 2, 1).reshape(-1, cols)
-        for t in (tu.values, tu.first, tu.second)
-    )
+    def _contract(self, u: str, v: str) -> np.ndarray:
+        cols = self._cols
+        c = self._flat.shape[1] // cols
+        if u not in self._along_u:
+            product = np.dot(getattr(self._tu, u).T, self._flat)
+            self._along_u[u] = product.reshape(-1, cols, c).transpose(0, 2, 1).reshape(-1, cols)
+        table = getattr(self._tv, v)
+        grid = np.dot(self._along_u[u], table).reshape(-1, c, table.shape[1]).transpose(0, 2, 1)
+        return grid.reshape(grid.shape[:2] + self._trail)
 
-    def along_v(partial, table):
-        grid = np.dot(partial, table).reshape(-1, c, table.shape[1]).transpose(0, 2, 1)
-        return grid.reshape(grid.shape[:2] + trail)
-
-    return SurfaceJet(
-        S=along_v(p0, tv.values),
-        Su=along_v(p1, tv.values),
-        Sv=along_v(p0, tv.first),
-        Suu=along_v(p2, tv.values),
-        Suv=along_v(p1, tv.first),
-        Svv=along_v(p0, tv.second),
-    )
+    S = _grid("values", "values")
+    Su = _grid("first", "values")
+    Sv = _grid("values", "first")
+    Suu = _grid("second", "values")
+    Suv = _grid("first", "first")
+    Svv = _grid("values", "second")
 
 
 def surface_jet(patch: Patch, us, vs) -> SurfaceJet:
     """Value, first and second partials of the patch on the grid us x vs."""
-    return _jet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
+    return SurfaceJet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
 
 
 def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
@@ -221,7 +224,7 @@ def _centred_jet(patch: Patch, rule: QuadratureRule) -> SurfaceJet:
     S_v ignore translation, and centring saves a far offset's digits."""
     points = patch.net.points
     tu, tv = (basis_tables(basis, rule.nodes) for basis in (patch.basis_u, patch.basis_v))
-    return _jet(tu, tv, points - points.mean(axis=(0, 1)))
+    return SurfaceJet(tu, tv, points - points.mean(axis=(0, 1)))
 
 
 def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:

@@ -19,6 +19,13 @@ the one digested, so two checkouts compare with one ``diff``:
     PYTHONPATH=a/src python tests/artifact_digest.py /tmp/a > a.txt
     PYTHONPATH=b/src python tests/artifact_digest.py /tmp/b > b.txt
     diff a.txt b.txt
+
+``check`` says what is wrong with a digest, and
+
+    python tests/artifact_digest.py --check a.txt
+
+exits 1 unless every run of ``COMMANDS`` is in it, each exited 0, and the
+thread counts gave the same lines and nothing else.
 """
 
 from __future__ import annotations
@@ -130,9 +137,34 @@ def digest(out, labels=tuple(COMMANDS)) -> list[str]:
     return lines
 
 
+def check(lines, required_labels) -> list[str]:
+    """What is wrong with the digest ``lines``: an empty digest, a nonzero exit,
+    lines of no thread count in ``THREADS``, thread counts whose lines differ,
+    or a required label with no run. Empty when there is nothing."""
+    zero = hashlib.sha256(b"0").hexdigest()
+    problems = [f"nonzero exit: {line}" for line in lines if line.endswith("/:exit") and not line.startswith(zero)]
+    passes = [[line.replace(f"  threads-{t}/", "  ") for line in lines if f"  threads-{t}/" in line] for t in THREADS]
+    if not lines:
+        problems.append("the digest is empty")
+    if sum(map(len, passes)) != len(lines):
+        problems.append("some lines belong to no thread count")
+    if any(other != passes[0] for other in passes):
+        problems.append(f"the thread counts {THREADS} give different lines")
+    ran = {line.split("  ", 1)[1] for line in passes[0]}
+    problems += [f"no run of {label}" for label in required_labels if f"{label}/:exit" not in ran]
+    return problems
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 3 and sys.argv[1] == "--check":
+        lines = pathlib.Path(sys.argv[2]).read_text().splitlines()
+        problems = check(lines, COMMANDS)
+        if problems:
+            sys.exit("digest check failed:\n" + "\n".join(problems))
+        print(f"{len(lines)} digest lines; every command exited 0; the thread counts {THREADS} agree")
+        sys.exit(0)
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
+        sys.exit(f"usage: {sys.argv[0]} OUT | --check FILE")
     import gtplateau
 
     print(f"digesting {gtplateau.__file__}", file=sys.stderr)

@@ -64,6 +64,20 @@ class TestSolve:
         assert "route=gram" in capsys.readouterr().out
         assert load_net(out / "net.json").is_complete
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_artifacts_get_the_umask_mode(self, tmp_path, umask):
+        """Each artifact gets the mode ``open(path, "w")`` gives a new file, 0o666 & ~umask."""
+        out = tmp_path / "run"
+        saved = os.umask(umask)
+        try:
+            assert main(["solve", WAVE, "--tess", "4", "--out", str(out)]) == 0
+            (tmp_path / "plain.txt").write_text("plain\n")
+        finally:
+            os.umask(saved)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+        assert sorted(modes) == ["curvature.csv", "net.json", "summary.json", "surface.obj"]
+        assert set(modes.values()) == {0o666 & ~umask} == {(tmp_path / "plain.txt").stat().st_mode & 0o777}
+
     def test_reference_miss_writes_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(
@@ -803,13 +817,32 @@ class TestArtifactDigest:
         assert first == second
         assert built == [2, 2]  # the 2-thread coons swarm of each digest ran in its pool
         assert pso.POOL_MIN_SWARM_S == gate  # and the forced gate did not leak
-        one, two = (
-            [line.replace(f"  threads-{t}/", "  ") for line in first if f"  threads-{t}/" in line]
-            for t in artifact_digest.THREADS
-        )
-        assert one == two and len(one) + len(two) == len(first)
-        names = [line.split("  ")[1] for line in one]
+        assert artifact_digest.check(first, labels) == []
+        names = [line.split("  threads-1/")[1] for line in first if "  threads-1/" in line]
         solve = [f"solve-gt/wave_boundary/{name}" for name in ("curvature.csv", "net.json", "summary.json")]
         assert names[:3] == solve and len(names) == 17 and "coons/wave_boundary/r1.obj" in names
-        exits = {line.split()[0] for line in first if line.endswith("/:exit")}
-        assert exits == {hashlib.sha256(b"0").hexdigest()}
+
+    @pytest.mark.parametrize("doctored", [None, "one hash", "no saddle run"])
+    def test_check_entry_refuses_a_doctored_digest(self, tmp_path, doctored):
+        """``--check`` on a sound digest of every command, then with one 2-thread
+        file hash changed, then with the (5, 4) saddle run left out."""
+        zero = hashlib.sha256(b"0").hexdigest()
+        lines = [
+            f"{digest}  threads-{t}/{label}/{name}"
+            for t in artifact_digest.THREADS
+            for label in artifact_digest.COMMANDS
+            for name, digest in (("out.txt", hashlib.sha256(label.encode()).hexdigest()), (":exit", zero))
+        ]
+        if doctored == "one hash":
+            lines[-2] = "f" * 64 + lines[-2][64:]
+        elif doctored == "no saddle run":
+            lines = [line for line in lines if "/coons/saddle_boundary/" not in line]
+        (tmp_path / "digest.txt").write_text("\n".join(lines) + "\n")
+        argv = [sys.executable, artifact_digest.__file__, "--check", str(tmp_path / "digest.txt")]
+        run = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+        problem = {
+            None: "thread counts (1, 2) agree",
+            "one hash": "the thread counts (1, 2) give different lines",
+            "no saddle run": "no run of coons/saddle_boundary",
+        }[doctored]
+        assert (run.returncode, problem in run.stdout + run.stderr) == (int(doctored is not None), True)

@@ -25,8 +25,8 @@ from gtplateau.numerics import finite_diff_gradient, gauss_legendre_rule, pivot_
 from gtplateau.patch import (
     ControlNet,
     Patch,
+    SurfaceJet,
     SurfaceShape,
-    _jet,
     area,
     dirichlet_energy,
     tessellate,
@@ -271,9 +271,9 @@ class TestJetBuilder:
         points = rng.uniform(-3.0, 5.0, (degrees[0] + 1, degrees[1] + 1, coordinates))
         us, vs = rng.uniform(size=7), rng.uniform(size=5)
         tu, tv = (basis_tables(BasisSpec.bernstein(d), ts) for d, ts in zip(degrees, (us, vs)))
-        jet = _jet(tu, tv, points)
+        jet = SurfaceJet(tu, tv, points)
         for c in range(coordinates):
-            single = _jet(tu, tv, points[..., c])
+            single = SurfaceJet(tu, tv, points[..., c])
             for name in ("S", "Su", "Sv", "Suu", "Suv", "Svv"):
                 got, want = getattr(jet, name), getattr(single, name)
                 assert got.shape == want.shape[:2] + (coordinates,)

@@ -1,6 +1,8 @@
 """Tensor-product patches: evaluation, partials, functionals, curvature, meshes."""
 
-from dataclasses import FrozenInstanceError, fields
+import collections
+import types
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
 from gtplateau.coons import tb_dirichlet_energy, tb_surface_jet
 from gtplateau.dirichlet import solve_interior
 from gtplateau.errors import ConfigurationError
@@ -33,6 +35,8 @@ from mesh_reference import mesh_area
 
 INNER = np.linspace(0.1, 0.9, 5)
 PROPERTY = settings(max_examples=25, deadline=None)
+#: The six grids of a ``SurfaceJet``.
+JET_FIELDS = ("S", "Su", "Sv", "Suu", "Suv", "Svv")
 
 
 def flat_chart(degree_u: int = 3, degree_v: int = 3) -> Patch:
@@ -45,10 +49,10 @@ def flat_chart(degree_u: int = 3, degree_v: int = 3) -> Patch:
     return Patch.bernstein(ControlNet(points=points))
 
 
-def at(patch: Patch, u: float, v: float) -> SurfaceJet:
+def at(patch: Patch, u: float, v: float) -> types.SimpleNamespace:
     """The jet at one parameter pair: every field a 3-vector."""
     jet = surface_jet(patch, [u], [v])
-    return SurfaceJet(**{f.name: getattr(jet, f.name)[0, 0] for f in fields(jet)})
+    return types.SimpleNamespace(**{name: getattr(jet, name)[0, 0] for name in JET_FIELDS})
 
 
 def random_net(seed: int, rows: int = 4, cols: int = 4) -> ControlNet:
@@ -255,8 +259,8 @@ class TestEvaluation:
 
     def test_grid_shape(self):
         jet = surface_jet(flat_chart(), np.linspace(0, 1, 5), np.linspace(0, 1, 7))
-        for field in fields(jet):
-            assert getattr(jet, field.name).shape == (5, 7, 3)
+        for name in JET_FIELDS:
+            assert getattr(jet, name).shape == (5, 7, 3)
 
     def test_boundary_curves_match_univariate_form(self):
         patch = random_gt_patch(5)
@@ -353,6 +357,80 @@ class TestSecondPartials:
                 fd_vv = (up.Sv - down.Sv) / (2 * h)
                 for fd, exact in ((fd_uu, jet.Suu), (fd_uv, jet.Suv), (fd_vv, jet.Svv)):
                     assert np.abs(fd - exact).max() / (1 + np.abs(exact).max()) < 1e-5
+
+
+class ReadCounter:
+    """Basis tables that count each read of their values, first and second
+    tables; with ``second=False`` reading second fails."""
+
+    def __init__(self, tables, second=True):
+        self._tables, self._second, self.reads = tables, second, collections.Counter()
+
+    def __getattr__(self, name):
+        assert name != "second" or self._second, "a second-derivative table was read"
+        self.reads[name] += 1
+        return getattr(self._tables, name)
+
+
+def jet_case(data):
+    """(u tables, v tables, points) of a random Bernstein or GT patch at random
+    parameters, with a random stack of trailing coordinates."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    degrees = data.draw(st.tuples(st.integers(2, 9), st.integers(2, 9)))
+    trail = data.draw(st.sampled_from([(), (3,), (2, 3), (7,)]))
+    tables = []
+    for degree in degrees:
+        ts = rng.uniform(size=data.draw(st.integers(1, 12)))
+        gt = data.draw(st.booleans())
+        spec = BasisSpec.gt(degree, *rng.uniform(THETA_MIN, THETA_MAX, 2)) if gt else BasisSpec.bernstein(degree)
+        tables.append(basis_tables(spec, ts))
+    return (*tables, rng.uniform(-3.0, 5.0, (degrees[0] + 1, degrees[1] + 1) + trail))
+
+
+def same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestSurfaceJet:
+    @PROPERTY
+    @given(data=st.data())
+    def test_any_reads_in_any_order_equal_the_full_read(self, data):
+        tu, tv, points = jet_case(data)
+        full = SurfaceJet(tu, tv, points)
+        want = {name: getattr(full, name) for name in JET_FIELDS}
+        order = data.draw(st.permutations(JET_FIELDS))
+        jet = SurfaceJet(tu, tv, points)
+        for name in order[: data.draw(st.integers(1, len(JET_FIELDS)))]:
+            same_bits(getattr(jet, name), want[name])
+            assert want[name].shape == (tu.values.shape[1], tv.values.shape[1]) + points.shape[2:]
+
+    def test_first_partials_read_no_second_table(self):
+        patch = random_gt_patch(3, rows=5, cols=4)
+        us, vs = np.linspace(0.0, 1.0, 9), np.linspace(0.0, 1.0, 6)
+        full = surface_jet(patch, us, vs)
+        tu, tv = (
+            ReadCounter(basis_tables(b, ts), second=False) for b, ts in ((patch.basis_u, us), (patch.basis_v, vs))
+        )
+        jet = SurfaceJet(tu, tv, patch.net.points)
+        same_bits(jet.Su, full.Su)
+        same_bits(jet.Sv, full.Sv)
+        assert tu.reads == {"values": 1, "first": 1} and tv.reads == {"values": 1, "first": 1}
+
+    def test_each_table_is_contracted_once_per_use(self):
+        patch = random_gt_patch(4)
+        tu, tv = (ReadCounter(basis_tables(b, INNER)) for b in (patch.basis_u, patch.basis_v))
+        jet = SurfaceJet(tu, tv, patch.net.points)
+        first = [getattr(jet, name) for name in JET_FIELDS]
+        assert all(getattr(jet, name) is grid for name, grid in zip(JET_FIELDS, first))  # read once, kept
+        assert tu.reads == {"values": 1, "first": 1, "second": 1}
+        assert tv.reads == {"values": 3, "first": 2, "second": 1}
+
+    def test_a_later_change_to_the_net_does_not_reach_it(self):
+        patch = random_gt_patch(5)
+        want = surface_jet(patch, INNER, INNER).S
+        jet = surface_jet(patch, INNER, INNER)
+        patch.net.points[...] += 1.0
+        same_bits(jet.S, want)
 
 
 class TestFunctionals:
