@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from .coons import optimize_tb, tb_surface_jet
+from .coons import component_grids, optimize_tb, tb_surface_jet
 from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
 from .errors import ConfigurationError, NetFormatError, SolverError
 from .harmonic import (
@@ -30,6 +30,7 @@ from .harmonic import (
     harmonic_reconstruct,
 )
 from .io import (
+    _face_block,
     atomic_write_text,
     format_table,
     load_net,
@@ -48,7 +49,6 @@ from .patch import (
     dirichlet_energy,
     fundamental_forms,
     surface_jet,
-    tessellate,
     triangulate_grid,
 )
 from .pso import MAX_THREADS, PsoConfig, optimize
@@ -248,15 +248,20 @@ def _summary_writer(args):
     return finish
 
 
-def _write_surface(out: str, net, jet_at, tess: int) -> None:
-    """net.json, and surface.obj and curvature.csv from jet_at(params, params)
-    on the (tess + 1)^2 parameter grid."""
+def _write_surface(out: str, net, jet_at, tess: int):
+    """net.json, and curvature.csv and surface.obj from jet_at(params, params)
+    on the (tess + 1)^2 parameter grid; returns the jet and the mesh's face block.
+    The mesh comes last, so its arrays and face block do not add to the
+    curvature grid's peak memory."""
     params = np.linspace(0.0, 1.0, tess + 1)
     jet = jet_at(params, params)
     save_net(net, os.path.join(out, "net.json"))
-    write_obj(os.path.join(out, "surface.obj"), *triangulate_grid(jet.S))
     forms = fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
     write_curvature_csv(os.path.join(out, "curvature.csv"), params, params, forms)
+    vertices, faces = triangulate_grid(jet.S)
+    block = _face_block(faces, len(vertices))
+    write_obj(os.path.join(out, "surface.obj"), vertices, block)
+    return jet, block
 
 
 def cmd_solve(args) -> int:
@@ -380,14 +385,12 @@ def cmd_coons(args) -> int:
 
     finish = _summary_writer(args)
     write_convergence_csv(os.path.join(args.out, "convergence.csv"), optimum.history)
-    _write_surface(args.out, optimum.net, functools.partial(tb_surface_jet, optimum.net, optimum.shape), args.tess)
+    jet_at = functools.partial(tb_surface_jet, optimum.net, optimum.shape)
+    jet, block = _write_surface(args.out, optimum.net, jet_at, args.tess)
 
-    # the two mixed-basis components, as inspectable meshes
-    m, n = net.degree_u, net.degree_v
-    gu, gv = optimum.shape.basis_specs(m, n)
-    for name, bu, bv in (("r1.obj", BasisSpec.bernstein(m), gv), ("r2.obj", gu, BasisSpec.bernstein(n))):
-        surface = Patch(basis_u=bu, basis_v=bv, net=optimum.net)
-        write_obj(os.path.join(args.out, name), *tessellate(surface, args.tess))
+    # the two mixed-basis components, as inspectable meshes on the surface's grid
+    for name, grid in zip(("r1.obj", "r2.obj"), component_grids(jet, optimum.net)):
+        write_obj(os.path.join(args.out, name), grid.reshape(-1, 3), block)
 
     return finish(
         {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args)},

@@ -28,7 +28,10 @@ jet instead: ``_tb_system`` is ``gradient_normal_system`` on it, and
 ``tb_dirichlet_energy`` is the tensor patch's quadrature energy of it. The GT
 rows of the tables carry the shape, affinely, so F is bi-quadratic in it: the
 swarm's fitness ``tb_reduced_functional_family`` is the engine on its 36
-blocks, and ``optimize_tb`` is that family's ``minimize``.
+blocks, and ``optimize_tb`` is that family's ``minimize``. The ``coons``
+command also writes R1 and R2 as meshes: ``component_grids`` contracts the
+net with the Bernstein and GT row blocks of the surface jet's own tables, so
+the three meshes come from one table evaluation.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -130,6 +133,22 @@ def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
     return _tb_jet_at(net, shape, us, vs)(_known_points(net))
+
+
+def component_grids(jet: SurfaceJet, net: ControlNet) -> tuple[np.ndarray, np.ndarray]:
+    """The value grids of R1 (Bernstein m x GT n) and R2 (GT m x Bernstein n) of
+    ``net`` on the grid of its hybrid ``jet``, from the Bernstein and GT row
+    blocks of the jet's own tables."""
+    m, n = net.degree_u, net.degree_v
+
+    def block(table, d, k):  # rows of block k: 0 Bernstein, 1 GT
+        rows = slice(k * (d + 1), (k + 1) * (d + 1))
+        return BasisEvaluation(table.values[rows], table.first[rows], table.second[rows])
+
+    p = _known_points(net)
+    r1 = SurfaceJet(block(jet.tu, m, 0), block(jet.tv, n, 1), p)
+    r2 = SurfaceJet(block(jet.tu, m, 1), block(jet.tv, n, 0), p)
+    return r1.S, r2.S
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:

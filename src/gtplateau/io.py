@@ -3,9 +3,12 @@
 Net files are JSON objects with a "points" array of rows (row index = u),
 each cell either a list of 3 finite numbers or null for an unknown point
 (JSON's NaN, Infinity and overflowing literals are refused), plus optional
-"degrees" and a "fixed" mask. Mesh and grid numbers are "%.17g" text, integers
-included, so identical runs produce identical bytes. Every writer goes through
-an atomic write-temp-then-rename so a crash never leaves a half-written artifact.
+"degrees" (two JSON integers) and a "fixed" mask. Mesh and grid numbers are
+"%.17g" text, integers included, so identical runs produce identical bytes.
+``write_obj`` is the only mesh writer; meshes on one grid share one face block
+(``_face_block``), formatted once and checked against their vertex count.
+Every writer goes through an atomic write-temp-then-rename so a crash never
+leaves a half-written artifact.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,10 +83,12 @@ def net_from_payload(payload, source: str = "<payload>") -> ControlNet:
     degrees = payload.get("degrees")
     if degrees is not None:
         expected = [points.shape[0] - 1, points.shape[1] - 1]
-        if not isinstance(degrees, list) or list(degrees) != expected:
+        # == alone would take true and 1.0 for 1
+        integers = isinstance(degrees, list) and all(type(d) is int for d in degrees)
+        if not integers or degrees != expected:
             raise NetFormatError(
                 f"{source}: declared degrees {degrees!r} do not match the "
-                f"{points.shape[0]}x{points.shape[1]} point grid"
+                f"{points.shape[0]}x{points.shape[1]} point grid, whose degrees are the integers {expected}"
             )
 
     fixed = payload.get("fixed")
@@ -332,15 +338,32 @@ def format_table(*tables, sep: str = ",", head: str = "") -> str:
     return b"".join(chunks).decode("ascii")
 
 
-def write_obj(path, vertices: np.ndarray, faces: np.ndarray) -> None:
-    """Wavefront OBJ: vertices in tessellation order, 1-based faces, no normals."""
-    vertices, faces = np.asarray(vertices, dtype=float), np.asarray(faces)
-    if faces.size and not 0 <= faces.min() <= faces.max() < len(vertices):
-        raise ConfigurationError(f"face indices must lie in [0, {len(vertices)}), got {faces.min()} to {faces.max()}")
+@dataclass(frozen=True)
+class _FaceBlock:
+    """The "f" lines of a face array, checked against ``vertex_count`` vertices."""
+
+    vertex_count: int
+    text: str
+
+
+def _face_block(faces: np.ndarray, vertex_count: int) -> _FaceBlock:
+    """Format the faces once, for every mesh of ``vertex_count`` vertices on one grid."""
+    faces = np.asarray(faces)
+    if faces.size and not 0 <= faces.min() <= faces.max() < vertex_count:
+        raise ConfigurationError(f"face indices must lie in [0, {vertex_count}), got {faces.min()} to {faces.max()}")
     # faces are written as the vertex numbers 1..V, each formatted once
-    numbers = _cells(np.arange(1, len(vertices) + 1))
-    text = format_table(vertices, sep=" ", head="v ")
-    atomic_write_text(path, text + format_table((numbers, faces), sep=" ", head="f "))
+    numbers = _cells(np.arange(1, vertex_count + 1))
+    return _FaceBlock(vertex_count, format_table((numbers, faces), sep=" ", head="f "))
+
+
+def write_obj(path, vertices: np.ndarray, faces) -> None:
+    """Wavefront OBJ: vertices in tessellation order, 1-based faces, no normals.
+    ``faces`` is an (F, 3) index array or a ``_face_block`` made for ``len(vertices)``."""
+    vertices = np.asarray(vertices, dtype=float)
+    block = faces if isinstance(faces, _FaceBlock) else _face_block(faces, len(vertices))
+    if block.vertex_count != len(vertices):
+        raise ConfigurationError(f"the face block is for {block.vertex_count} vertices, not {len(vertices)}")
+    atomic_write_text(path, format_table(vertices, sep=" ", head="v ") + block.text)
 
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:

@@ -177,7 +177,8 @@ def _grid(u: str, v: str):
 class SurfaceJet:
     """Value and derivative grids (U, V, ...) of the surface of ``points``
     (m+1, n+1, ...) over u tables (m+1, U) and v tables (n+1, V), for any
-    trailing coordinates (a stack of nets is one more).
+    trailing coordinates (a stack of nets is one more). The tables are kept as
+    ``tu`` and ``tv``.
 
     Each grid is contracted the first time it is read, and each u table at most
     once, to rows (u node, coordinate): ``np.tensordot``'s products without its
@@ -186,7 +187,7 @@ class SurfaceJet:
     """
 
     def __init__(self, tu: BasisEvaluation, tv: BasisEvaluation, points: np.ndarray):
-        self._tu, self._tv, self._cols, self._trail = tu, tv, points.shape[1], points.shape[2:]
+        self.tu, self.tv, self._cols, self._trail = tu, tv, points.shape[1], points.shape[2:]
         self._flat = np.array(points).reshape(points.shape[0], -1)
         self._along_u = {}
 
@@ -194,9 +195,9 @@ class SurfaceJet:
         cols = self._cols
         c = self._flat.shape[1] // cols
         if u not in self._along_u:
-            product = np.dot(getattr(self._tu, u).T, self._flat)
+            product = np.dot(getattr(self.tu, u).T, self._flat)
             self._along_u[u] = product.reshape(-1, cols, c).transpose(0, 2, 1).reshape(-1, cols)
-        table = getattr(self._tv, v)
+        table = getattr(self.tv, v)
         grid = np.dot(self._along_u[u], table).reshape(-1, c, table.shape[1]).transpose(0, 2, 1)
         return grid.reshape(grid.shape[:2] + self._trail)
 

@@ -24,8 +24,9 @@ the one digested, so two checkouts compare with one ``diff``:
 
     python tests/artifact_digest.py --check a.txt
 
-exits 1 unless every run of ``COMMANDS`` is in it, each exited 0, and the
-thread counts gave the same lines and nothing else.
+exits 1 unless every run of ``COMMANDS`` is in it, each exited 0 and wrote
+the files ``ARTIFACTS`` names for it, and the thread counts gave the same
+lines and nothing else.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ COMMANDS = {
     "basis-bernstein": ("basis", "eval", "--basis", "bernstein", "--degree", "12", "--out", "{out}/basis.csv"),
     # the hybrid at boundary degrees (5, 4), beyond the bicubic nets above
     "coons/saddle_boundary": ("coons", "fixtures/saddle_boundary.json", "--out", "{out}"),
+}
+
+_SURFACE = ("summary.json", "net.json", "surface.obj", "curvature.csv")
+#: label up to its first "/" -> the files each run of it writes.
+ARTIFACTS = {
+    "solve-gt": _SURFACE,
+    "solve-bernstein": _SURFACE,
+    "optimize": (*_SURFACE, "convergence_00.csv", "convergence_01.csv"),
+    "coons": (*_SURFACE, "convergence.csv", "r1.obj", "r2.obj"),
+    "compare": ("comparison.csv", "comparison.md", "summary.json"),
+    "harmonic": ("net.json", "summary.json", "convergence.csv"),
+    "basis-gt": (),
+    "basis-bernstein": ("basis.csv",),
 }
 
 
@@ -140,7 +154,8 @@ def digest(out, labels=tuple(COMMANDS)) -> list[str]:
 def check(lines, required_labels) -> list[str]:
     """What is wrong with the digest ``lines``: an empty digest, a nonzero exit,
     lines of no thread count in ``THREADS``, thread counts whose lines differ,
-    or a required label with no run. Empty when there is nothing."""
+    a required label with no run, or a run whose files are not its ``ARTIFACTS``.
+    Empty when there is nothing."""
     zero = hashlib.sha256(b"0").hexdigest()
     problems = [f"nonzero exit: {line}" for line in lines if line.endswith("/:exit") and not line.startswith(zero)]
     passes = [[line.replace(f"  threads-{t}/", "  ") for line in lines if f"  threads-{t}/" in line] for t in THREADS]
@@ -151,7 +166,14 @@ def check(lines, required_labels) -> list[str]:
     if any(other != passes[0] for other in passes):
         problems.append(f"the thread counts {THREADS} give different lines")
     ran = {line.split("  ", 1)[1] for line in passes[0]}
-    problems += [f"no run of {label}" for label in required_labels if f"{label}/:exit" not in ran]
+    for label in required_labels:
+        if f"{label}/:exit" not in ran:
+            problems.append(f"no run of {label}")
+            continue
+        files = {path.rsplit("/", 1)[1] for path in ran if path.rsplit("/", 1)[0] == label}
+        expected = {*ARTIFACTS[label.split("/")[0]], ":stdout", ":stderr", ":exit"}
+        problems += [f"{label} wrote no {name}" for name in sorted(expected - files)]
+        problems += [f"{label} wrote {name}, which it should not" for name in sorted(files - expected)]
     return problems
 
 
@@ -161,7 +183,7 @@ if __name__ == "__main__":
         problems = check(lines, COMMANDS)
         if problems:
             sys.exit("digest check failed:\n" + "\n".join(problems))
-        print(f"{len(lines)} digest lines; every command exited 0; the thread counts {THREADS} agree")
+        print(f"{len(lines)} digest lines; every command exited 0 and wrote its artifacts; the thread counts {THREADS} agree")
         sys.exit(0)
     if len(sys.argv) != 2:
         sys.exit(f"usage: {sys.argv[0]} OUT | --check FILE")

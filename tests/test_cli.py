@@ -17,9 +17,11 @@ import gtplateau
 import gtplateau.cli as cli
 import gtplateau.pso as pso
 from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
-from gtplateau.io import load_net, save_net
+from gtplateau.basis import BasisSpec
+from gtplateau.io import load_net, save_net, write_obj
 from gtplateau.numerics import gauss_legendre_rule
-from gtplateau.patch import ControlNet, SurfaceShape
+from gtplateau.patch import ControlNet, Patch, SurfaceShape, tessellate
+from hybrid_definition import tb_components
 from laplacian_reference import defect_objective
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -416,6 +418,30 @@ class TestCoons:
         for name in ("surface.obj", "r1.obj", "r2.obj"):
             vertices = [line for line in (out / name).read_text().splitlines() if line.startswith("v ")]
             assert len(vertices) == 16, name
+
+    @pytest.mark.parametrize("fixture", [WAVE, SADDLE], ids=["wave", "saddle"])
+    def test_component_meshes(self, tmp_path, fixture):
+        """r1.obj and r2.obj hold R1 and R2 of the written net and shape at the
+        grid points, byte for byte as the reference route, ``tessellate``, writes them."""
+        out, tess = tmp_path / "run", 5
+        rc = main(["coons", fixture, "--out", str(out), "--swarm", "6", "--iters", "2",
+                   "--threads", "1", "--tess", str(tess)])
+        assert rc == 0
+        net = load_net(out / "net.json")
+        shape = SurfaceShape.from_iterable(read_summary(out)["results"]["alpha"])
+        m, n = net.degree_u, net.degree_v
+        gu, gv = shape.basis_specs(m, n)
+        params = np.linspace(0.0, 1.0, tess + 1)
+        expected = np.array([[tb_components(net, shape, u, v)[:2] for v in params] for u in params])
+        for k, (name, bu, bv) in enumerate(
+            (("r1.obj", BasisSpec.bernstein(m), gv), ("r2.obj", gu, BasisSpec.bernstein(n)))
+        ):
+            text = (out / name).read_text().splitlines()
+            vertices = np.array([[float(x) for x in line.split()[1:]] for line in text if line.startswith("v ")])
+            np.testing.assert_allclose(vertices, expected[:, :, k].reshape(-1, 3), rtol=0, atol=1e-12 * net.scale())
+            reference = tmp_path / f"reference-{name}"
+            write_obj(reference, *tessellate(Patch(basis_u=bu, basis_v=bv, net=net), tess))
+            assert (out / name).read_bytes() == reference.read_bytes(), name
 
     def test_linear_direction_refused(self, tmp_path, capsys):
         net_file, out = tmp_path / "strip.json", tmp_path / "run"
@@ -822,21 +848,28 @@ class TestArtifactDigest:
         solve = [f"solve-gt/wave_boundary/{name}" for name in ("curvature.csv", "net.json", "summary.json")]
         assert names[:3] == solve and len(names) == 17 and "coons/wave_boundary/r1.obj" in names
 
-    @pytest.mark.parametrize("doctored", [None, "one hash", "no saddle run"])
+    @pytest.mark.parametrize("doctored", [None, "one hash", "no saddle run", "no r1.obj"])
     def test_check_entry_refuses_a_doctored_digest(self, tmp_path, doctored):
         """``--check`` on a sound digest of every command, then with one 2-thread
-        file hash changed, then with the (5, 4) saddle run left out."""
+        file hash changed, then with the (5, 4) saddle run left out, then with
+        the wave's r1.obj gone at both thread counts."""
         zero = hashlib.sha256(b"0").hexdigest()
         lines = [
             f"{digest}  threads-{t}/{label}/{name}"
             for t in artifact_digest.THREADS
             for label in artifact_digest.COMMANDS
-            for name, digest in (("out.txt", hashlib.sha256(label.encode()).hexdigest()), (":exit", zero))
+            for name, digest in (
+                *((name, hashlib.sha256(f"{label}/{name}".encode()).hexdigest())
+                  for name in artifact_digest.ARTIFACTS[label.split("/")[0]]),
+                (":stdout", zero), (":stderr", zero), (":exit", zero),
+            )
         ]
         if doctored == "one hash":
-            lines[-2] = "f" * 64 + lines[-2][64:]
+            lines[-4] = "f" * 64 + lines[-4][64:]
         elif doctored == "no saddle run":
             lines = [line for line in lines if "/coons/saddle_boundary/" not in line]
+        elif doctored == "no r1.obj":
+            lines = [line for line in lines if not line.endswith("/coons/wave_boundary/r1.obj")]
         (tmp_path / "digest.txt").write_text("\n".join(lines) + "\n")
         argv = [sys.executable, artifact_digest.__file__, "--check", str(tmp_path / "digest.txt")]
         run = subprocess.run(argv, capture_output=True, text=True, timeout=60)
@@ -844,5 +877,6 @@ class TestArtifactDigest:
             None: "thread counts (1, 2) agree",
             "one hash": "the thread counts (1, 2) give different lines",
             "no saddle run": "no run of coons/saddle_boundary",
+            "no r1.obj": "coons/wave_boundary wrote no r1.obj",
         }[doctored]
         assert (run.returncode, problem in run.stdout + run.stderr) == (int(doctored is not None), True)

@@ -14,6 +14,7 @@ import gtplateau.io as io_module
 from format_reference import _format_rows, curvature_text, obj_text
 from gtplateau.errors import ConfigurationError, NetFormatError
 from gtplateau.io import (
+    _face_block,
     atomic_write_text,
     format_table,
     load_net,
@@ -163,11 +164,21 @@ class TestLoadErrors:
                                       " [[0,2,0],[1,2,0],[2,2,-Infinity]]]")},
                 r"point \[0\]\[1\] must be null or a list of 3 finite numbers",
             ),
+            # true and 1.0 equal 1 in Python, but degrees are JSON integers
+            *(
+                ({"points": [[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [1, 1, 0]]], "degrees": degrees},
+                 r"do not match the 2x2 point grid, whose degrees are the integers \[1, 1\]")
+                for degrees in ([1, True], [True, True], [1.0, 1.0])
+            ),
         ],
     )
     def test_payload_validation(self, payload, fragment):
         with pytest.raises(NetFormatError, match=fragment):
             net_from_payload(payload)
+
+    def test_integer_degrees_load(self):
+        payload = {"points": [[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [1, 1, 0]]], "degrees": [1, 1]}
+        assert net_from_payload(payload).points.shape == (2, 2, 3)
 
     def test_source_appears_in_message(self):
         with pytest.raises(NetFormatError, match="my-net.json"):
@@ -198,6 +209,17 @@ class TestWriters:
         with pytest.raises(ConfigurationError, match=r"\[0, 3\)"):
             write_obj(target, np.zeros((3, 3)), np.array([[0, 1, 2], [0, index, 2]]))
         assert not target.exists()
+
+    def test_obj_shared_face_block(self, tmp_path):
+        # a block formatted once gives the array's bytes, and only on its vertex count
+        vertices = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.25, 1.0, -2.0]])
+        faces = np.array([[0, 1, 2], [2, 1, 0]])
+        write_obj(tmp_path / "array.obj", vertices, faces)
+        write_obj(tmp_path / "block.obj", vertices, _face_block(faces, len(vertices)))
+        assert (tmp_path / "block.obj").read_bytes() == (tmp_path / "array.obj").read_bytes()
+        with pytest.raises(ConfigurationError, match="face block is for 4 vertices, not 3"):
+            write_obj(tmp_path / "other.obj", vertices, _face_block(faces, 4))
+        assert not (tmp_path / "other.obj").exists()
 
     def test_curvature_csv(self, tmp_path):
         points = np.stack(
