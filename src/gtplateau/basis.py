@@ -4,12 +4,19 @@ Two families are supported:
 
 * the classical Bernstein basis of degree 0 to 1029, and
 * a generalized trigonometric (GT) basis of degree 2 to 1031: a two-parameter
-  quadratic trigonometric seed (g0, g1, g2) raised to degree n by Bezier
-  degree elevation. Elevation is Bernstein's recursion, so the GT basis is
-  the seed times the Bernstein basis of degree n - 2,
-  ``G_{k,n} = sum_j g_j B_{k-j,n-2}`` (terms with k - j out of range are
-  zero), and both derivatives follow by the product rule,
-  ``G' = g'B + gB'`` and ``G'' = g''B + 2g'B' + gB''``.
+  quadratic trigonometric seed (g0, g1, g2) times the Bernstein basis of
+  degree n - 2, ``G_{k,n} = sum_j g_j B_{k-j,n-2}`` (terms with k - j out of
+  range are zero). That is Bezier degree elevation's recursion, but not an
+  elevation: degree n spans the seed times every polynomial of degree n - 2,
+  not the seed's own three functions. Both derivatives follow by the product
+  rule, ``G' = g'B + gB'`` and ``G'' = g''B + 2g'B' + gB''``.
+
+With s = sin(pi t / 2) and c = cos(pi t / 2) the seed is
+``g0 = (1 - s)(1 + (1 - theta1/2) s)``, ``g2 = (1 - c)(1 + (1 - theta2/2) c)``
+and ``g1 = theta1/2 s(1 - s) + theta2/2 c(1 - c)``: a partition of unity,
+nonnegative for 0 <= theta <= 4, while past 4 g0 (g2) dips below 0 near t = 1
+(t = 0). The admissible box [THETA_MIN, THETA_MAX] = [0.5, 3.5] lies inside;
+no source for its ends is known.
 
 A ``BasisSpec`` names one: its family, its degree and, for GT, the shape pair
 ``theta`` = (theta1, theta2) of its direction. Past the highest degree a

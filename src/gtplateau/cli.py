@@ -166,7 +166,8 @@ def _add_pso_args(parser, min_runs: int | None = None):
     )
     parser.add_argument(
         "--bounds", type=_bounds_type, default=(THETA_MIN, THETA_MAX), metavar="LO,HI",
-        help="shape-parameter box inside [0.5, 3.5], applied per component (default 0.5,3.5)",
+        help=f"shape-parameter box inside [{THETA_MIN}, {THETA_MAX}], applied per component "
+        f"(default {THETA_MIN},{THETA_MAX})",
     )
     parser.add_argument(
         "--threads", type=_int_in_range("--threads", 1, MAX_THREADS), default=None, metavar="N",

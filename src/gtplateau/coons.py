@@ -21,17 +21,18 @@ those three blocks:
 Jets contract the tables with C by the tensor patch's ``SurfaceJet``. With
 Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
 P_c^T F P_c for the (m + 1)(n + 1)-point form F = L^T Q L, which the tensor
-patch's form builder ``_forms`` gives with L as its net map, and
-``solve_tb_interior`` is the tensor patch's extremal engine on F: it fills
-whichever interior points are unknown. The independent reference reads the
-jet instead: ``_tb_system`` is ``gradient_normal_system`` on it, and
-``tb_dirichlet_energy`` is the tensor patch's quadrature energy of it. The GT
-rows of the tables carry the shape, affinely, so F is bi-quadratic in it: the
-swarm's fitness ``tb_reduced_functional_family`` is the engine on its 36
-blocks, and ``optimize_tb`` is that family's ``minimize``. The ``coons``
-command also writes R1 and R2 as meshes: ``component_grids`` contracts the
-net with the Bernstein and GT row blocks of the surface jet's own tables, so
-the three meshes come from one table evaluation.
+patch's form builder ``_forms`` gives with L as its net map. The GT rows carry
+the shape affinely (``_blend_tables`` of GT part tables is the blend's parts),
+so F is bi-quadratic in it, and its 36 blocks (``_hybrid_forms``) are the one
+place the hybrid form is built: ``tb_reduced_functional_family`` is the
+extremal engine on them, ``solve_tb_interior`` its extremal at one shape
+vector (filling whichever interior points are unknown), and ``optimize_tb``
+its ``minimize``. The independent reference reads the jet instead:
+``_tb_system`` is ``gradient_normal_system`` on it, and
+``tb_dirichlet_energy`` is the tensor patch's quadrature energy of it. The
+``coons`` command also writes R1 and R2 as meshes: ``component_grids``
+contracts the net with the Bernstein and GT row blocks of the surface jet's
+own tables, so the three meshes come from one table evaluation.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -86,32 +87,21 @@ def _coefficient_map(m: int, n: int) -> np.ndarray:
 
 def _blend_tables(gt: BasisEvaluation, ts) -> BasisEvaluation:
     """Rows (B_0..B_d, G_0..G_d, 1-t, t) of one direction: the Bernstein tables of
-    the GT tables' degree d and the linear ones around them; stacked GT tables
-    give a stack of blend tables."""
-    b = basis_tables(BasisSpec.bernstein(gt.values.shape[-2] - 1), ts)
-    lin = basis_tables(BasisSpec.bernstein(1), ts)
-    lead = gt.values.shape[:-2]
+    the GT tables' degree d and the linear ones around them. GT part tables
+    (T0, T1, T2) give the blend's parts: the Bernstein and linear rows carry no
+    shape, so they sit in T0's part and are zero in the other two."""
+    d = gt.values.shape[-2] - 1
+    fixed = basis_tables(BasisSpec.bernstein(d), ts), basis_tables(BasisSpec.bernstein(1), ts)
 
     def rows(name):
-        parts = (getattr(table, name) for table in (b, gt, lin))
-        return np.concatenate([np.broadcast_to(p, lead + p.shape[-2:]) for p in parts], axis=-2)
+        g = getattr(gt, name)
+        out = np.zeros(g.shape[:-2] + (2 * d + 4, g.shape[-1]))
+        out[..., d + 1 : 2 * d + 2, :] = g
+        head = out[(0,) * (g.ndim - 2)]  # T0's part, or the one table
+        head[: d + 1], head[2 * d + 2 :] = (getattr(table, name) for table in fixed)
+        return out
 
     return BasisEvaluation(*map(rows, ("values", "first", "second")))
-
-
-def _pair_tables(spec: BasisSpec, ts) -> BasisEvaluation:
-    return _blend_tables(basis_tables(spec, ts), ts)
-
-
-def _bases(net: ControlNet) -> str:
-    return f"bernstein + gt blend of degrees ({net.degree_u}, {net.degree_v})"
-
-
-def _tb_form(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> np.ndarray:
-    """F = L^T Q L of one shape vector on the net's degrees: the hybrid energy over the net."""
-    m, n = net.degree_u, net.degree_v
-    u, v = (_pair_tables(spec, rule.nodes) for spec in shape.basis_specs(m, n))
-    return _forms(u, v, rule, net_map=_coefficient_map(m, n))[0]
 
 
 def _known_points(net: ControlNet) -> np.ndarray:
@@ -125,7 +115,7 @@ def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
     """The hybrid's jet on us x vs as a function of a net of ``net``'s degrees,
     (m + 1, n + 1, ...): the tensor patch's ``SurfaceJet`` of its coefficient grid C = L P."""
     m, n = net.degree_u, net.degree_v
-    tables = list(map(_pair_tables, shape.basis_specs(m, n), (us, vs)))
+    tables = [_blend_tables(basis_tables(spec, ts), ts) for spec, ts in zip(shape.basis_specs(m, n), (us, vs))]
     grid_map = _coefficient_map(m, n).reshape(2 * m + 4, 2 * n + 4, m + 1, n + 1)
     return lambda points: SurfaceJet(*tables, np.tensordot(grid_map, points, 2))
 
@@ -164,28 +154,25 @@ def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> De
 
 
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:
-    """Unknown interior points minimizing the Dirichlet energy of the hybrid surface."""
-    form = _tb_form(net, shape, rule)[None]
-    return _ExtremalFamily(form, net, rule, f"{_bases(net)} at {shape}").extremal().net
+    """Unknown interior points minimizing the Dirichlet energy of the hybrid
+    surface: the extremal of the family's row at ``shape``, the net ``coons``
+    writes at that shape vector."""
+    return tb_reduced_functional_family(net, rule).extremal(shape.as_array()).net
 
 
 def tb_reduced_functional_family(net: ControlNet, rule: QuadratureRule):
-    """The swarm's hybrid fitness: prepares the 36 blocks of L^T Q L once and
-    returns the family mapping a (k, 4) stack of shape vectors to k extremal
-    energies, equal to ``tb_dirichlet_energy(solve_tb_interior(...))`` to
-    rounding; ``minimize`` runs the swarm on it."""
-    forms = _family_forms(_hybrid_forms, (net.degree_u, net.degree_v), rule)
-    return _ExtremalFamily(forms, net, rule, _bases(net))
+    """The hybrid's shape family, the one place its form is built: its 36 blocks
+    of L^T Q L, prepared once, map a (k, 4) stack of shape vectors to k extremal
+    energies (``tb_dirichlet_energy(solve_tb_interior(...))`` to rounding);
+    ``extremal`` solves one row and ``minimize`` runs the swarm on it."""
+    m, n = net.degree_u, net.degree_v
+    forms = _family_forms(_hybrid_forms, (m, n), rule)
+    return _ExtremalFamily(forms, net, rule, f"bernstein + gt blend of degrees ({m}, {n})")
 
 
 def _hybrid_forms(m: int, n: int, rule: QuadratureRule) -> np.ndarray:
-    def parts(d):
-        blend = _blend_tables(gt_affine_tables(d, rule.nodes), rule.nodes)
-        for table in (blend.values, blend.first, blend.second):
-            table[1:, : d + 1] = table[1:, 2 * d + 2 :] = 0.0  # the Bernstein and linear rows are constant
-        return blend
-
-    return _forms(parts(m), parts(n), rule, net_map=_coefficient_map(m, n))
+    u, v = (_blend_tables(gt_affine_tables(d, rule.nodes), rule.nodes) for d in (m, n))
+    return _forms(u, v, rule, net_map=_coefficient_map(m, n))
 
 
 def optimize_tb(net: ControlNet, config: PsoConfig, rule: QuadratureRule) -> ShapeOptimum:

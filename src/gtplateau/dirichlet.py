@@ -22,12 +22,13 @@ Every production solve is ``_ExtremalFamily``: the free/fixed split of a
 stack of such forms on the net centred at the mean of its fixed points, then
 one checked Cholesky of the weighted stack gives the interior, the energy
 1/2 (c - x . rhs) and the max/min pivot hint. The "gram" route of
-``solve_interior`` and the hybrid's single-shape solve hand it one form. The
-swarm's fitness ``reduced_functional_family`` hands it the 36, and its
-``minimize`` is the shape search, returning its own winning extremal.
-Those 36 forms depend only on the degrees and the rule, and ``_family_forms``
-keeps them, read-only, for the process (so does the hybrid's family), keyed
-by the rule object: rules are immutable, and there is one per Gauss order.
+``solve_interior`` hands it one form. The swarm's fitness
+``reduced_functional_family`` hands it the 36, and its ``minimize`` is the
+shape search, returning its own winning extremal. Those 36 forms depend only
+on the degrees and the rule, and ``_family_forms`` keeps them, read-only, for
+the process, keyed by the rule object: rules are immutable, and there is one
+per Gauss order. So does the hybrid's family, whose ``extremal`` at one shape
+vector is also the hybrid's single-shape solve.
 The independent reference reads the surface's jet, not a form:
 ``gradient_normal_system`` integrates the normal equations of any surface linear
 in its net from the jets of unit nets. The "generic" route (with its own solve,
@@ -227,7 +228,9 @@ class _ExtremalFamily:
     def extremal(self, alpha=None) -> ExtremalSolution:
         """The filled net of one shape vector, or of the one form when alpha is None."""
         weights = np.ones((1, 1)) if alpha is None else _shape_weights(np.reshape(alpha, (1, 4)))
-        at = "" if alpha is None else f" at {alpha}"
+        at = "" if alpha is None else " at " + ", ".join(
+            f"{name}={np.format_float_positional(x, trim='-')}" for name, x in zip(SHAPE_NAMES, np.ravel(alpha))
+        )
         try:
             x, pivots, energy = self._solve(weights)
         except SolverError as exc:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import THETA_MAX, THETA_MIN
 from .errors import ConfigurationError, SolverError
 from .numerics import RngStream, freeze_arrays, integer, real_array
 
@@ -68,7 +69,7 @@ class PsoConfig:
     c1: float = 1.5
     c2: float = 1.5
     max_iters: int = 200
-    bounds: np.ndarray = ((0.5, 3.5),) * 4  # the shape domain, one row per component
+    bounds: np.ndarray = ((THETA_MIN, THETA_MAX),) * 4  # the shape domain, one row per component
     seed: int = 0
     threads: int | None = None
 

@@ -5,10 +5,12 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import shlex
 
 import pytest
 
 import gtplateau
+import gtplateau.cli as cli
 
 #: Names taken out of the library. The classical Coons block, scalar basis
 #: evaluation, curve curvature, pointwise 2-D quadrature, single-point second
@@ -33,6 +35,8 @@ import gtplateau
 #: cannot solve. ``--tess`` has an upper bound, so the integer parser has both.
 #: Each exit code has one exception class, so the domain and reconstruction
 #: errors went into the configuration and solver errors that shared their codes.
+#: The hybrid's single-shape solve is a row of its cached shape family, so its
+#: own form, per-shape tables and bases label went.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -42,7 +46,7 @@ REMOVED = {
         "BoundaryCurves", "coons_classical", "coons_classical_matrix", "_bilinear",
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
         "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum", "_net_form_stack",
-        "require_blend_net", "_BASES", "_B", "_G", "_LIN", "_L",
+        "require_blend_net", "_BASES", "_B", "_G", "_LIN", "_L", "_tb_form", "_pair_tables", "_bases",
     ),
     "cli": ("_int_at_least",),
     "errors": ("DomainError", "ReconstructionError"),
@@ -145,3 +149,23 @@ def test_readme_library_block_prints_its_comments(capsys, monkeypatch):
             g if "." not in w else f"{float(g):.{len(w.split('.')[1])}f}" for g, w in zip(got, want)
         ]
         assert (len(got), rounded) == (len(want), want)
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    """Every ``gtplateau`` line of the README's Command line block exits 0 from
+    ``tmp_path``, and a command whose comment quotes an energy prints it."""
+    block = README.read_text().split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixtures").symlink_to(README.parent / "fixtures")
+    quoted, ran, checked = None, 0, 0
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            quoted = line.split("(energy ", 1)[1].split(")")[0] if "(energy " in line else None
+        elif line.strip():
+            argv = shlex.split(line)
+            assert argv[0] == "gtplateau"
+            capsys.readouterr()
+            assert cli.main(argv[1:]) == 0, line
+            assert quoted is None or f"energy={quoted}" in capsys.readouterr().out, line
+            ran, checked = ran + 1, checked + (quoted is not None)
+    assert (ran, checked) == (9, 1)

@@ -108,6 +108,29 @@ class TestGtSeed:
         ev = basis_tables(BasisSpec.gt(2, 1.0, theta2), [1.0])
         assert abs(ev.first[2, 0] - np.pi * theta2 / 4.0) < 1e-14
 
+    @PROPERTY
+    @given(
+        th1=st.floats(THETA_MIN, 4.0),
+        th2=st.floats(THETA_MIN, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_seed_is_a_nonnegative_partition_up_to_theta_4(self, th1, th2, seed):
+        # g0 = (1 - s)(1 + (1 - th1/2) s) and g2 = (1 - c)(1 + (1 - th2/2) c) with
+        # (s, c) = (sin, cos)(pi t / 2): each factor is nonnegative while theta <= 4,
+        # and g1 = th1/2 s(1 - s) + th2/2 c(1 - c). The tables round within 4 ulp of 1.
+        rng = np.random.default_rng(seed)
+        ends = rng.uniform(size=16) ** 16
+        t = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=64), ends, 1.0 - ends])
+        (g0, g1, g2), _, _ = _gt_seed_tables(th1, th2, t)
+        s, c = np.sin(0.5 * np.pi * t), np.cos(0.5 * np.pi * t)
+        closed = (1.0 - s) * (1.0 + (1.0 - 0.5 * th1) * s), (1.0 - c) * (1.0 + (1.0 - 0.5 * th2) * c)
+        ulp4 = 4.0 * np.finfo(float).eps
+        assert min(g0.min(), g1.min(), g2.min()) >= -ulp4
+        assert np.abs(g0 + g1 + g2 - 1.0).max() <= ulp4
+        for got, want in zip((g0, g2), closed):
+            assert want.min() >= 0.0
+            assert np.abs(got - want).max() <= ulp4
+
 
 def _all_specs():
     for degree in GT_DEGREES:

@@ -18,6 +18,7 @@ import gtplateau.cli as cli
 import gtplateau.pso as pso
 from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
 from gtplateau.basis import BasisSpec
+from gtplateau.coons import solve_tb_interior
 from gtplateau.io import load_net, save_net, write_obj
 from gtplateau.numerics import gauss_legendre_rule
 from gtplateau.patch import ControlNet, Patch, SurfaceShape, tessellate
@@ -442,6 +443,18 @@ class TestCoons:
             reference = tmp_path / f"reference-{name}"
             write_obj(reference, *tessellate(Patch(basis_u=bu, basis_v=bv, net=net), tess))
             assert (out / name).read_bytes() == reference.read_bytes(), name
+
+    @pytest.mark.parametrize("fixture", [WAVE, DOME, SADDLE], ids=["wave", "dome", "saddle"])
+    def test_single_solve_reproduces_the_written_net(self, tmp_path, fixture):
+        """The library's single-shape solve at the reported shape vector is the
+        written net, bit for bit: both read the one cached family of forms."""
+        out = tmp_path / "run"
+        rc = main(["coons", fixture, "--out", str(out), "--swarm", "6", "--iters", "3",
+                   "--threads", "1", "--tess", "2"])
+        assert rc == 0
+        shape = SurfaceShape(*read_summary(out)["results"]["alpha"])
+        solved = solve_tb_interior(load_net(fixture), shape, gauss_legendre_rule(32))
+        assert solved.points.tobytes() == load_net(out / "net.json").points.tobytes()
 
     def test_linear_direction_refused(self, tmp_path, capsys):
         net_file, out = tmp_path / "strip.json", tmp_path / "run"

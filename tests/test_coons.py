@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.basis import BasisSpec, basis_tables, gt_affine_tables
 from gtplateau.coons import (
     CurveSpec,
-    _pair_tables,
-    _tb_form,
+    _blend_tables,
+    _hybrid_forms,
     _tb_system,
     optimize_tb,
     solve_tb_interior,
@@ -15,7 +15,7 @@ from gtplateau.coons import (
     tb_reduced_functional_family,
     tb_surface_jet,
 )
-from gtplateau.dirichlet import _free_split, reduced_functional_family
+from gtplateau.dirichlet import _free_split, _shape_weights, reduced_functional_family
 from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
 from gtplateau.patch import ControlNet, SurfaceShape
@@ -38,6 +38,12 @@ def open_interior(points: np.ndarray) -> ControlNet:
     points = points.copy()
     points[1:-1, 1:-1] = np.nan
     return ControlNet(points=points)
+
+
+def family_form(net: ControlNet, shape: SurfaceShape, rule) -> np.ndarray:
+    """The hybrid family's 36 forms weighted at one shape vector: the form every hybrid solve reads."""
+    forms = _hybrid_forms(net.degree_u, net.degree_v, rule)
+    return np.tensordot(_shape_weights([shape.as_array()])[0], forms, 1)
 
 
 class TestCurveSpec:
@@ -227,12 +233,28 @@ class TestHybridSurface:
     def test_pair_tables_are_three_basis_tables(self, ts):
         for degree in (2, 3, 7):
             spec = random_shape(15).basis_specs(degree, degree)[1]
-            got = _pair_tables(spec, ts)
+            got = _blend_tables(basis_tables(spec, ts), ts)
             parts = [basis_tables(s, ts) for s in (BasisSpec.bernstein(degree), spec, BasisSpec.bernstein(1))]
             for name in ("values", "first", "second"):
                 want = np.concatenate([getattr(part, name) for part in parts])
                 assert getattr(got, name).shape == (2 * degree + 4, ts.size)
                 assert getattr(got, name).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("degree", [2, 3, 7])
+    def test_blend_parts_rebuild_the_blend_tables(self, degree):
+        # the parts of GT part tables, combined with (1, t1, t2), are the blend
+        # tables of that shape pair; the Bernstein and linear rows are all in part 0
+        ts = gauss_legendre_rule(32).nodes
+        parts = _blend_tables(gt_affine_tables(degree, ts), ts)
+        constant = np.r_[: degree + 1, 2 * degree + 2 : 2 * degree + 4]
+        for th1, th2 in RngStream(degree, 2).uniform(0.5, 3.5, (5, 2)):
+            single = _blend_tables(basis_tables(BasisSpec.gt(degree, th1, th2), ts), ts)
+            for name in ("values", "first", "second"):
+                part, want = getattr(parts, name), getattr(single, name)
+                assert part.shape == (3, 2 * degree + 4, ts.size)
+                rebuilt = part[0] + th1 * part[1] + th2 * part[2]
+                assert np.abs(rebuilt - want).max() <= 1e-14 * np.abs(want).max()
+                assert np.all(part[1:, constant] == 0.0)
 
 
 class TestGramAssembly:
@@ -241,7 +263,7 @@ class TestGramAssembly:
         net = open_interior(random_points(seed))
         shape = random_shape(seed)
         rule = gauss_legendre_rule(16 + seed % 3 * 8)
-        matrix, rhs = _free_split(_tb_form(net, shape, rule), net)
+        matrix, rhs = _free_split(family_form(net, shape, rule), net)
         reference = _tb_system(net, shape, rule)
         for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
             assert got.shape == want.shape
@@ -255,7 +277,7 @@ class TestGramAssembly:
         rule = gauss_legendre_rule(8 + seed % 4 * 8)
         p = net.points.reshape(-1, 3)
         p = p - p.mean(axis=0)  # F 1 = 0
-        energy = 0.5 * (p * (_tb_form(net, shape, rule) @ p)).sum()
+        energy = 0.5 * (p * (family_form(net, shape, rule) @ p)).sum()
         quadrature = tb_dirichlet_energy(net, shape, rule)
         assert abs(energy - quadrature) <= 1e-13 * quadrature
 
@@ -439,7 +461,7 @@ class TestAnyDegree:
         net = open_interior(random_points(80 + seed, (m + 1, n + 1)))
         shape = random_shape(80 + seed)
         rule = gauss_legendre_rule(max(m, n) + 1 + 8 * seed)
-        matrix, rhs = _free_split(_tb_form(net, shape, rule), net)
+        matrix, rhs = _free_split(family_form(net, shape, rule), net)
         reference = _tb_system(net, shape, rule)
         for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
             assert got.shape == want.shape

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from gtplateau.coons import _coefficient_map, _pair_tables, _tb_form, _tb_system
+from gtplateau.coons import _blend_tables, _coefficient_map, _hybrid_forms, _tb_system
 from gtplateau.dirichlet import (
     GramMatrices,
     _forms,
     _free_split,
+    _shape_weights,
     assemble_coefficients,
     assemble_system,
     assemble_system_generic,
@@ -149,7 +150,8 @@ class TestFormBuilder:
     def test_hybrid_net_map(self, seed, rule16):
         shape = SurfaceShape.from_iterable(np.random.default_rng(seed).uniform(0.5, 3.5, 4))
         for m, n in ((3, 3), (2, 5), (4, 2)):
-            tab_u, tab_v = (_pair_tables(spec, rule16.nodes) for spec in shape.basis_specs(m, n))
+            specs = shape.basis_specs(m, n)
+            tab_u, tab_v = (_blend_tables(basis_tables(spec, rule16.nodes), rule16.nodes) for spec in specs)
             net_map = _coefficient_map(m, n)
             expected = net_map.T @ kron_form(tab_u, tab_v, rule16) @ net_map
             form = _forms(tab_u, tab_v, rule16, net_map=net_map)
@@ -258,7 +260,8 @@ class TestJetBuilder:
         net = partly_known(boundary_net_factory(seed, shape=(degrees[0] + 1, degrees[1] + 1)), share, seed)
         shape = SurfaceShape(*thetas)
         reference = _tb_system(net, shape, rule16)
-        same_system((reference.matrix, reference.rhs), _free_split(_tb_form(net, shape, rule16), net))
+        form = np.tensordot(_shape_weights([thetas])[0], _hybrid_forms(*degrees, rule16), 1)
+        same_system((reference.matrix, reference.rhs), _free_split(form, net))
 
     @PROPERTY
     @given(

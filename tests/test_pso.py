@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtplateau.pso as pso
+from gtplateau.basis import THETA_MAX, THETA_MIN
 from gtplateau.dirichlet import reduced_functional, solve_interior
 from gtplateau.errors import ConfigurationError, SolverError
 from gtplateau.numerics import RngStream
@@ -110,6 +111,8 @@ class TestConfigValidation:
         assert config.dims == 4
         np.testing.assert_array_equal(config.bounds[:, 0], 0.5)
         np.testing.assert_array_equal(config.bounds[:, 1], 3.5)
+        # one source: the box is the interval every shape parameter is checked against
+        np.testing.assert_array_equal(config.bounds, [[THETA_MIN, THETA_MAX]] * 4)
 
 
 class TestOptimize:

@@ -12,12 +12,14 @@ Dirichlet family's ``extremal`` is the solution behind one row, and its
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gtplateau.dirichlet as dirichlet
 import gtplateau.pso as pso
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables, gt_affine_tables
 from gtplateau.coons import (
@@ -190,6 +192,20 @@ def test_extremal_failure_is_a_solver_error(route, wave_net, monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", indefinite)
     with pytest.raises(SolverError, match="bases:"):
         family.extremal(np.full(4, 2.0))
+
+
+@pytest.mark.parametrize("route", sorted(FAMILIES))
+def test_extremal_failure_names_the_shape(route, wave_net, monkeypatch):
+    def singular(matrices, rhs):
+        raise SolverError("singular")
+
+    monkeypatch.setattr(dirichlet, "solve_spd_stack", singular)
+    at = "at alpha1=1.2, alpha2=2, beta1=3.1, beta2=0.9]"
+    with pytest.raises(SolverError, match=rf"^singular \[bases: .* {re.escape(at)}$"):
+        FAMILIES[route][1](wave_net, RULE).extremal([1.2, 2.0, 3.1, 0.9])
+    if route == "hybrid":  # its single-shape solve is the family's row
+        with pytest.raises(SolverError, match=rf" {re.escape(at)}$"):
+            solve_tb_interior(wave_net, SurfaceShape(1.2, 2.0, 3.1, 0.9), RULE)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
