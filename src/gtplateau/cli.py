@@ -66,7 +66,7 @@ MAX_NET_SCALE = 1e70
 #: lowest-index one is the best run, so a one-ulp difference cannot decide it.
 _BEST_RUN_RTOL = 1e-12
 
-#: Largest ``--tess``: a cold ``solve`` of the wave peaks at 657 MB RSS at 1024 and 2288 MB at
+#: Largest ``--tess``: a cold ``solve`` of the wave peaks at 618 MB RSS at 1024 and 2218 MB at
 #: 2048 (numpy 2.4 on x86-64 Linux), and the grids grow as the square of it.
 _MAX_TESS = 2048
 

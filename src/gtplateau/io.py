@@ -6,7 +6,8 @@ each cell either a list of 3 finite numbers or null for an unknown point
 "degrees" (two JSON integers) and a "fixed" mask. Mesh and grid numbers are
 "%.17g" text, integers included, so identical runs produce identical bytes.
 ``write_obj`` is the only mesh writer; meshes on one grid share one face block
-(``_face_block``), formatted once and checked against their vertex count.
+(``_face_block``), formatted once and checked against their vertex count; its
+vertex numbers, like a grid's parameters, take cells as narrow as their text.
 Every writer goes through an atomic write-temp-then-rename so a crash never
 leaves a half-written artifact.
 """
@@ -151,8 +152,9 @@ def save_net(net: ControlNet, path) -> None:
 
 
 # Numbers are written as Python's "%.17g" % x would write them, but built as numpy
-# byte matrices: each value becomes one row of ASCII bytes padded with NUL, and
-# the NULs are deleted once the rows of a block are joined.
+# byte matrices: each value becomes a cell of whole 8-byte words of ASCII padded
+# with NUL, its last byte spare, and the NULs are deleted once the rows of a
+# block are joined. A double's cell is 48 bytes; an integer below 10**7, 8.
 #
 # "%.17g" prints the 17 digits of N = rint(y), y = |x| * 10**(16 - X), where X
 # is the decimal exponent with 10**16 <= y < 10**17. With 10**(16 - X) as a
@@ -168,7 +170,8 @@ def save_net(net: ControlNet, path) -> None:
 _MAX_EXPONENT = 99
 #: Largest |s - rint(s)| taken as exact; with 0 every value goes to Python.
 _TIE_MARGIN = 0.5 - 2.0**-20
-#: Rows formatted at a time; a block's byte matrices take about 1 MB.
+#: Rows formatted at a time, or more to fill 256 KB of narrower lines; a block's
+#: byte matrices take about 1 MB.
 _BLOCK_ROWS = 2048
 #: Tables with fewer cells are formatted by Python: the array path costs about
 #: 0.1 ms however small the table, which Python's "%" beats below roughly 90 cells.
@@ -211,6 +214,11 @@ def _words(rows, dtype) -> np.ndarray:
 
 _DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)  # of 0..9999, by place
 _ASCII = _DIGITS.T + np.uint8(ord("0"))
+#: Words of g = 0..9999, leading zeros kept: its 4 digits in bytes 3 to 6, and
+#: (g < 1000) its last 3 in bytes 0 to 2; by digit count d - 1, the last d of bytes 0 to 6.
+_LOW_WORDS = np.ascontiguousarray(np.pad(_ASCII, ((0, 0), (3, 1)))).view(np.uint64)[:, 0]
+_HIGH_WORDS = np.ascontiguousarray(np.pad(_ASCII[:1000, 1:], ((0, 0), (0, 5)))).view(np.uint64)[:, 0]
+_KEEP_DIGITS = _words([[0] * (7 - d) + [255] * d + [0] for d in range(1, 8)], np.uint64)
 #: Word f*10000 + g: the 4 digits of g, each followed by a spare byte, up to
 #: its last nonzero digit but at least f digits.
 _FLOAT_QUADS = (
@@ -290,10 +298,16 @@ def _float_cells(values: np.ndarray, out: np.ndarray) -> None:
 
 
 def _cells(values) -> np.ndarray:
-    """The "%.17g" cells of a 1-D array of doubles, one row each."""
+    """The "%.17g" cells of a 1-D array, one row each, in the fewest words holding the longest text and a spare byte."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iu" and values.min(initial=0) >= 0 and values.max(initial=0) < 10**7:
+        high = values // 10000
+        words = _HIGH_WORDS[high] | _LOW_WORDS[values - high * 10000]
+        words &= _KEEP_DIGITS[np.searchsorted(10 ** np.arange(1, 7), values, "right")]  # digits - 1
+        return words.view(np.uint8).reshape(-1, 8)
     out = np.empty((len(values), _FLOAT_WIDTH), np.uint8)
-    _float_cells(np.asarray(values, dtype=float), out)
-    return out
+    _float_cells(values.astype(float), out)
+    return out[:, :(np.flatnonzero(out.any(axis=0)).max(initial=0) + 1) // 8 * 8 + 8]
 
 
 def format_table(*tables, sep: str = ",", head: str = "") -> str:
@@ -303,37 +317,36 @@ def format_table(*tables, sep: str = ",", head: str = "") -> str:
     "%d" does up to 2**53.
 
     A table is a 1-D column or a 2-D array of columns, or a pair (cells, index)
-    of text made once by ``_cells`` and a 1-D or 2-D index into it, whose rows
-    are ``cells[index]``. All tables have one length.
+    of text made once by ``_cells`` (cells of any whole number of words) and a
+    1-D or 2-D index into it, whose rows are ``cells[index]``. All tables have one length.
     """
-    slots, columns_so_far = [], 0
+    slots, width = [], -(-len(head) // 8) * 8  # each cell starts on a word boundary
     for table in tables:
         cells, table = table if isinstance(table, tuple) else (None, np.asarray(table, dtype=float))
         table = table[:, None] if table.ndim == 1 else table
-        count, columns = table.shape
-        slots.append((cells, table, columns_so_far, columns))
-        columns_so_far += columns
-    at = -(-len(head) // 8) * 8  # each cell starts on a word boundary
-    line = np.zeros((min(count, _BLOCK_ROWS), at + columns_so_far * _FLOAT_WIDTH), np.uint8)
+        cell_width = _FLOAT_WIDTH if cells is None else cells.shape[1]
+        slots.append((cells, table, width, cell_width))
+        width += table.shape[1] * cell_width
+    count = len(table)
+    rows = max(_BLOCK_ROWS, 2**18 // width)
+    line = np.zeros((min(count, rows), width), np.uint8)
     line[:, :len(head)] = np.frombuffer(head.encode("ascii"), np.uint8)
-    row_cells = line[:, at:].reshape(len(line), columns_so_far, _FLOAT_WIDTH)
 
-    small = count * columns_so_far < _ARRAY_MIN_CELLS
+    small = count * sum(slot[1].shape[1] for slot in slots) < _ARRAY_MIN_CELLS
     chunks = []
-    for start in range(0, count, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        size = min(_BLOCK_ROWS, count - start)
-        for cells, table, first, columns in slots:
-            out = row_cells[:size, first:first + columns]
-            if cells is not None:
-                out[:] = cells[table[rows]]
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        for cells, table, first, cell_width in slots:
+            block = table[start:start + size]
+            out = line[:size, first:first + block.shape[1] * cell_width].reshape(size, -1, cell_width)
+            if cells is not None:  # gathered a word at a time
+                out.view(np.uint64)[:] = cells.view(np.uint64)[block]
             elif small:  # Python formats every cell
-                _python_format(table[rows], out, np.ones(out.shape[:2], bool))
+                _python_format(block, out, np.ones(block.shape, bool))
             else:
-                _float_cells(table[rows], out)
-        # the last byte of every cell is spare: it takes the separator or newline
-        row_cells[:size, :, -1] = ord(sep)
-        row_cells[:size, -1, -1] = ord("\n")
+                _float_cells(block, out)
+            out[:, :, -1] = ord(sep)  # the last byte of every cell is spare
+        line[:size, -1] = ord("\n")  # the line's last spare byte takes the newline
         chunks.append(line[:size].tobytes().translate(None, b"\0"))
     return b"".join(chunks).decode("ascii")
 
@@ -368,15 +381,10 @@ def write_obj(path, vertices: np.ndarray, faces) -> None:
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
     """Grid of first-form coefficients and mean curvature, row-major in u."""
-    u_cells, v_cells = _cells(us), _cells(vs)
-    grid = np.broadcast_arrays(
-        np.arange(len(u_cells))[:, None], np.arange(len(v_cells))[None, :],
-        forms.H, forms.E, forms.F, forms.G,
-    )
+    index = np.indices((len(us), len(vs)), sparse=True)
+    iu, iv, *columns = np.broadcast_arrays(*index, forms.H, forms.E, forms.F, forms.G)
     # u and v are formatted once per parameter value and repeated by index
-    text = format_table(
-        (u_cells, grid[0].ravel()), (v_cells, grid[1].ravel()), np.stack(grid[2:], axis=-1).reshape(-1, 4),
-    )
+    text = format_table((_cells(us), iu.ravel()), (_cells(vs), iv.ravel()), np.stack(columns, axis=-1).reshape(-1, 4))
     atomic_write_text(path, "u,v,H,E,F,G\n" + text)
 
 

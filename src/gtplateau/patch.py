@@ -233,14 +233,25 @@ def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
     return _quadrature_energy(_centred_jet(patch, rule), rule)
 
 
+def _cross(a, b):
+    """Components of a x b from those of a and b, in ``np.cross``'s order of operations."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    """a . b from components, as ``(a * b).sum(axis=-1)`` adds them: in order, onto +0.0."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + 0.0
+
+
 def area(patch: Patch, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square. The norm squares the cross
     product scaled by a power of two (exactly), so it overflows only where the
     cross product does."""
     jet = _centred_jet(patch, rule)
-    cross = np.cross(jet.Su, jet.Sv)
+    cross = _cross(np.moveaxis(jet.Su, -1, 0), np.moveaxis(jet.Sv, -1, 0))
     _, exponent = np.frexp(np.abs(cross).max())
-    integrand = np.linalg.norm(np.ldexp(cross, -exponent), axis=-1)
+    cross = np.ldexp(cross, -exponent)
+    integrand = np.sqrt(_dot(cross, cross))
     return float(np.ldexp(rule.weights @ integrand @ rule.weights, exponent))
 
 
@@ -276,20 +287,16 @@ def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     (EG - F^2 < 1e-12 (EG + 1)) get NaN second-form coefficients and H.
     """
     _, s = np.frexp(max(np.abs(su).max(), np.abs(sv).max()))
-    su, sv = np.ldexp(su, -s), np.ldexp(sv, -s)
-    e = (su * su).sum(axis=-1)
-    f = (su * sv).sum(axis=-1)
-    g = (sv * sv).sum(axis=-1)
+    su, sv = (np.moveaxis(np.ldexp(x, -s), -1, 0) for x in (su, sv))
+    e, f, g = _dot(su, su), _dot(su, sv), _dot(sv, sv)
     disc = e * g - f * f
-    cross = np.cross(su, sv)
-    norm = np.linalg.norm(cross, axis=-1)
+    cross = _cross(su, sv)
+    norm = np.sqrt(_dot(cross, cross))
     degenerate = disc < 1e-12 * (e * g + 1.0)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        normal = cross / norm[..., None]
-        l = (suu * normal).sum(axis=-1)
-        m = (suv * normal).sum(axis=-1)
-        n = (svv * normal).sum(axis=-1)
+        normal = [c / norm for c in cross]
+        l, m, n = (_dot(np.moveaxis(x, -1, 0), normal) for x in (suu, suv, svv))
         h = (e * n - 2.0 * f * m + g * l) / (2.0 * disc)  # 4^s H: l, m, n are in the net's units
 
     nanval = np.where(degenerate, np.nan, 1.0)

@@ -23,8 +23,8 @@ failure is re-evaluated one row at a time, so only the failing particles score
 
 Determinism is a hard contract. Each particle owns an independent RngStream
 keyed by (seed, particle index); initialization draws its position then its
-velocity, and every iteration draws r1 then r2, one (2, dims) call per
-particle and step, always in particle order on the driver thread. Chunks are
+velocity, and every iteration draws r1 then r2 (a chunk of iterations per
+call), always in particle order on the calling thread. Chunks are
 reassembled in particle order, so parallel runs replay sequential ones
 whenever a particle's value does not depend on the chunk it is evaluated in
 (true of the package's stacked fitnesses). Under the same condition the
@@ -56,6 +56,9 @@ VELOCITY_INIT_FRACTION = 0.25
 #: 5-8 tensor nets, 50 particles), broke even at 8 ms and won 40% at 14 ms
 #: (degree 10). A cold process's first call can take twice its warm time.
 POOL_MIN_SWARM_S = 0.005
+
+#: Most numbers (512 KB) the swarm draws at once: each particle, a chunk of iterations per call.
+_DRAW_DOUBLES = 2**16
 
 #: Most fitness threads a swarm may use, from ``threads`` or ``GT_PLATEAU_THREADS``;
 #: numpy's bundled OpenBLAS is built for at most 64 threads.
@@ -167,10 +170,13 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
 
     streams = [RngStream(config.seed, i) for i in range(n)]
 
-    def draw():  # (n, 2, dims): one call per particle stream, in particle order
-        return np.array([stream.uniform(size=(2, dims)) for stream in streams])
+    def steps():  # each later iteration's (n, 2, dims) draws, a chunk of iterations per call
+        chunk = max(1, _DRAW_DOUBLES // (n * 2 * dims))
+        for start in range(0, config.max_iters, chunk):
+            size = (min(chunk, config.max_iters - start), 2, dims)
+            yield from np.array([stream.uniform(size=size) for stream in streams]).swapaxes(0, 1)
 
-    draws = draw()
+    draws = np.array([stream.uniform(size=(2, dims)) for stream in streams])
     positions = lo + width * draws[:, 0]
     velocities = VELOCITY_INIT_FRACTION * width * (2.0 * draws[:, 1] - 1.0)
     personal_best = positions.copy()
@@ -184,10 +190,11 @@ def optimize(objective, config: PsoConfig) -> PsoResult:
     values = guarded(positions)
     if time.perf_counter() - start < POOL_MIN_SWARM_S:
         threads = 1
+    later = steps()
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else contextlib.nullcontext() as pool:
         for iteration in range(config.max_iters + 1):
             if iteration:  # the initial swarm, evaluated above, is iteration 0
-                draws = draw()
+                draws = next(later)
                 velocities = (
                     config.inertia * velocities
                     + config.c1 * draws[:, 0] * (global_best - positions)

@@ -27,7 +27,7 @@ from gtplateau.io import (
     write_obj,
     write_summary,
 )
-from gtplateau.patch import ControlNet, FundamentalForms, Patch, mean_curvature_grid
+from gtplateau.patch import ControlNet, FundamentalForms, Patch, mean_curvature_grid, triangulate_grid
 
 
 class TestNetRoundTrip:
@@ -437,6 +437,70 @@ class TestWritersMatchReference:
         target = tmp_path / "curvature.csv"
         write_curvature_csv(target, us, vs, forms)
         assert target.read_text() == curvature_text(us, vs, forms)
+
+
+class TestNarrowCells:
+    """``_cells`` gives each number the fewest whole words that hold its text and
+    a spare byte, and the writers gather them into the reference's bytes."""
+
+    @staticmethod
+    def texts(cells):
+        return [bytes(row).replace(b"\0", b"").decode("ascii") for row in cells]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 10**7 - 1), st.integers(-(2**53), 2**53)), min_size=1, max_size=64))
+    @example([0, 9, 10, 9999, 10000, 10001, 99999, 10**6, 10**7 - 1])
+    @example([1, 10**7])
+    @example([-1, 5])
+    def test_integer_cells_are_percent_d(self, ints):
+        cells = io_module._cells(np.array(ints, dtype=np.int64))
+        # one word each when every integer lies in [0, 10**7), else the doubles' cells cut short
+        assert cells.shape[1] % 8 == 0
+        if all(0 <= n < 10**7 for n in ints):
+            assert cells.shape[1] == 8
+        assert not cells[:, -1].any()
+        assert self.texts(cells) == ["%d" % n for n in ints]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 32), elements=st.floats(allow_subnormal=True)))
+    @example(np.array([1.5e100]))  # Python's text, 8 bytes: its cell takes a second word
+    @example(np.array([0.5, -1e-100, 1.0 / 3.0]))
+    def test_double_cells_keep_a_spare_byte(self, values):
+        cells = io_module._cells(values)
+        assert cells.shape[1] % 8 == 0 and not cells[:, -1].any()
+        assert self.texts(cells) == ["%.17g" % x for x in values.tolist()]
+
+    @pytest.mark.parametrize("tess", [1, 2, 99, 100])
+    def test_face_block_is_the_reference_face_text(self, tess):
+        # tess 99 has exactly 10**4 vertices, the first 5-digit vertex number
+        vertices, faces = triangulate_grid(np.zeros((tess + 1, tess + 1, 3)))
+        block = _face_block(faces, len(vertices))
+        assert block.text == obj_text(np.zeros((0, 3)), faces)
+
+    @pytest.mark.parametrize(
+        "params, width",
+        [
+            ([0.0, 0.5, 1.0], 8),
+            ([0.0, 1e-5, 0.5, 1.0], 48),
+            ([1.0 / 3.0, 0.1, 0.75], 40),
+            (np.linspace(0.0, 1.0, 129), 24),
+            ([0.0, 2.0**-20, 1e-300, 1.0], 48),
+        ],
+    )
+    def test_curvature_parameter_cells(self, tmp_path, params, width):
+        # texts of different lengths, fixed and exponent notation, in one column
+        assert io_module._cells(params).shape == (len(params), width)
+        rng = np.random.default_rng(len(params))
+        shape = (len(params), 3)
+        e, g = rng.random(shape), rng.random(shape)
+        forms = FundamentalForms(
+            E=e, F=rng.uniform(-1.0, 1.0, shape) * np.sqrt(e * g), G=g,
+            L=np.zeros(shape), M=np.zeros(shape), N=np.zeros(shape), H=rng.standard_normal(shape),
+        )
+        vs = [1e-5, 0.25, 1.0]
+        target = tmp_path / "curvature.csv"
+        write_curvature_csv(target, params, vs, forms)
+        assert target.read_text() == curvature_text(params, vs, forms)
 
 
 class TestTimestamp:

@@ -24,11 +24,13 @@ from gtplateau.patch import (
     area,
     boundary_mask,
     dirichlet_energy,
+    fundamental_forms,
     mean_curvature_grid,
     surface_jet,
     tessellate,
 )
 
+import forms_reference
 from difference_form import partials_difference
 from laplacian_reference import laplacian_defect
 from mesh_reference import mesh_area
@@ -607,6 +609,70 @@ class TestMeanCurvature:
         FundamentalForms(E=big, F=big / 2, G=big, L=zero, M=zero, N=zero, H=zero)
         with pytest.raises(ConfigurationError, match="Cauchy-Schwarz"):
             FundamentalForms(E=big, F=2 * big, G=big, L=zero, M=zero, N=zero, H=zero)
+
+
+def assert_same_bits(actual, expected):
+    """Equal NaN masks, and every other value equal bit for bit (so -0.0 is not 0.0)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    nan = np.isnan(expected)
+    assert actual.shape == expected.shape and np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def forms_jets(kind: str, seed: int):
+    """(S_u, S_v, S_uu, S_uv, S_vv) of one kind: a GT patch's jet, in the jet's own
+    memory layout; contiguous normal arrays, a third of their entries +-0.0; or a
+    jet with S_v parallel to S_u at about half of its samples, degenerate there."""
+    rng = np.random.default_rng(seed)
+    if kind == "arrays":
+        arrays = rng.standard_normal((5, 9, 11, 3))
+        zeros = rng.random(arrays.shape) < 1 / 3
+        arrays[zeros] = np.copysign(0.0, rng.standard_normal(zeros.sum()))
+        return tuple(arrays)
+    jet = surface_jet(random_gt_patch(seed, 3 + seed % 4, 4 + seed % 3), np.sort(rng.random(13)), np.sort(rng.random(9)))
+    su, sv, suu, suv, svv = (getattr(jet, name) for name in JET_FIELDS[1:])
+    if kind == "collinear":
+        sv = sv.copy()
+        parallel = rng.random(sv.shape[:2]) < 0.5
+        sv[parallel] = su[parallel] * rng.uniform(-2.0, 2.0, (parallel.sum(), 1))
+    return su, sv, suu, suv, svv
+
+
+class TestComponentForms:
+    """``fundamental_forms`` and ``area`` write the cross product, norm and dot
+    products out by component; they give the bits of numpy's ``np.cross``,
+    ``np.linalg.norm`` and ``sum`` calls (``tests/forms_reference.py``)."""
+
+    @pytest.mark.parametrize("exponent", [0, -40, 40])
+    @pytest.mark.parametrize("kind", ["jet", "arrays", "collinear"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forms_equal_the_vector_calls(self, kind, seed, exponent):
+        partials = [np.ldexp(x, exponent) for x in forms_jets(kind, seed)]
+        forms = fundamental_forms(*partials)
+        expected = forms_reference.fundamental_forms(*partials)
+        for name in "EFGLMNH":
+            assert_same_bits(getattr(forms, name), getattr(expected, name))
+        if kind == "collinear":
+            assert np.isnan(forms.H).any() and not np.isnan(forms.H).all()
+
+    def test_sums_of_negative_zeros_are_positive(self):
+        # the normal is (1, 1, 1) / sqrt(3), so each product with -0.0 is -0.0
+        su, sv, zero = np.array([[[1.0, -1.0, 0.0]]]), np.array([[[0.0, 1.0, -1.0]]]), -np.zeros((1, 1, 3))
+        forms = fundamental_forms(su, sv, zero, zero, zero)
+        for name in "LMN":
+            assert_same_bits(getattr(forms, name), np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("exponent", [0, -40, 40])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_area_equals_the_vector_calls(self, seed, exponent, rule16):
+        patch = random_gt_patch(seed, 3 + seed % 4, 4 + seed % 3)
+        scaled = Patch(patch.basis_u, patch.basis_v, ControlNet(points=np.ldexp(patch.net.points, exponent)))
+        # S_u and S_v of a net on one line are parallel everywhere
+        line = np.add.outer(np.arange(3.0), np.arange(4.0))[..., None] * [1.0, -2.0, 0.5]
+        collinear = Patch.bernstein(ControlNet(points=np.ldexp(line, exponent)))
+        for surface in (scaled, collinear):
+            assert_same_bits(area(surface, rule16), forms_reference.area(surface, rule16))
+        assert area(collinear, rule16) == 0.0
 
 
 class TestTessellation:

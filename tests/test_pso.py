@@ -232,55 +232,74 @@ class TestOptimize:
             swarm_size=2, inertia=0.5, c1=1.5, c2=0.5, max_iters=2,
             bounds=bounds, seed=7, threads=1,
         )
+        assert_replays(config)
 
-        def objective(x):
-            return float((x * x).sum())
+    @pytest.mark.parametrize("doubles", [1, 12, 24, 36])
+    def test_chunked_draws_replay_per_step_draws(self, monkeypatch, doubles):
+        # 3 particles, 2 dims: 12 numbers per iteration, so chunks of 1, 1, 2 and 3
+        # iterations, and 7 iterations leave a short last chunk
+        monkeypatch.setattr(pso, "_DRAW_DOUBLES", doubles)
+        bounds = np.array([[0.0, 1.0], [-1.0, 2.0]])
+        config = PsoConfig(
+            swarm_size=3, inertia=0.6, c1=1.2, c2=0.4, max_iters=7,
+            bounds=bounds, seed=11, threads=1,
+        )
+        assert_replays(config)
 
-        result = optimize(rowwise(objective), config)
 
-        lo, width = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
-        streams = [RngStream(7, i) for i in range(2)]
-        positions = np.empty((2, 2))
-        velocities = np.empty((2, 2))
+def assert_replays(config):
+    """``optimize`` equals the update rule replayed with one (dims,) draw per
+    particle and vector, in particle order."""
+
+    def objective(x):
+        return float((x * x).sum())
+
+    result = optimize(rowwise(objective), config)
+
+    bounds, n = config.bounds, config.swarm_size
+    lo, width = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    streams = [RngStream(config.seed, i) for i in range(n)]
+    positions = np.empty((n, config.dims))
+    velocities = np.empty((n, config.dims))
+    for i, stream in enumerate(streams):
+        positions[i] = lo + width * stream.uniform(size=config.dims)
+        velocities[i] = (
+            VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=config.dims) - 1.0)
+        )
+    personal_best = positions.copy()
+    personal_values = np.array([objective(p) for p in positions])
+    best = int(np.argmin(personal_values))
+    global_best = personal_best[best].copy()
+    global_value = float(personal_values[best])
+    history = [global_value]
+
+    for _ in range(config.max_iters):
         for i, stream in enumerate(streams):
-            positions[i] = lo + width * stream.uniform(size=2)
+            r1 = stream.uniform(size=config.dims)
+            r2 = stream.uniform(size=config.dims)
             velocities[i] = (
-                VELOCITY_INIT_FRACTION * width * (2.0 * stream.uniform(size=2) - 1.0)
+                config.inertia * velocities[i]
+                + config.c1 * r1 * (global_best - positions[i])
+                + config.c2 * r2 * (personal_best[i] - positions[i])
             )
-        personal_best = positions.copy()
-        personal_values = np.array([objective(p) for p in positions])
+            positions[i] = np.clip(positions[i] + velocities[i], bounds[:, 0], bounds[:, 1])
+        values = np.array([objective(p) for p in positions])
+        improved = values < personal_values
+        personal_best[improved] = positions[improved]
+        personal_values[improved] = values[improved]
         best = int(np.argmin(personal_values))
-        global_best = personal_best[best].copy()
-        global_value = float(personal_values[best])
-        history = [global_value]
+        if personal_values[best] < global_value:
+            global_value = float(personal_values[best])
+            global_best = personal_best[best].copy()
+        history.append(global_value)
 
-        for _ in range(config.max_iters):
-            for i, stream in enumerate(streams):
-                r1 = stream.uniform(size=2)
-                r2 = stream.uniform(size=2)
-                velocities[i] = (
-                    config.inertia * velocities[i]
-                    + config.c1 * r1 * (global_best - positions[i])
-                    + config.c2 * r2 * (personal_best[i] - positions[i])
-                )
-                positions[i] = np.clip(positions[i] + velocities[i], bounds[:, 0], bounds[:, 1])
-            values = np.array([objective(p) for p in positions])
-            improved = values < personal_values
-            personal_best[improved] = positions[improved]
-            personal_values[improved] = values[improved]
-            best = int(np.argmin(personal_values))
-            if personal_values[best] < global_value:
-                global_value = float(personal_values[best])
-                global_best = personal_best[best].copy()
-            history.append(global_value)
-
-        np.testing.assert_array_equal(result.history, np.array(history))
-        np.testing.assert_array_equal(result.positions, positions)
-        np.testing.assert_array_equal(result.velocities, velocities)
-        np.testing.assert_array_equal(result.personal_best, personal_best)
-        np.testing.assert_array_equal(result.position, global_best)
-        assert result.value == global_value
-        assert result.evaluations == 6
+    np.testing.assert_array_equal(result.history, np.array(history))
+    np.testing.assert_array_equal(result.positions, positions)
+    np.testing.assert_array_equal(result.velocities, velocities)
+    np.testing.assert_array_equal(result.personal_best, personal_best)
+    np.testing.assert_array_equal(result.position, global_best)
+    assert result.value == global_value
+    assert result.evaluations == n * (config.max_iters + 1)
 
 
 class TestGuards:
