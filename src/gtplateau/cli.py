@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from .coons import component_grids, optimize_tb, tb_surface_jet
+from .coons import TbPatch, component_grids, optimize_tb
 from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
 from .errors import ConfigurationError, NetFormatError, SolverError
 from .harmonic import (
@@ -249,14 +249,14 @@ def _summary_writer(args):
     return finish
 
 
-def _write_surface(out: str, net, jet_at, tess: int):
-    """net.json, and curvature.csv and surface.obj from jet_at(params, params)
-    on the (tess + 1)^2 parameter grid; returns the jet and the mesh's face block.
+def _write_surface(out: str, surface, tess: int):
+    """net.json, and curvature.csv and surface.obj from the surface's jet on the
+    (tess + 1)^2 parameter grid; returns the jet and the mesh's face block.
     The mesh comes last, so its arrays and face block do not add to the
     curvature grid's peak memory."""
     params = np.linspace(0.0, 1.0, tess + 1)
-    jet = jet_at(params, params)
-    save_net(net, os.path.join(out, "net.json"))
+    jet = surface_jet(surface, params, params)
+    save_net(surface.net, os.path.join(out, "net.json"))
     forms = fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
     write_curvature_csv(os.path.join(out, "curvature.csv"), params, params, forms)
     vertices, faces = triangulate_grid(jet.S)
@@ -277,7 +277,7 @@ def cmd_solve(args) -> int:
     surface, energy, hint, route = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
 
     finish = _summary_writer(args)
-    _write_surface(args.out, surface.net, functools.partial(surface_jet, surface), args.tess)
+    _write_surface(args.out, surface, args.tess)
     area_value = area(surface, rule)
     line = f"solve: route={route} energy={energy:.6f} area={area_value:.6f}"
 
@@ -292,10 +292,8 @@ def cmd_solve(args) -> int:
                 "reference_area": args.reference_area,
                 "relative_error": relative,
             }
-            atomic_write_text(
-                os.path.join(args.out, "discrepancy_report.json"),
-                json.dumps(discrepancy, indent=2) + "\n",
-            )
+            report = os.path.join(args.out, "discrepancy_report.json")
+            atomic_write_text(report, json.dumps(discrepancy, indent=2), "\n")
             line += f"\nsolve: area misses the reference by {relative:.3%}; wrote discrepancy_report.json"
 
     settings = {
@@ -334,8 +332,7 @@ def cmd_optimize(args) -> int:
         ))
 
     best, best_area = runs[r_best], run_rows[r_best]["area"]
-    jet_at = functools.partial(surface_jet, Patch.gt(best.net, best.shape))
-    _write_surface(args.out, best.net, jet_at, args.tess)
+    _write_surface(args.out, Patch.gt(best.net, best.shape), args.tess)
     return finish(
         {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args, runs=True)},
         {
@@ -386,11 +383,11 @@ def cmd_coons(args) -> int:
 
     finish = _summary_writer(args)
     write_convergence_csv(os.path.join(args.out, "convergence.csv"), optimum.history)
-    jet_at = functools.partial(tb_surface_jet, optimum.net, optimum.shape)
-    jet, block = _write_surface(args.out, optimum.net, jet_at, args.tess)
+    surface = TbPatch(optimum.net, optimum.shape)
+    jet, block = _write_surface(args.out, surface, args.tess)
 
     # the two mixed-basis components, as inspectable meshes on the surface's grid
-    for name, grid in zip(("r1.obj", "r2.obj"), component_grids(jet, optimum.net)):
+    for name, grid in zip(("r1.obj", "r2.obj"), component_grids(jet, surface)):
         write_obj(os.path.join(args.out, name), grid.reshape(-1, 3), block)
 
     return finish(
@@ -443,8 +440,8 @@ def cmd_compare(args) -> int:
     table = "\n".join(md_lines)
 
     finish = _summary_writer(args)
-    atomic_write_text(os.path.join(args.out, "comparison.csv"), "\n".join(csv_lines) + "\n")
-    atomic_write_text(os.path.join(args.out, "comparison.md"), table + "\n")
+    atomic_write_text(os.path.join(args.out, "comparison.csv"), "\n".join(csv_lines), "\n")
+    atomic_write_text(os.path.join(args.out, "comparison.md"), table, "\n")
     return finish(
         {"alpha": _shape_list(args.alpha), "quadrature_order": args.quad, **_pso_settings(args, runs=True)},
         {"rows": rows, "optimized_row_included": optimized},
@@ -466,12 +463,12 @@ def cmd_basis_eval(args) -> int:
     header = ["t"]
     for prefix in ("value", "d1", "d2"):
         header += [f"{prefix}_{i}" for i in range(count)]
-    text = ",".join(header) + "\n" + format_table(ts, tables.values.T, tables.first.T, tables.second.T)
+    parts = ",".join(header) + "\n", format_table(ts, tables.values.T, tables.first.T, tables.second.T)
 
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
-        atomic_write_text(args.out, text)
+        atomic_write_text(args.out, *parts)
         print(f"basis eval: wrote {args.samples} samples to {args.out}")
     return 0
 

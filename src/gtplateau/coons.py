@@ -18,7 +18,9 @@ those three blocks:
   and C[u, Gv_j] = -P_mj;
 * T's corners: C[lin_a, lin_b] = +corner_ab, the point at (u, v) = (a, b).
 
-Jets contract the tables with C by the tensor patch's ``SurfaceJet``. With
+``TbPatch`` is the hybrid as a surface value: its ``jet_at`` contracts the
+tables with C by the tensor patch's ``SurfaceJet``, so ``patch``'s
+``surface_jet``, ``dirichlet_energy`` and ``area`` evaluate it. With
 Q = K_F (x) M_H + M_F (x) K_H from 1-D Gram matrices, the energy is 1/2 sum_c
 P_c^T F P_c for the (m + 1)(n + 1)-point form F = L^T Q L, which the tensor
 patch's form builder ``_forms`` gives with L as its net map. The GT rows carry
@@ -27,12 +29,12 @@ so F is bi-quadratic in it, and its 36 blocks (``_hybrid_forms``) are the one
 place the hybrid form is built: ``tb_reduced_functional_family`` is the
 extremal engine on them, ``solve_tb_interior`` its extremal at one shape
 vector (filling whichever interior points are unknown), and ``optimize_tb``
-its ``minimize``. The independent reference reads the jet instead:
-``_tb_system`` is ``gradient_normal_system`` on it, and
-``tb_dirichlet_energy`` is the tensor patch's quadrature energy of it. The
-``coons`` command also writes R1 and R2 as meshes: ``component_grids``
-contracts the net with the Bernstein and GT row blocks of the surface jet's
-own tables, so the three meshes come from one table evaluation.
+its ``minimize``. The independent reference reads the jet instead: the
+quadrature energy ``tb_dirichlet_energy``, and in the tests
+``gradient_normal_system`` on the jet. The ``coons`` command also writes R1
+and R2 as meshes: ``component_grids`` contracts the net with the Bernstein and
+GT row blocks of the surface jet's own tables, so the three meshes come from
+one table evaluation.
 
 Index convention: in P_ij, i always indexes u and j always indexes v.
 """
@@ -44,10 +46,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisEvaluation, BasisSpec, basis_tables, gt_affine_tables
-from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms, gradient_normal_system
+from .dirichlet import ShapeOptimum, _ExtremalFamily, _family_forms, _forms
+from .dirichlet import gradient_normal_system  # noqa: F401  perfbench's tracer test reads it here
 from .errors import ConfigurationError
-from .numerics import DenseSystem, QuadratureRule, freeze_arrays
-from .patch import ControlNet, SurfaceJet, SurfaceShape, _quadrature_energy
+from .numerics import QuadratureRule, freeze_arrays
+from .patch import ControlNet, SurfaceJet, SurfaceShape, dirichlet_energy, surface_jet
 from .pso import PsoConfig
 
 
@@ -104,53 +107,49 @@ def _blend_tables(gt: BasisEvaluation, ts) -> BasisEvaluation:
     return BasisEvaluation(*map(rows, ("values", "first", "second")))
 
 
-def _known_points(net: ControlNet) -> np.ndarray:
-    """The net's points, for evaluating the patch: every one must be known."""
-    if not net.is_complete:
-        raise ConfigurationError("every control point must be known for evaluation")
-    return net.points
+@dataclass(frozen=True)
+class TbPatch:
+    """The hybrid surface of a complete net at one shape vector: a surface value
+    like ``patch.Patch``, so the tensor patch's jet, energy and area read it."""
 
+    net: ControlNet
+    shape: SurfaceShape
 
-def _tb_jet_at(net: ControlNet, shape: SurfaceShape, us, vs):
-    """The hybrid's jet on us x vs as a function of a net of ``net``'s degrees,
-    (m + 1, n + 1, ...): the tensor patch's ``SurfaceJet`` of its coefficient grid C = L P."""
-    m, n = net.degree_u, net.degree_v
-    tables = [_blend_tables(basis_tables(spec, ts), ts) for spec, ts in zip(shape.basis_specs(m, n), (us, vs))]
-    grid_map = _coefficient_map(m, n).reshape(2 * m + 4, 2 * n + 4, m + 1, n + 1)
-    return lambda points: SurfaceJet(*tables, np.tensordot(grid_map, points, 2))
+    def __post_init__(self):
+        if not self.net.is_complete:
+            raise ConfigurationError("every control point must be known for evaluation")
+
+    def jet_at(self, us, vs):
+        """The map from a net of its degrees to the ``SurfaceJet`` on us x vs of its grid C = L P."""
+        m, n = self.net.degree_u, self.net.degree_v
+        tables = [_blend_tables(basis_tables(spec, ts), ts) for spec, ts in zip(self.shape.basis_specs(m, n), (us, vs))]
+        grid_map = _coefficient_map(m, n).reshape(2 * m + 4, 2 * n + 4, m + 1, n + 1)
+        return lambda points: SurfaceJet(*tables, np.tensordot(grid_map, points, 2))
 
 
 def tb_surface_jet(net: ControlNet, shape: SurfaceShape, us, vs) -> SurfaceJet:
     """Value and derivatives of S = R1 + R2 - T on a tensor grid."""
-    return _tb_jet_at(net, shape, us, vs)(_known_points(net))
+    return surface_jet(TbPatch(net, shape), us, vs)
 
 
-def component_grids(jet: SurfaceJet, net: ControlNet) -> tuple[np.ndarray, np.ndarray]:
+def component_grids(jet: SurfaceJet, patch: TbPatch) -> tuple[np.ndarray, np.ndarray]:
     """The value grids of R1 (Bernstein m x GT n) and R2 (GT m x Bernstein n) of
-    ``net`` on the grid of its hybrid ``jet``, from the Bernstein and GT row
+    the hybrid ``patch`` on the grid of its ``jet``, from the Bernstein and GT row
     blocks of the jet's own tables."""
-    m, n = net.degree_u, net.degree_v
+    m, n = patch.net.degree_u, patch.net.degree_v
 
     def block(table, d, k):  # rows of block k: 0 Bernstein, 1 GT
         rows = slice(k * (d + 1), (k + 1) * (d + 1))
         return BasisEvaluation(table.values[rows], table.first[rows], table.second[rows])
 
-    p = _known_points(net)
-    r1 = SurfaceJet(block(jet.tu, m, 0), block(jet.tv, n, 1), p)
-    r2 = SurfaceJet(block(jet.tu, m, 1), block(jet.tv, n, 0), p)
+    r1 = SurfaceJet(block(jet.tu, m, 0), block(jet.tv, n, 1), patch.net.points)
+    r2 = SurfaceJet(block(jet.tu, m, 1), block(jet.tv, n, 0), patch.net.points)
     return r1.S, r2.S
 
 
 def tb_dirichlet_energy(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> float:
-    """(1/2) integral of |S_u|^2 + |S_v|^2: the tensor patch's quadrature energy of
-    the jet of the net centred at its mean (S ignores constants; a far offset keeps its digits)."""
-    p = _known_points(net)
-    return _quadrature_energy(_tb_jet_at(net, shape, rule.nodes, rule.nodes)(p - p.mean(axis=(0, 1))), rule)
-
-
-def _tb_system(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> DenseSystem:
-    """Reference route: the same normal equations, ``gradient_normal_system`` on the hybrid's jet."""
-    return gradient_normal_system(_tb_jet_at(net, shape, rule.nodes, rule.nodes), net, rule)
+    """(1/2) integral of |S_u|^2 + |S_v|^2: the tensor patch's quadrature energy of the hybrid."""
+    return dirichlet_energy(TbPatch(net, shape), rule)
 
 
 def solve_tb_interior(net: ControlNet, shape: SurfaceShape, rule: QuadratureRule) -> ControlNet:

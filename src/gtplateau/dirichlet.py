@@ -33,8 +33,8 @@ The independent reference reads the surface's jet, not a form:
 ``gradient_normal_system`` integrates the normal equations of any surface linear
 in its net from the jets of unit nets. The "generic" route (with its own solve,
 quadrature energy and pivot ratio) is it on the tensor patch's jet, and the
-hybrid's ``_tb_system`` on its own. Every solve refuses a rule too coarse for
-the bases (``check_rule``, shared with harmonic).
+tests' hybrid reference is it on ``coons.TbPatch``'s. Every solve refuses a
+rule too coarse for the bases (``check_rule``, shared with harmonic).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from .basis import BasisEvaluation, BasisSpec, basis_tables, check_theta_stack, gt_affine_tables
 from .errors import ConfigurationError, SolverError
 from .numerics import DenseSystem, QuadratureRule, _check_symmetric, pivot_ratio, solve_dense, solve_spd_stack
-from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceJet, SurfaceShape, dirichlet_energy
+from .patch import SHAPE_NAMES, ControlNet, Patch, SurfaceShape, dirichlet_energy
 from .pso import PsoConfig, PsoResult, optimize
 
 
@@ -277,8 +277,8 @@ def assemble_system_generic(
     """Normal equations from first principles, ``gradient_normal_system`` on the tensor
     patch's jet: independent of assemble_system (no shared integrals), used as its oracle."""
     _require_plateau(net)
-    tables = (basis_tables(basis, rule.nodes) for basis in (basis_u, basis_v))
-    return gradient_normal_system(functools.partial(SurfaceJet, *tables), net, rule)
+    zeroed = ControlNet(points=np.where(net.free[..., None], 0.0, net.points))  # jet_at reads no points
+    return gradient_normal_system(Patch(basis_u, basis_v, zeroed).jet_at(rule.nodes, rule.nodes), net, rule)
 
 
 @dataclass

@@ -27,15 +27,16 @@ from .errors import ConfigurationError, NetFormatError
 from .patch import ControlNet, FundamentalForms
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text via a new temp file in the target directory, then rename. The
-    file gets mode 0o666 & ~umask, as ``open(path, "w")`` gives a new file."""
+def atomic_write_text(path, *parts: str) -> None:
+    """Write the text parts in order (never joined) via a new temp file in the target
+    directory, then rename. The file gets mode 0o666 & ~umask, as ``open(path, "w")`` does."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".gtplateau-{os.urandom(8).hex()}.tmp")
     handle = open(tmp, "x", encoding="utf-8", newline="\n")  # exclusive: never another's file
     try:
         with handle:
-            handle.write(text)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -148,7 +149,7 @@ def net_to_payload(net: ControlNet) -> dict:
 
 
 def save_net(net: ControlNet, path) -> None:
-    atomic_write_text(path, json.dumps(net_to_payload(net), indent=2) + "\n")
+    atomic_write_text(path, json.dumps(net_to_payload(net), indent=2), "\n")
 
 
 # Numbers are written as Python's "%.17g" % x would write them, but built as numpy
@@ -376,7 +377,7 @@ def write_obj(path, vertices: np.ndarray, faces) -> None:
     block = faces if isinstance(faces, _FaceBlock) else _face_block(faces, len(vertices))
     if block.vertex_count != len(vertices):
         raise ConfigurationError(f"the face block is for {block.vertex_count} vertices, not {len(vertices)}")
-    atomic_write_text(path, format_table(vertices, sep=" ", head="v ") + block.text)
+    atomic_write_text(path, format_table(vertices, sep=" ", head="v "), block.text)
 
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
@@ -385,13 +386,13 @@ def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
     iu, iv, *columns = np.broadcast_arrays(*index, forms.H, forms.E, forms.F, forms.G)
     # u and v are formatted once per parameter value and repeated by index
     text = format_table((_cells(us), iu.ravel()), (_cells(vs), iv.ravel()), np.stack(columns, axis=-1).reshape(-1, 4))
-    atomic_write_text(path, "u,v,H,E,F,G\n" + text)
+    atomic_write_text(path, "u,v,H,E,F,G\n", text)
 
 
 def write_convergence_csv(path, history) -> None:
     """Best objective value per swarm iteration (iteration 0 = initial swarm)."""
     history = np.asarray(history, dtype=float)
-    atomic_write_text(path, "iteration,best_value\n" + format_table(np.arange(len(history)), history))
+    atomic_write_text(path, "iteration,best_value\n", format_table(np.arange(len(history)), history))
 
 
 def utc_timestamp() -> str:
@@ -416,4 +417,4 @@ def write_summary(path, command: str, timestamp: str, settings: dict, results: d
     recomputed from the emitted net file alone.
     """
     payload = {"command": command, "timestamp": timestamp, "settings": settings, "results": results}
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2), "\n")

@@ -4,17 +4,17 @@ A patch is ``S(u, v) = sum_ij P_ij G_i(u) G_j(v)`` with independent basis
 families per direction (Bernstein x Bernstein, GT x GT, or mixed). One jet,
 ``SurfaceJet``, is the only code that contracts basis tables with a net: it
 gives the surface with its first and second partials on a tensor grid, and
-computes only what is read, each grid when first read. ``surface_jet`` builds
-it from the ``basis_tables`` of each direction, which also check the
-parameters; the Dirichlet energy, surface area, mean-curvature grids and
-uniform tessellation all read from it. It takes any trailing coordinates, so
-the hybrid of ``coons``, the normal equations of ``dirichlet`` over a stack of
-unit nets, and the Laplacian samples of ``harmonic`` (over root-weighted
-tables) are jets too. The CLI writes a surface's mesh and curvature grid from
-one jet (``triangulate_grid`` and ``fundamental_forms``). Area and
-the curvature forms work on values scaled by a power of two, so neither
-depends on the net's units; area and energy take the jet of the net centred
-at its mean, so a translation costs them no digits.
+computes only what is read, each grid when first read. A surface value, a
+``Patch`` or the hybrid ``coons.TbPatch``, has a complete ``net`` and a
+``jet_at(us, vs)`` mapping nets of its degrees to jets; ``surface_jet``, the
+Dirichlet energy, surface area, mean-curvature grids and tessellation read only
+those, so each serves both. Jets take any trailing coordinates, so the normal
+equations of ``dirichlet`` over a stack of unit nets and the Laplacian samples
+of ``harmonic`` (over root-weighted tables) are jets too. The CLI writes a
+surface's mesh and curvature grid from one jet. Area and the curvature forms
+work on values scaled by a power of two, so neither depends on the net's
+units; area and energy take the jet of the net centred at its mean, so a
+translation costs them no digits.
 """
 
 from __future__ import annotations
@@ -168,6 +168,10 @@ class Patch:
         bu, bv = shape.basis_specs(net.degree_u, net.degree_v)
         return cls(basis_u=bu, basis_v=bv, net=net)
 
+    def jet_at(self, us, vs):
+        """The map from a net of the patch's degrees, (m+1, n+1, ...), to its ``SurfaceJet`` on us x vs."""
+        return functools.partial(SurfaceJet, basis_tables(self.basis_u, us), basis_tables(self.basis_v, vs))
+
 
 def _grid(u: str, v: str):
     """A jet field: the net contracted with u table ``u`` and v table ``v`` when first read."""
@@ -209,9 +213,9 @@ class SurfaceJet:
     Svv = _grid("values", "second")
 
 
-def surface_jet(patch: Patch, us, vs) -> SurfaceJet:
-    """Value, first and second partials of the patch on the grid us x vs."""
-    return SurfaceJet(basis_tables(patch.basis_u, us), basis_tables(patch.basis_v, vs), patch.net.points)
+def surface_jet(surface, us, vs) -> SurfaceJet:
+    """Value, first and second partials of a surface value on the grid us x vs."""
+    return surface.jet_at(us, vs)(surface.net.points)
 
 
 def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
@@ -220,17 +224,16 @@ def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
     return float(rule.weights @ integrand @ rule.weights)
 
 
-def _centred_jet(patch: Patch, rule: QuadratureRule) -> SurfaceJet:
+def _centred_jet(surface, rule: QuadratureRule) -> SurfaceJet:
     """The jet on the rule's tensor grid of the net centred at its mean: S_u and
     S_v ignore translation, and centring saves a far offset's digits."""
-    points = patch.net.points
-    tu, tv = (basis_tables(basis, rule.nodes) for basis in (patch.basis_u, patch.basis_v))
-    return SurfaceJet(tu, tv, points - points.mean(axis=(0, 1)))
+    points = surface.net.points
+    return surface.jet_at(rule.nodes, rule.nodes)(points - points.mean(axis=(0, 1)))
 
 
-def dirichlet_energy(patch: Patch, rule: QuadratureRule) -> float:
+def dirichlet_energy(surface, rule: QuadratureRule) -> float:
     """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
-    return _quadrature_energy(_centred_jet(patch, rule), rule)
+    return _quadrature_energy(_centred_jet(surface, rule), rule)
 
 
 def _cross(a, b):
@@ -243,11 +246,11 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + 0.0
 
 
-def area(patch: Patch, rule: QuadratureRule) -> float:
+def area(surface, rule: QuadratureRule) -> float:
     """Integral of |S_u x S_v| over the unit square. The norm squares the cross
     product scaled by a power of two (exactly), so it overflows only where the
     cross product does."""
-    jet = _centred_jet(patch, rule)
+    jet = _centred_jet(surface, rule)
     cross = _cross(np.moveaxis(jet.Su, -1, 0), np.moveaxis(jet.Sv, -1, 0))
     _, exponent = np.frexp(np.abs(cross).max())
     cross = np.ldexp(cross, -exponent)
@@ -304,14 +307,14 @@ def fundamental_forms(su, sv, suu, suv, svv) -> FundamentalForms:
     return FundamentalForms(*first, *(x * nanval for x in (l, m, n)), H=np.ldexp(h * nanval, -2 * s))
 
 
-def mean_curvature_grid(patch: Patch, samples: int):
+def mean_curvature_grid(surface, samples: int):
     """Forms and mean curvature on a uniform samples x samples grid.
 
     Returns (us, vs, FundamentalForms) with array fields of shape
     (samples, samples).
     """
     us = np.linspace(0.0, 1.0, integer(samples, "samples", 2))
-    jet = surface_jet(patch, us, us)
+    jet = surface_jet(surface, us, us)
     return us, us, fundamental_forms(jet.Su, jet.Sv, jet.Suu, jet.Suv, jet.Svv)
 
 
@@ -334,7 +337,7 @@ def triangulate_grid(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vertices, faces
 
 
-def tessellate(patch: Patch, cells: int) -> tuple[np.ndarray, np.ndarray]:
+def tessellate(surface, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform tessellation: (cells+1)^2 vertices, 2*cells^2 triangles."""
     params = np.linspace(0.0, 1.0, integer(cells, "cells", 1) + 1)
-    return triangulate_grid(surface_jet(patch, params, params).S)
+    return triangulate_grid(surface_jet(surface, params, params).S)

@@ -1,13 +1,18 @@
-"""The hybrid surface S = R1 + R2 - T, written pointwise from its definition.
+"""The hybrid surface S = R1 + R2 - T, written pointwise from its definition,
+and its normal equations from first principles.
 
 The library evaluates S as one tensor patch over 2d + 4 functions per
 direction; these helpers evaluate R1, R2 and the GT-Coons correction T term
-by term, on a net of any degrees (m, n).
+by term, on a net of any degrees (m, n). ``tb_system`` is the reference the
+hybrid's form is checked against.
 """
 
 import numpy as np
 
 from gtplateau.basis import BasisSpec, basis_tables
+from gtplateau.coons import TbPatch
+from gtplateau.dirichlet import gradient_normal_system
+from gtplateau.patch import ControlNet
 
 
 def tb_components(net, shape, u: float, v: float):
@@ -28,3 +33,11 @@ def tb_coons(net, shape, u: float, v: float) -> np.ndarray:
     """The hybrid surface S = R1 + R2 - T at one parameter point."""
     r1, r2, t = tb_components(net, shape, u, v)
     return r1 + r2 - t
+
+
+def tb_system(net, shape, rule):
+    """The hybrid's normal equations for the net's unknowns: ``gradient_normal_system``
+    on the jet of the hybrid at ``shape``. ``jet_at`` reads no points, so the patch
+    is built on the net with its unknowns at 0."""
+    zeroed = ControlNet(points=np.where(net.free[..., None], 0.0, net.points))
+    return gradient_normal_system(TbPatch(zeroed, shape).jet_at(rule.nodes, rule.nodes), net, rule)

@@ -37,6 +37,9 @@ import gtplateau.cli as cli
 #: errors went into the configuration and solver errors that shared their codes.
 #: The hybrid's single-shape solve is a row of its cached shape family, so its
 #: own form, per-shape tables and bases label went.
+#: The hybrid is a surface value, ``coons.TbPatch``, whose jet the tensor
+#: patch's jet, energy and area read, so its own jet map and completeness check
+#: went, and its reference normal equations are ``tb_system`` in ``tests/``.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -47,6 +50,7 @@ REMOVED = {
         "_check_unit", "_CORNER_TOL", "tb_reduced_functional_stack", "_hybrid_gram",
         "_tb_gram_system", "_solve_tb", "_tb_energy", "TbOptimum", "_net_form_stack",
         "require_blend_net", "_BASES", "_B", "_G", "_LIN", "_L", "_tb_form", "_pair_tables", "_bases",
+        "_tb_jet_at", "_known_points", "_tb_system",
     ),
     "cli": ("_int_at_least",),
     "errors": ("DomainError", "ReconstructionError"),

@@ -6,9 +6,9 @@ import pytest
 from gtplateau.basis import BasisSpec, basis_tables, gt_affine_tables
 from gtplateau.coons import (
     CurveSpec,
+    TbPatch,
     _blend_tables,
     _hybrid_forms,
-    _tb_system,
     optimize_tb,
     solve_tb_interior,
     tb_dirichlet_energy,
@@ -18,9 +18,9 @@ from gtplateau.coons import (
 from gtplateau.dirichlet import _free_split, _shape_weights, reduced_functional_family
 from gtplateau.errors import ConfigurationError
 from gtplateau.numerics import RngStream, finite_diff_gradient, gauss_legendre_rule
-from gtplateau.patch import ControlNet, SurfaceShape
+from gtplateau.patch import ControlNet, SurfaceShape, area, mean_curvature_grid, surface_jet, tessellate
 from gtplateau.pso import PsoConfig
-from hybrid_definition import tb_components, tb_coons
+from hybrid_definition import tb_components, tb_coons, tb_system
 
 CUBIC = BasisSpec.bernstein(3)
 TS = np.linspace(0.0, 1.0, 21)
@@ -264,7 +264,7 @@ class TestGramAssembly:
         shape = random_shape(seed)
         rule = gauss_legendre_rule(16 + seed % 3 * 8)
         matrix, rhs = _free_split(family_form(net, shape, rule), net)
-        reference = _tb_system(net, shape, rule)
+        reference = tb_system(net, shape, rule)
         for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -462,7 +462,7 @@ class TestAnyDegree:
         shape = random_shape(80 + seed)
         rule = gauss_legendre_rule(max(m, n) + 1 + 8 * seed)
         matrix, rhs = _free_split(family_form(net, shape, rule), net)
-        reference = _tb_system(net, shape, rule)
+        reference = tb_system(net, shape, rule)
         for got, want in ((matrix, reference.matrix), (rhs, reference.rhs)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -496,7 +496,7 @@ def test_partially_known_interior(rule32):
 
     centre = net.points[net.fixed].mean(axis=0)
     centred = ControlNet(points=net.points - centre, fixed=net.fixed)
-    reference = _tb_system(centred, shape, rule32)
+    reference = tb_system(centred, shape, rule32)
     want = np.linalg.solve(reference.matrix, reference.rhs) + centre
     got = solved.points[net.free]
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -504,3 +504,52 @@ def test_partially_known_interior(rule32):
     extremal = tb_reduced_functional_family(net, rule32).extremal(shape.as_array()).net
     np.testing.assert_array_equal(extremal.points[net.fixed], net.points[net.fixed])
     assert np.abs(extremal.points[net.free] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def planar_net(m: int, n: int) -> ControlNet:
+    """P_ij = (i/m, j/n, 0). Bernstein rows reproduce i/m and the GT rows sum to 1,
+    so every hybrid of it is the unit square's identity chart (u, v, 0)."""
+    i, j = np.indices((m + 1, n + 1))
+    return ControlNet(points=np.stack([i / m, j / n, np.zeros(i.shape)], axis=-1))
+
+
+@pytest.mark.parametrize("degrees", [(2, 2), (3, 3), (5, 4), (8, 8)], ids=lambda d: f"{d[0]}x{d[1]}")
+class TestSurfaceValue:
+    """The tensor patch's evaluations read a ``TbPatch`` as they read a ``Patch``:
+    the identity chart, as given and as the extremal refills its interior (the
+    identity is conformal, so it is its own extremal), at random shape vectors."""
+
+    @pytest.fixture
+    def charts(self, degrees, rule32):
+        net = planar_net(*degrees)
+        shapes = [random_shape(100 + seed) for seed in range(3)]
+        return [(net, shape) for shape in shapes] + [
+            (solve_tb_interior(open_interior(net.points), shape, rule32), shape) for shape in shapes
+        ]
+
+    def test_area_is_one(self, charts, rule32):
+        for net, shape in charts:
+            assert abs(area(TbPatch(net, shape), rule32) - 1.0) <= 1e-14
+
+    def test_area_is_at_most_the_energy(self, charts, check_am_gm, rule32):
+        for net, shape in charts:
+            _, energy = check_am_gm(TbPatch(net, shape))
+            assert energy == tb_dirichlet_energy(net, shape, rule32)
+
+    def test_far_translation_keeps_the_area(self, charts, rule32):
+        # the net as a 2^40 offset holds it, and that net offset (exactly)
+        for net, shape in charts:
+            far = net.points + 2.0**40
+            near = area(TbPatch(ControlNet(points=far - 2.0**40), shape), rule32)
+            assert abs(area(TbPatch(ControlNet(points=far), shape), rule32) - near) <= 1e-15 * near
+
+    def test_mesh_and_curvature_grid_are_flat(self, charts):
+        for net, shape in charts[::3]:
+            surface = TbPatch(net, shape)
+            ts = np.linspace(0.0, 1.0, 9)
+            vertices, _ = tessellate(surface, 8)
+            np.testing.assert_array_equal(vertices, surface_jet(surface, ts, ts).S.reshape(-1, 3))
+            chart = np.stack(np.meshgrid(ts, ts, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+            assert np.abs(vertices - chart).max() <= 1e-14
+            _, _, forms = mean_curvature_grid(surface, 7)
+            assert np.all(forms.H == 0.0)

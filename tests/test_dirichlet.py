@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtplateau.basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
-from gtplateau.coons import _blend_tables, _coefficient_map, _hybrid_forms, _tb_system
+from gtplateau.coons import _blend_tables, _coefficient_map, _hybrid_forms
 from gtplateau.dirichlet import (
     GramMatrices,
     _forms,
@@ -32,6 +32,7 @@ from gtplateau.patch import (
     dirichlet_energy,
     tessellate,
 )
+from hybrid_definition import tb_system
 from mesh_reference import mesh_area
 
 CUBIC = BasisSpec.bernstein(3)
@@ -259,7 +260,7 @@ class TestJetBuilder:
     def test_hybrid_route_is_the_split_form(self, degrees, thetas, share, seed, rule16, boundary_net_factory):
         net = partly_known(boundary_net_factory(seed, shape=(degrees[0] + 1, degrees[1] + 1)), share, seed)
         shape = SurfaceShape(*thetas)
-        reference = _tb_system(net, shape, rule16)
+        reference = tb_system(net, shape, rule16)
         form = np.tensordot(_shape_weights([thetas])[0], _hybrid_forms(*degrees, rule16), 1)
         same_system((reference.matrix, reference.rhs), _free_split(form, net))
 

@@ -559,5 +559,14 @@ class TestAtomicWrite:
         assert target.read_text() == "original\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_parts_are_written_in_order(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic_write_text(target, "pay", "", "load\n")
+        assert target.read_text() == "payload\n"
+        with pytest.raises(TypeError):
+            atomic_write_text(target, "written\n", 12345)  # a later part fails
+        assert target.read_text() == "payload\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
     def test_net_payload_skips_mask_when_implied(self, wave_net):
         assert "fixed" not in net_to_payload(wave_net)
