@@ -4,7 +4,9 @@ Commands: ``basis eval``, ``solve``, ``optimize``, ``harmonic``, ``coons``,
 and ``compare``. Every command writes its artifacts into --out and a
 summary.json recording the settings that produced the numbers, so each
 reported value can be recomputed from the emitted files (a swarm's energy is
-its convergence CSV's last row). Exit codes: 0 success, 2 invalid input or
+its convergence CSV's last row). Every solved surface, ``solve``'s, each
+``optimize`` run, ``coons``'s and each ``compare`` row, reports ``_reported``'s
+energy, area and pivot hint. Exit codes: 0 success, 2 invalid input or
 usage, 3 solver failure (nothing written), 4 file error.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .basis import THETA_MAX, THETA_MIN, BasisSpec, basis_tables
 from .coons import TbPatch, component_grids, optimize_tb
-from .dirichlet import check_rule, describe_bases, reduced_functional_family, solve_interior
+from .dirichlet import ExtremalSolution, check_rule, describe_bases, reduced_functional_family, solve_interior
 from .errors import ConfigurationError, NetFormatError, SolverError
 from .harmonic import (
     bernstein_laplacian_defect,
@@ -66,7 +68,7 @@ MAX_NET_SCALE = 1e70
 #: lowest-index one is the best run, so a one-ulp difference cannot decide it.
 _BEST_RUN_RTOL = 1e-12
 
-#: Largest ``--tess``: a cold ``solve`` of the wave peaks at 618 MB RSS at 1024 and 2218 MB at
+#: Largest ``--tess``: a cold ``solve`` of the wave peaks at 461 MB RSS at 1024 and 1569 MB at
 #: 2048 (numpy 2.4 on x86-64 Linux), and the grids grow as the square of it.
 _MAX_TESS = 2048
 
@@ -214,15 +216,24 @@ def _read_net(path):
 
 
 def _extremal(net, basis_u: BasisSpec, basis_v: BasisSpec, rule):
-    """(patch, energy, hint, route): the interior solved when anything is
-    unknown, else the net as-is, on a rule the solve would accept."""
+    """(patch, ExtremalSolution): the interior solved when anything is unknown,
+    else the net as-is with its quadrature energy, on a rule the solve would accept."""
     if net.free.any():
         sol = solve_interior(net, basis_u, basis_v, rule)
-        surface = Patch(basis_u=basis_u, basis_v=basis_v, net=sol.net)
-        return surface, sol.energy, sol.system_condition_hint, sol.route
+        return Patch(basis_u=basis_u, basis_v=basis_v, net=sol.net), sol
     check_rule(net, rule, describe_bases(basis_u, basis_v))
     surface = Patch(basis_u=basis_u, basis_v=basis_v, net=net)
-    return surface, dirichlet_energy(surface, rule), None, "none (net already complete)"
+    return surface, ExtremalSolution(net, dirichlet_energy(surface, rule), None, "none (net already complete)")
+
+
+def _reported(surface, solution: ExtremalSolution, rule) -> dict:
+    """What every solved surface reports, in this order: its extremal's energy,
+    its area on the rule, and the solve's pivot hint (None for a net as given)."""
+    return {
+        "energy": solution.energy,
+        "area": area(surface, rule),
+        "system_condition_hint": solution.system_condition_hint,
+    }
 
 
 def _swarm_runs(net, rule, config: PsoConfig, count: int):
@@ -274,24 +285,19 @@ def cmd_solve(args) -> int:
             raise ConfigurationError(f"{flag} must be a positive finite number, got {value!r}")
     net = _read_net(args.net)
     rule = gauss_legendre_rule(args.quad)
-    surface, energy, hint, route = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
+    surface, solution = _extremal(net, *_select_bases(args.basis, args.alpha, net), rule)
 
     finish = _summary_writer(args)
     _write_surface(args.out, surface, args.tess)
-    area_value = area(surface, rule)
-    line = f"solve: route={route} energy={energy:.6f} area={area_value:.6f}"
+    reported = _reported(surface, solution, rule)
+    line = f"solve: route={solution.route} energy={reported['energy']:.6f} area={reported['area']:.6f}"
 
     discrepancy = None
     if args.reference_area is not None:
-        relative = abs(area_value - args.reference_area) / abs(args.reference_area)
+        relative = abs(reported["area"] - args.reference_area) / abs(args.reference_area)
         if relative > args.reference_rel_tol:
-            discrepancy = {
-                "area": area_value,
-                "energy": energy,
-                "quadrature_order": args.quad,
-                "reference_area": args.reference_area,
-                "relative_error": relative,
-            }
+            discrepancy = dict(area=reported["area"], energy=reported["energy"], quadrature_order=args.quad,
+                               reference_area=args.reference_area, relative_error=relative)
             report = os.path.join(args.out, "discrepancy_report.json")
             atomic_write_text(report, json.dumps(discrepancy, indent=2), "\n")
             line += f"\nsolve: area misses the reference by {relative:.3%}; wrote discrepancy_report.json"
@@ -304,14 +310,8 @@ def cmd_solve(args) -> int:
         "reference_area": args.reference_area,
         "reference_rel_tol": args.reference_rel_tol,
     }
-    results = {
-        "solved_points": int(net.free.sum()),
-        "route": route,
-        "energy": energy,
-        "area": area_value,
-        "system_condition_hint": hint,
-        "discrepancy": discrepancy is not None,
-    }
+    results = {"solved_points": int(net.free.sum()), "route": solution.route, **reported,
+               "discrepancy": discrepancy is not None}
     return finish(settings, results, line)
 
 
@@ -323,28 +323,19 @@ def cmd_optimize(args) -> int:
     runs, r_best = _swarm_runs(net, rule, _pso_config(args), args.runs)
 
     finish = _summary_writer(args)
-    run_rows = []
     for r, run in enumerate(runs):
         write_convergence_csv(os.path.join(args.out, f"convergence_{r:02d}.csv"), run.history)
-        run_rows.append(dict(
-            run=r, seed=args.seed + r, alpha=_shape_list(run.shape), energy=run.energy,
-            area=area(Patch.gt(run.net, run.shape), rule), evaluations=run.pso.evaluations,
-        ))
+    reports = [_reported(Patch.gt(run.net, run.shape), run, rule) for run in runs]
+    run_rows = [dict(run=r, seed=args.seed + r, alpha=_shape_list(run.shape), **report, evaluations=run.pso.evaluations)
+                for r, (run, report) in enumerate(zip(runs, reports))]
 
-    best, best_area = runs[r_best], run_rows[r_best]["area"]
+    best, reported = runs[r_best], reports[r_best]
     _write_surface(args.out, Patch.gt(best.net, best.shape), args.tess)
     return finish(
         {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args, runs=True)},
-        {
-            "best_run": r_best,
-            "alpha": _shape_list(best.shape),
-            "energy": best.energy,
-            "area": best_area,
-            "system_condition_hint": best.system_condition_hint,
-            "runs": run_rows,
-        },
+        {"best_run": r_best, "alpha": _shape_list(best.shape), **reported, "runs": run_rows},
         f"optimize: best run {r_best} alpha={_shape_text(best.shape)} "
-        f"energy={best.energy:.6f} area={best_area:.6f}",
+        f"energy={reported['energy']:.6f} area={reported['area']:.6f}",
     )
 
 
@@ -390,15 +381,11 @@ def cmd_coons(args) -> int:
     for name, grid in zip(("r1.obj", "r2.obj"), component_grids(jet, surface)):
         write_obj(os.path.join(args.out, name), grid.reshape(-1, 3), block)
 
+    reported = _reported(surface, optimum, rule)
     return finish(
         {"quadrature_order": args.quad, "tessellation_cells": args.tess, **_pso_settings(args)},
-        {
-            "alpha": _shape_list(optimum.shape),
-            "energy": optimum.energy,
-            "evaluations": optimum.pso.evaluations,
-            "system_condition_hint": optimum.system_condition_hint,
-        },
-        f"coons: alpha={_shape_text(optimum.shape)} energy={optimum.energy:.6f}",
+        {"alpha": _shape_list(optimum.shape), **reported, "evaluations": optimum.pso.evaluations},
+        f"coons: alpha={_shape_text(optimum.shape)} energy={reported['energy']:.6f} area={reported['area']:.6f}",
     )
 
 
@@ -408,23 +395,22 @@ def cmd_compare(args) -> int:
     config = _pso_config(args)  # summary.json echoes the settings even when no swarm runs
     rows = []
 
-    def add_row(method, shape, energy, area_value, note=""):
-        rows.append(dict(method=method, alpha=_shape_list(shape), energy=energy, area=area_value,
-                         note=note))
+    def add_row(method, shape, reported, note=""):
+        rows.append(dict(method=method, alpha=_shape_list(shape), **reported, note=note))
 
     optimized = args.runs > 0 and bool(net.free.any())
     if optimized:
         runs, r_best = _swarm_runs(net, rule, config, args.runs)
         best = runs[r_best]
-        add_row("gt-optimized", best.shape, best.energy, area(Patch.gt(best.net, best.shape), rule))
+        add_row("gt-optimized", best.shape, _reported(Patch.gt(best.net, best.shape), best, rule))
 
     fixed_rows = (("gt-fixed-alpha", args.alpha, "gt"), ("bernstein-dirichlet", None, "bernstein"))
     for method, shape, basis in fixed_rows:
-        surface, energy, _, _ = _extremal(net, *_select_bases(basis, args.alpha, net), rule)
-        add_row(method, shape, energy, area(surface, rule))
+        reported = _reported(*_extremal(net, *_select_bases(basis, args.alpha, net), rule), rule)
+        add_row(method, shape, reported)
 
-    add_row("quasi-harmonic", None, None, None, NOT_IMPLEMENTED_NOTE)
-    add_row("bending-energy", None, None, None, NOT_IMPLEMENTED_NOTE)
+    for method in ("quasi-harmonic", "bending-energy"):  # the same fields, all null
+        add_row(method, None, dict.fromkeys(reported), NOT_IMPLEMENTED_NOTE)
 
     def cells(values, fmt):  # blank where a row has no value
         return ["" if x is None else fmt % x for x in values]
@@ -463,7 +449,7 @@ def cmd_basis_eval(args) -> int:
     header = ["t"]
     for prefix in ("value", "d1", "d2"):
         header += [f"{prefix}_{i}" for i in range(count)]
-    parts = ",".join(header) + "\n", format_table(ts, tables.values.T, tables.first.T, tables.second.T)
+    parts = [",".join(header) + "\n", *format_table(ts, tables.values.T, tables.first.T, tables.second.T)]
 
     if args.out is None:
         sys.stdout.writelines(parts)

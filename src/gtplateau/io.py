@@ -311,11 +311,12 @@ def _cells(values) -> np.ndarray:
     return out[:, :(np.flatnonzero(out.any(axis=0)).max(initial=0) + 1) // 8 * 8 + 8]
 
 
-def format_table(*tables, sep: str = ",", head: str = "") -> str:
+def format_table(*tables, sep: str = ",", head: str = "") -> list[str]:
     """One line per row of the ``tables``: ``head``, then the row's numbers
     joined by ``sep``, then a newline, byte for byte as Python's "%.17g" writes
     them. Integers are written as the doubles they are, which "%.17g" prints as
-    "%d" does up to 2**53.
+    "%d" does up to 2**53. The text is a list of one string per block of rows,
+    each decoded as it is made, so writers hold it once and never join it.
 
     A table is a 1-D column or a 2-D array of columns, or a pair (cells, index)
     of text made once by ``_cells`` (cells of any whole number of words) and a
@@ -348,8 +349,8 @@ def format_table(*tables, sep: str = ",", head: str = "") -> str:
                 _float_cells(block, out)
             out[:, :, -1] = ord(sep)  # the last byte of every cell is spare
         line[:size, -1] = ord("\n")  # the line's last spare byte takes the newline
-        chunks.append(line[:size].tobytes().translate(None, b"\0"))
-    return b"".join(chunks).decode("ascii")
+        chunks.append(line[:size].tobytes().translate(None, b"\0").decode("ascii"))
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -357,7 +358,7 @@ class _FaceBlock:
     """The "f" lines of a face array, checked against ``vertex_count`` vertices."""
 
     vertex_count: int
-    text: str
+    text: list[str]
 
 
 def _face_block(faces: np.ndarray, vertex_count: int) -> _FaceBlock:
@@ -377,7 +378,7 @@ def write_obj(path, vertices: np.ndarray, faces) -> None:
     block = faces if isinstance(faces, _FaceBlock) else _face_block(faces, len(vertices))
     if block.vertex_count != len(vertices):
         raise ConfigurationError(f"the face block is for {block.vertex_count} vertices, not {len(vertices)}")
-    atomic_write_text(path, format_table(vertices, sep=" ", head="v "), block.text)
+    atomic_write_text(path, *format_table(vertices, sep=" ", head="v "), *block.text)
 
 
 def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
@@ -386,13 +387,13 @@ def write_curvature_csv(path, us, vs, forms: FundamentalForms) -> None:
     iu, iv, *columns = np.broadcast_arrays(*index, forms.H, forms.E, forms.F, forms.G)
     # u and v are formatted once per parameter value and repeated by index
     text = format_table((_cells(us), iu.ravel()), (_cells(vs), iv.ravel()), np.stack(columns, axis=-1).reshape(-1, 4))
-    atomic_write_text(path, "u,v,H,E,F,G\n", text)
+    atomic_write_text(path, "u,v,H,E,F,G\n", *text)
 
 
 def write_convergence_csv(path, history) -> None:
     """Best objective value per swarm iteration (iteration 0 = initial swarm)."""
     history = np.asarray(history, dtype=float)
-    atomic_write_text(path, "iteration,best_value\n", format_table(np.arange(len(history)), history))
+    atomic_write_text(path, "iteration,best_value\n", *format_table(np.arange(len(history)), history))
 
 
 def utc_timestamp() -> str:

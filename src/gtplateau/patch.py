@@ -218,12 +218,6 @@ def surface_jet(surface, us, vs) -> SurfaceJet:
     return surface.jet_at(us, vs)(surface.net.points)
 
 
-def _quadrature_energy(jet: SurfaceJet, rule: QuadratureRule) -> float:
-    """(1/2) integral of |S_u|^2 + |S_v|^2 from a jet on the rule's tensor grid."""
-    integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
-    return float(rule.weights @ integrand @ rule.weights)
-
-
 def _centred_jet(surface, rule: QuadratureRule) -> SurfaceJet:
     """The jet on the rule's tensor grid of the net centred at its mean: S_u and
     S_v ignore translation, and centring saves a far offset's digits."""
@@ -233,7 +227,9 @@ def _centred_jet(surface, rule: QuadratureRule) -> SurfaceJet:
 
 def dirichlet_energy(surface, rule: QuadratureRule) -> float:
     """(1/2) integral of |S_u|^2 + |S_v|^2 over the unit square."""
-    return _quadrature_energy(_centred_jet(surface, rule), rule)
+    jet = _centred_jet(surface, rule)
+    integrand = 0.5 * ((jet.Su * jet.Su).sum(axis=-1) + (jet.Sv * jet.Sv).sum(axis=-1))
+    return float(rule.weights @ integrand @ rule.weights)
 
 
 def _cross(a, b):

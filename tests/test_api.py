@@ -40,6 +40,7 @@ import gtplateau.cli as cli
 #: The hybrid is a surface value, ``coons.TbPatch``, whose jet the tensor
 #: patch's jet, energy and area read, so its own jet map and completeness check
 #: went, and its reference normal equations are ``tb_system`` in ``tests/``.
+#: The Dirichlet energy was the jet quadrature's one caller, so it holds it.
 REMOVED = {
     "basis": (
         "eval_bernstein", "eval_gt", "_scalar_evaluation", "curve_point_and_curvature",
@@ -69,6 +70,7 @@ REMOVED = {
     "patch": (
         "second_partials", "mesh_area", "evaluate_grid", "partial_grids",
         "second_partial_grids", "evaluate", "partials", "laplacian_defect", "_check_params",
+        "_quadrature_energy",
     ),
 }
 

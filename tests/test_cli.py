@@ -18,10 +18,10 @@ import gtplateau.cli as cli
 import gtplateau.pso as pso
 from gtplateau.cli import MAX_NET_SCALE, NOT_IMPLEMENTED_NOTE, main
 from gtplateau.basis import BasisSpec
-from gtplateau.coons import solve_tb_interior
+from gtplateau.coons import TbPatch, solve_tb_interior
 from gtplateau.io import load_net, save_net, write_obj
 from gtplateau.numerics import gauss_legendre_rule
-from gtplateau.patch import ControlNet, Patch, SurfaceShape, tessellate
+from gtplateau.patch import ControlNet, Patch, SurfaceShape, area, tessellate
 from hybrid_definition import tb_components
 from laplacian_reference import defect_objective
 
@@ -34,6 +34,17 @@ SADDLE = str(FIXTURES / "saddle_boundary.json")
 
 def read_summary(out: pathlib.Path) -> dict:
     return json.loads((out / "summary.json").read_text())
+
+
+#: What every solved surface reports, in this order.
+REPORTED = ["energy", "area", "system_condition_hint"]
+
+
+def assert_reported(result: dict) -> None:
+    """A solved surface's result carries ``REPORTED``, one after another."""
+    keys = list(result)
+    start = keys.index("energy")
+    assert keys[start:start + len(REPORTED)] == REPORTED
 
 
 def read_history(path: pathlib.Path) -> np.ndarray:
@@ -185,8 +196,11 @@ class TestOptimize:
         least = min(row["energy"] for row in runs)
         tied = [row["run"] for row in runs if row["energy"] <= least + cli._BEST_RUN_RTOL * least]
         assert best["best_run"] == tied[0]
-        assert best["runs"][best["best_run"]]["energy"] == best["energy"]
+        assert_reported(best)
+        assert [best[key] for key in REPORTED] == [runs[best["best_run"]][key] for key in REPORTED]
         for row in runs:
+            assert_reported(row)
+            assert row["system_condition_hint"] >= 1.0
             # the winner is the swarm's own extremal, not a second solve
             assert row["energy"] == read_history(out / f"convergence_{row['run']:02d}.csv")[-1]
             assert all(0.5 <= x <= 3.5 for x in row["alpha"])
@@ -405,7 +419,25 @@ class TestCoons:
         history = read_history(out / "convergence.csv")
         assert np.all(np.diff(history) <= 0.0)
         assert results["energy"] == history[-1]
-        assert "coons: alpha=" in capsys.readouterr().out
+        assert_reported(results)
+        assert list(results)[-1] == "evaluations"
+        printed = capsys.readouterr().out
+        assert "coons: alpha=" in printed and f" area={results['area']:.6f}" in printed
+
+    @pytest.mark.parametrize("fixture", [WAVE, SADDLE], ids=["wave", "saddle"])
+    def test_area_is_the_written_surfaces(self, tmp_path, capsys, fixture):
+        """The reported area is the hybrid's ``area`` of the written net at the
+        reported shape vector on the command's rule, bit for bit, at most the energy."""
+        out = tmp_path / "run"
+        rc = main(["coons", fixture, "--out", str(out), "--swarm", "6", "--iters", "2",
+                   "--threads", "1", "--tess", "2", "--quad", "20"])
+        assert rc == 0
+        summary = read_summary(out)
+        results = summary["results"]
+        surface = TbPatch(load_net(out / "net.json"), SurfaceShape(*results["alpha"]))
+        assert results["area"] == area(surface, gauss_legendre_rule(summary["settings"]["quadrature_order"]))
+        assert results["area"] <= results["energy"] + 1e-9
+        assert f"energy={results['energy']:.6f} area={results['area']:.6f}\n" in capsys.readouterr().out
 
     def test_any_boundary_degree(self, tmp_path):
         # the (5, 4) saddle: the surface and both mixed-basis meshes at the net's degrees
@@ -482,10 +514,12 @@ class TestCompare:
         ]
         rows = read_summary(out)["results"]["rows"]
         for row in rows:
+            assert_reported(row)
             if row["note"] == NOT_IMPLEMENTED_NOTE:
-                assert row["energy"] is None and row["area"] is None
+                assert [row[key] for key in REPORTED] == [None, None, None]
             else:
                 assert row["area"] <= row["energy"] + 1e-9
+                assert row["system_condition_hint"] >= 1.0
         markdown = (out / "comparison.md").read_text()
         assert "| gt-fixed-alpha |" in markdown
         assert NOT_IMPLEMENTED_NOTE in markdown

@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -308,7 +309,7 @@ with np.errstate(over="ignore"):  # the largest double steps up to inf
 def array_table(*tables, **kwargs):
     """format_table with every table on the numpy byte-array path, however small."""
     with mock.patch.object(io_module, "_ARRAY_MIN_CELLS", 0):
-        return format_table(*tables, **kwargs)
+        return "".join(format_table(*tables, **kwargs))
 
 
 class TestFormatTable:
@@ -355,13 +356,16 @@ class TestFormatTable:
         doubles = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-12, 20, (rows, 2))
         expected = percent_lines("x %d;%.17g;%.17g", np.column_stack([ints, doubles]).tolist())
         # column_stack made the ints floats; %d of an integral float prints the same
-        assert format_table(ints, doubles, sep=";", head="x ") == expected
-        assert format_table(np.zeros((0, 3))) == ""
+        blocks = format_table(ints, doubles, sep=";", head="x ")
+        assert "".join(blocks) == expected
+        # one string per block of rows, each a whole number of lines
+        assert len(blocks) == 3 and all(block.endswith("\n") for block in blocks)
+        assert format_table(np.zeros((0, 3))) == []
 
     def test_python_fallback_is_byte_identical(self, monkeypatch):
         # with no margin to a tie, every value is formatted by Python
         values = np.concatenate([EDGE_DOUBLES, np.random.default_rng(5).standard_normal(500)])
-        expected = format_table(values)
+        expected = "".join(format_table(values))
         formatted = []
         python_format = io_module._python_format
 
@@ -371,7 +375,7 @@ class TestFormatTable:
 
         monkeypatch.setattr(io_module, "_TIE_MARGIN", 0.0)
         monkeypatch.setattr(io_module, "_python_format", counted)
-        assert format_table(values) == expected
+        assert "".join(format_table(values)) == expected
         assert sum(formatted) == len(values)
 
 
@@ -396,7 +400,7 @@ class TestSmallTables:
             python_format(numbers, out, where)
 
         with mock.patch.object(io_module, "_python_format", counted):
-            text = format_table(ints, doubles, sep=";", head="x ")
+            text = "".join(format_table(ints, doubles, sep=";", head="x "))
         reference = np.empty((rows, columns + 1), dtype=object)  # Python ints and floats
         reference[:, 0], reference[:, 1:] = ints, doubles
         assert text == _format_rows("x %d" + ";%.17g" * columns + "\n", reference)
@@ -438,6 +442,32 @@ class TestWritersMatchReference:
         write_curvature_csv(target, us, vs, forms)
         assert target.read_text() == curvature_text(us, vs, forms)
 
+    @pytest.mark.parametrize("writer", ["curvature", "obj"])
+    def test_peak_memory_stays_under_twice_the_file(self, tmp_path, writer):
+        """On a 257 x 257 grid (several blocks of rows), a writer's traced
+        allocation peak stays under twice its file's size: the text is held
+        once, as its blocks, and never joined or decoded whole."""
+        rng = np.random.default_rng(257)
+        shape = (257, 257)
+        e, g = rng.random(shape) * 4.0, rng.random(shape)
+        zeros = np.zeros(shape)
+        forms = FundamentalForms(E=e, F=rng.uniform(-1.0, 1.0, shape) * np.sqrt(e * g), G=g,
+                                 L=zeros, M=zeros, N=zeros, H=rng.standard_normal(shape))
+        params = np.linspace(0.0, 1.0, 257)
+        vertices, faces = triangulate_grid(rng.standard_normal(shape + (3,)))
+        target = tmp_path / writer
+        write = {
+            "curvature": lambda: write_curvature_csv(target, params, params, forms),
+            "obj": lambda: write_obj(target, vertices, faces),
+        }[writer]
+        tracemalloc.start()
+        try:
+            write()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * target.stat().st_size
+
 
 class TestNarrowCells:
     """``_cells`` gives each number the fewest whole words that hold its text and
@@ -475,7 +505,7 @@ class TestNarrowCells:
         # tess 99 has exactly 10**4 vertices, the first 5-digit vertex number
         vertices, faces = triangulate_grid(np.zeros((tess + 1, tess + 1, 3)))
         block = _face_block(faces, len(vertices))
-        assert block.text == obj_text(np.zeros((0, 3)), faces)
+        assert "".join(block.text) == obj_text(np.zeros((0, 3)), faces)
 
     @pytest.mark.parametrize(
         "params, width",
